@@ -30,7 +30,7 @@ from .codes import (
     write_pchk,
 )
 from .combinat import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
-from .descent import DescentTrace, LevelRecord, run_algorithm1, select_pivot, spectrum_descend
+from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot, spectrum_descend
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
 from .spectrum import (
     RealEigenvector,
@@ -38,10 +38,9 @@ from .spectrum import (
     build_spectrum_level0,
     character_sum_oracle,
     eigenvalue_level0,
-    min_eigenvalue,
     real_eigenvector,
 )
-from .vectors import FqVector, dot_product
+from .vectors import FqVector
 
 __version__ = "0.1.0"
 
@@ -66,8 +65,8 @@ __all__ = [
     "build_spectrum_level0",
     "character_sum_oracle",
     "codewords",
+    "descend",
     "descent_bound",
-    "dot_product",
     "eigenvalue_level0",
     "entropy_q",
     "format_pchk",
@@ -80,7 +79,6 @@ __all__ = [
     "krawtchouk",
     "max_independent_set_oracle",
     "min_distance",
-    "min_eigenvalue",
     "read_pchk",
     "real_eigenvector",
     "run_algorithm1",

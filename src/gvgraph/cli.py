@@ -13,18 +13,16 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import ceil, floor, inf
 
 from .bounds import BoundReport, build_bound_report
-from .codes import LinearCode, codewords, min_distance, read_pchk, write_pchk
+from .codes import LinearCode, _atomic_write_text, codewords, read_pchk, write_pchk
 from .combinat import GraphParams
-from .descent import run_algorithm1
+from .descent import descend, run_algorithm1
 from .errors import BudgetError, PchkFormatError
 from .spectrum import build_spectrum_level0
 
@@ -63,19 +61,6 @@ SWEEP_FIELDS = [
 
 def _frac_str(value: Fraction | None) -> str | None:
     return None if value is None else str(value)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvgraph-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -123,12 +108,17 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    params = GraphParams(args.q, args.n, args.d)
+def _bound_report(params: GraphParams, budget: int | None) -> tuple[BoundReport, str]:
+    """The report and status "ok", or, over the budget, the report without the descent and "skipped"."""
     try:
-        report = build_bound_report(params, budget=args.budget)
-    except BudgetError:
-        report = build_bound_report(params, include_descent=False)
+        return build_bound_report(params, budget=budget), "ok"
+    except BudgetError as exc:
+        log.warning("descent skipped for (q=%d, n=%d, d=%d): %s", params.q, params.n, params.d, exc)
+        return build_bound_report(params, include_descent=False), "skipped"
+
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    report, _ = _bound_report(GraphParams(args.q, args.n, args.d), args.budget)
     payload = _report_dict(report)
     if args.json:
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -151,19 +141,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for weight, eigenvalue, multiplicity in table.weight_rows():
             writer.writerow([weight, eigenvalue, multiplicity])
     else:
-        trace = run_algorithm1(params, budget=args.budget)
-        if level > trace.s:
+        for table, _ in descend(params, budget=args.budget):
+            if table.level == level:
+                break
+        else:
             print(
                 f"level {level} is beyond termination: the descent for "
-                f"(q={params.q}, n={params.n}, d={params.d}) stops at s = {trace.s}",
+                f"(q={params.q}, n={params.n}, d={params.d}) stops at s = {table.level}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        table = build_spectrum_level0(params, dense=True, budget=args.budget)
-        from .descent import spectrum_descend
-
-        for rec in trace.levels[:level]:
-            table = spectrum_descend(table, rec.pivot)
         writer.writerow(["vector", "eigenvalue"])
         for vec, lam in table.entries():
             writer.writerow([str(vec), lam])
@@ -194,7 +181,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     code = read_pchk(args.pchk)
     words = codewords(code, budget=args.budget)
-    distance = min_distance(code, budget=args.budget)
+    distance = min((w.weight for w in words if not w.is_zero), default=inf)
     shown = "infinity" if distance == inf else str(distance)
     print(f"q: {code.q}")
     print(f"n: {code.n}")
@@ -229,12 +216,7 @@ def _sweep_cell(cell: tuple[int, int, int, int | None]) -> dict:
     q, n, d, budget = cell
     params = GraphParams(q, n, d)
     start = time.perf_counter()
-    try:
-        report = build_bound_report(params, budget=budget)
-        status = "ok"
-    except BudgetError:
-        report = build_bound_report(params, include_descent=False)
-        status = "skipped"
+    report, status = _bound_report(params, budget)
     row = _report_dict(report)
     row["status"] = status
     row["runtime_seconds"] = f"{time.perf_counter() - start:.3f}"

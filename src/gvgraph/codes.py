@@ -193,18 +193,23 @@ def format_pchk(code: LinearCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_pchk(path: str, code: LinearCode) -> None:
-    """Atomically write the parity-check file (temp file + rename)."""
+def _atomic_write_text(path: str, text: str) -> None:
+    """Write UTF-8 text with LF newlines to a temp file beside ``path``, then rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvpchk-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvgraph-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(format_pchk(code))
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_pchk(path: str, code: LinearCode) -> None:
+    """Atomically write the parity-check file (temp file + rename)."""
+    _atomic_write_text(path, format_pchk(code))
 
 
 def _header_int(line: str, key: str, lineno: int) -> int:

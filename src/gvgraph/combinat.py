@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 __all__ = [
     "GraphParams",
@@ -27,16 +26,43 @@ __all__ = [
 ]
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin with every base in _SMALL_PRIMES has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015), so the test is exact there.
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic primality test by trial division."""
+    """Exact primality test: trial division by the primes up to 41, then
+    deterministic Miller-Rabin with those 13 primes as bases.
+
+    Raises ValueError when m >= 3.317 * 10^24 and no small prime divides
+    it: the bases are proven exact only below that bound, and a
+    probabilistic answer is never returned.
+    """
     if m < 2:
         return False
-    if m < 4:
+    for p in _SMALL_PRIMES:
+        if m % p == 0:
+            return m == p
+    if m < 43 * 43:  # no prime factor up to 41, so no factor at all
         return True
-    if m % 2 == 0:
-        return False
-    for f in range(3, isqrt(m) + 1, 2):
-        if m % f == 0:
+    if m >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"cannot decide primality of {m}: at or above {_MILLER_RABIN_EXACT_BELOW}")
+    odd, twos = m - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
     return True
 

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .combinat import GraphParams, ball_volume
 from .errors import DivisibilityError
 from .spectrum import SpectrumTable, build_spectrum_level0
 from .vectors import FqVector
 
-__all__ = ["DescentTrace", "LevelRecord", "run_algorithm1", "select_pivot", "spectrum_descend"]
+__all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot", "spectrum_descend"]
 
 
 @dataclass(frozen=True)
@@ -216,12 +217,11 @@ def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     )
 
 
-def run_algorithm1(params: GraphParams, budget: int | None = None) -> DescentTrace:
-    """Descend from the full Gilbert graph until the level graph is edgeless.
+def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[SpectrumTable, LevelRecord | None]]:
+    """Algorithm 1 one level at a time: yield ``(table, record)`` for t = 0..s.
 
-    Returns the complete trace: pivots (the parity-check rows), minimum
-    eigenvalues, degrees, and the improved lower bound after each level.
-    Deterministic: identical parameters produce identical traces.
+    ``record`` is None at the final, edgeless level s.  Level t+1 is computed
+    only when the caller asks for it.
     """
     q, n = params.q, params.n
     table = build_spectrum_level0(params, dense=True, budget=budget)
@@ -229,9 +229,8 @@ def run_algorithm1(params: GraphParams, budget: int | None = None) -> DescentTra
     degree = volume - 1
     denom = volume
     size = q**n
-    records: list[LevelRecord] = []
-    t = 0
     while True:
+        t = table.level
         if table.degree != degree:
             raise RuntimeError(
                 f"level {t}: averaged zero-character eigenvalue {table.degree} "
@@ -241,27 +240,38 @@ def run_algorithm1(params: GraphParams, budget: int | None = None) -> DescentTra
         if value == 0:
             if degree != 0:
                 raise RuntimeError(f"level {t}: minimum eigenvalue 0 but degree {degree} != 0")
-            break
+            yield table, None
+            return
         pivot = select_pivot(table)
         orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
         denom += (q - 1) * q**t * value
         bound = Fraction(size, denom + q ** (t + 1))
-        records.append(
-            LevelRecord(
-                t=t,
-                pivot=pivot,
-                lambda_min=value,
-                degree=degree,
-                bound=bound,
-                pivot_orthogonal=orthogonal,
-            )
+        yield table, LevelRecord(
+            t=t,
+            pivot=pivot,
+            lambda_min=value,
+            degree=degree,
+            bound=bound,
+            pivot_orthogonal=orthogonal,
         )
         table = spectrum_descend(table, pivot)
         total = degree + (q - 1) * value
         degree, rem = divmod(total, q)
         if rem:
             raise DivisibilityError(f"level {t}: degree recursion value {total} not divisible by {q}")
-        t += 1
-        if t > n:
+        if table.level > n:
             raise RuntimeError("descent failed to terminate within n levels")
-    return DescentTrace(params=params, levels=tuple(records), s=t, final_degree=degree)
+
+
+def run_algorithm1(params: GraphParams, budget: int | None = None) -> DescentTrace:
+    """Descend from the full Gilbert graph until the level graph is edgeless.
+
+    Returns the complete trace: pivots (the parity-check rows), minimum
+    eigenvalues, degrees, and the improved lower bound after each level.
+    Deterministic: identical parameters produce identical traces.
+    """
+    records: list[LevelRecord] = []
+    for table, record in descend(params, budget):
+        if record is not None:
+            records.append(record)
+    return DescentTrace(params=params, levels=tuple(records), s=table.level, final_degree=table.degree)

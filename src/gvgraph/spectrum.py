@@ -23,14 +23,16 @@ Level-0 tables are stored compressed by weight (n + 1 entries, each with
 multiplicity C(n,w)(q-1)^w) and are expanded to a dense q^n table only when
 a descent run needs per-vector values.
 
-All tables are immutable after construction and safe to share across
-threads; every function here is pure.
+All tables are logically immutable and safe to share across threads; every
+function here is pure.  A table's argmin is computed on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, ball_volume, binomial, krawtchouk
 from .errors import check_budget
@@ -43,9 +45,13 @@ __all__ = [
     "build_spectrum_level0",
     "character_sum_oracle",
     "eigenvalue_level0",
-    "min_eigenvalue",
     "real_eigenvector",
 ]
+
+
+def _first_argmin(vals: Sequence[int]) -> int:
+    """First position of the least entry of ``vals`` after position 0."""
+    return vals.index(min(islice(vals, 1, None)), 1)
 
 
 def eigenvalue_level0(params: GraphParams, weight: int) -> int:
@@ -139,15 +145,18 @@ class SpectrumTable:
         The zero index (whose eigenvalue is the degree, the maximum) is
         excluded from the argmin unless it is the only index.
         """
+        return self._minimum
+
+    @cached_property
+    def _minimum(self) -> tuple[int, FqVector]:
         q, n = self.params.q, self.params.n
         if self.values is not None:
             if self.size == 1:
                 return self.values[0], FqVector.zero(q, n)
-            vals = self.values
-            arg = min(range(1, self.size), key=vals.__getitem__)
-            return vals[arg], self.vector_at(arg)
+            arg = _first_argmin(self.values)
+            return self.values[arg], self.vector_at(arg)
         assert self.weight_values is not None
-        best_w = min(range(1, n + 1), key=self.weight_values.__getitem__)
+        best_w = _first_argmin(self.weight_values)
         argmin = FqVector(q, (0,) * (n - best_w) + (1,) * best_w)
         return self.weight_values[best_w], argmin
 
@@ -207,11 +216,6 @@ def build_spectrum_level0(
         weight_values=tuple(eigenvalue_level0(params, w) for w in range(params.n + 1)),
     )
     return table.densify(budget) if dense else table
-
-
-def min_eigenvalue(table: SpectrumTable) -> tuple[int, FqVector]:
-    """Minimum eigenvalue of a table and its smallest attaining index."""
-    return table.min_eigenvalue()
 
 
 def character_sum_oracle(difference_set: Iterable[FqVector], v: FqVector) -> int:

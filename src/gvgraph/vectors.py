@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["FqVector", "dot_product"]
+__all__ = ["FqVector"]
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,3 @@ class FqVector:
         """All q**n vectors in increasing rank order."""
         for r in range(q**n):
             yield FqVector.from_rank(q, n, r)
-
-
-def dot_product(u: FqVector, v: FqVector) -> int:
-    """Inner product mod q of two vectors sharing (q, n)."""
-    return u.dot(v)

@@ -48,6 +48,16 @@ class TestBoundsCommand:
         assert obj["degenerate"] is True
         assert obj["hoffman_upper"] is None
 
+    def test_budget_skips_descent_with_warning(self):
+        r = run_cli("bounds", "-q", "2", "-n", "10", "-d", "3", "--budget", "64")
+        assert r.returncode == 0
+        rows = list(csv.DictReader(r.stdout.splitlines()))
+        assert rows[0]["gv"] == str(Fraction(1024, 56))
+        for key in ("descent_bounds", "descent_final", "descent_final_ceil", "constructed_code_size", "s"):
+            assert rows[0][key] == ""
+        assert "gvgraph: WARNING: descent skipped for (q=2, n=10, d=3)" in r.stderr
+        assert "budget of 64" in r.stderr
+
     def test_csv_output(self):
         r = run_cli("bounds", "-q", "2", "-n", "7", "-d", "3")
         assert r.returncode == 0
@@ -151,6 +161,20 @@ class TestVerifyCommand:
     def test_budget_exits_3(self, hamming_file):
         r = run_cli("verify", str(hamming_file), "-d", "3", "--budget", "8")
         assert r.returncode == 3
+
+    def test_huge_prime_q_decided_fast(self, tmp_path):
+        big = tmp_path / "big.pchk"
+        big.write_text(f"# gvpchk v1\nq {10**18 + 3}\nn 1\ns 1\n1\n")
+        r = run_cli("verify", str(big), "-d", "1", timeout=10)
+        assert r.returncode == 0
+        assert "min_distance: infinity" in r.stdout
+
+    def test_huge_composite_q_exits_2(self, tmp_path):
+        big = tmp_path / "big.pchk"
+        big.write_text(f"# gvpchk v1\nq {(10**9 + 7) * (10**9 + 9)}\nn 1\ns 1\n1\n")
+        r = run_cli("verify", str(big), "-d", "1", timeout=10)
+        assert r.returncode == 2
+        assert "q must be prime" in r.stderr
 
     def test_trivial_code_infinite_distance(self, tmp_path):
         out = tmp_path / "c.pchk"

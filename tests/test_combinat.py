@@ -1,6 +1,7 @@
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,6 +16,30 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for m in range(-3, 32):
         assert is_prime(m) == (m in primes)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    def trial_division(m):
+        return m >= 2 and all(m % f for f in range(2, isqrt(m) + 1))
+
+    assert all(is_prime(m) == trial_division(m) for m in range(10**5))
+
+
+def test_is_prime_large_values():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 (3215031751) and to every
+    # prime base up to 31 (3825123056546413051), and a product of two primes.
+    for m in (3215031751, 3825123056546413051, (10**9 + 7) * (10**9 + 9)):
+        assert not is_prime(m)
+    for m in (10**18 + 3, 2**61 - 1):
+        assert is_prime(m)
+
+
+def test_is_prime_refuses_beyond_the_exact_bound():
+    # 2^89 - 1 is a Mersenne prime above 3.317e24, where the 13 bases are not
+    # proven exact; a composite with a small factor is still decided.
+    with pytest.raises(ValueError, match="cannot decide primality"):
+        is_prime(2**89 - 1)
+    assert not is_prime(3 * (2**89 - 1))
 
 
 class TestGraphParams:

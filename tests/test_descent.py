@@ -11,6 +11,7 @@ from gvgraph import (
     SpectrumTable,
     build_spectrum_level0,
     character_sum_oracle,
+    descend,
     min_distance,
     run_algorithm1,
     select_pivot,
@@ -234,3 +235,58 @@ def test_descent_trace_vertex_counts():
     # level t spectrum has q^(n-t) characters; checked through the bound
     # denominators: final bound is q^n / (q^s + 1).
     assert trace.bounds[-1] == Fraction(2**6, 2**trace.s + 1)
+
+
+class TestDescend:
+    """The level generator that run_algorithm1 and `spectrum --level` share."""
+
+    @pytest.mark.parametrize("cell", [(2, 7, 3), (2, 10, 4), (3, 5, 3), (5, 4, 3), (2, 3, 1), (2, 4, 5)])
+    def test_levels_match_trace_and_pivot_redescent(self, cell):
+        params = GraphParams(*cell)
+        trace = run_algorithm1(params)
+        levels = list(descend(params))
+        assert [table.level for table, _ in levels] == list(range(trace.s + 1))
+        assert tuple(rec for _, rec in levels[:-1]) == trace.levels
+        assert levels[-1][1] is None
+        # Reference route: re-descend level 0 along the trace's pivots.
+        expected = build_spectrum_level0(params, dense=True)
+        for (table, _), rec in zip(levels, trace.levels + (None,)):
+            assert table == expected
+            if rec is not None:
+                expected = spectrum_descend(expected, rec.pivot)
+
+    def test_stopping_early_descends_no_further(self, monkeypatch):
+        import gvgraph.descent as descent_module
+
+        averaged = []
+        real = descent_module.spectrum_descend
+
+        def counting(table, pivot):
+            averaged.append(table.level)
+            return real(table, pivot)
+
+        monkeypatch.setattr(descent_module, "spectrum_descend", counting)
+        for table, _ in descend(GraphParams(2, 10, 4)):
+            if table.level == 2:
+                break
+        assert averaged == [0, 1]
+
+
+@pytest.mark.parametrize("cell", [(2, 10, 4), (2, 9, 3), (3, 5, 3), (5, 4, 3)])
+def test_one_argmin_scan_per_level(monkeypatch, cell):
+    # Counts real scans of a table's entries, not calls to min_eigenvalue:
+    # run_algorithm1, select_pivot and spectrum_descend all ask for each
+    # level's minimum, and must share one scan of it.
+    import gvgraph.spectrum as spectrum_module
+
+    scanned = []
+    real = spectrum_module._first_argmin
+
+    def counting(vals):
+        scanned.append(len(vals))
+        return real(vals)
+
+    monkeypatch.setattr(spectrum_module, "_first_argmin", counting)
+    q, n, _ = cell
+    trace = run_algorithm1(GraphParams(*cell))
+    assert scanned == [q ** (n - t) for t in range(trace.s + 1)]

@@ -7,7 +7,6 @@ from gvgraph import (
     build_spectrum_level0,
     character_sum_oracle,
     eigenvalue_level0,
-    min_eigenvalue,
     real_eigenvector,
 )
 from helpers import all_vectors, char_sum, gilbert_neighbor_lists, weight
@@ -59,19 +58,19 @@ class TestSpectrumTable:
             assert sum(m for _, _, m in t.weight_rows()) == q**n
 
     def test_min_eigenvalue_anchors(self):
-        val, arg = min_eigenvalue(build_spectrum_level0(GraphParams(2, 7, 3)))
+        val, arg = build_spectrum_level0(GraphParams(2, 7, 3)).min_eigenvalue()
         assert (val, arg.digits) == (-4, (0, 0, 0, 1, 1, 1, 1))
-        val, arg = min_eigenvalue(build_spectrum_level0(GraphParams(2, 4, 2)))
+        val, arg = build_spectrum_level0(GraphParams(2, 4, 2)).min_eigenvalue()
         assert (val, arg.digits) == (-4, (1, 1, 1, 1))
 
     def test_min_eigenvalue_edgeless(self):
-        val, arg = min_eigenvalue(build_spectrum_level0(GraphParams(2, 3, 1)))
+        val, arg = build_spectrum_level0(GraphParams(2, 3, 1)).min_eigenvalue()
         assert val == 0
         assert arg.digits == (0, 0, 1)
 
     def test_min_eigenvalue_tie_across_weights_takes_smallest_vector(self):
         # (2, 4, 3): minimum -2 attained at weights 2 and 3; 0011 < 0111.
-        val, arg = min_eigenvalue(build_spectrum_level0(GraphParams(2, 4, 3)))
+        val, arg = build_spectrum_level0(GraphParams(2, 4, 3)).min_eigenvalue()
         assert (val, arg.digits) == (-2, (0, 0, 1, 1))
 
     def test_maximum_is_degree_at_zero_vector(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from gvgraph import FqVector, dot_product
+from gvgraph import FqVector
 
 
 def test_validation():
@@ -34,17 +34,17 @@ def test_rank_roundtrip_and_order():
 def test_dot_product_examples():
     zero = FqVector.zero(2, 3)
     v = FqVector(2, (1, 1, 0))
-    assert dot_product(v, zero) == 0
-    assert dot_product(v, FqVector(2, (1, 1, 1))) == 0
-    assert dot_product(FqVector(3, (1, 2)), FqVector(3, (2, 2))) == 0
-    assert dot_product(FqVector(3, (1, 2)), FqVector(3, (2, 1))) == 1
+    assert v.dot(zero) == 0
+    assert v.dot(FqVector(2, (1, 1, 1))) == 0
+    assert FqVector(3, (1, 2)).dot(FqVector(3, (2, 2))) == 0
+    assert FqVector(3, (1, 2)).dot(FqVector(3, (2, 1))) == 1
 
 
 def test_dot_product_rejects_mismatch():
     with pytest.raises(ValueError, match="mismatched parameters"):
-        dot_product(FqVector(2, (1, 0)), FqVector(3, (1, 0)))
+        FqVector(2, (1, 0)).dot(FqVector(3, (1, 0)))
     with pytest.raises(ValueError, match="mismatched parameters"):
-        dot_product(FqVector(2, (1, 0)), FqVector(2, (1, 0, 0)))
+        FqVector(2, (1, 0)).dot(FqVector(2, (1, 0, 0)))
 
 
 def test_arithmetic():
