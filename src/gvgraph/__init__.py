@@ -22,9 +22,7 @@ from .codes import (
     LinearCode,
     codewords,
     format_pchk,
-    gilbert_adjacency,
     is_independent_set,
-    max_independent_set_oracle,
     min_distance,
     read_pchk,
     write_pchk,
@@ -36,7 +34,6 @@ from .spectrum import (
     RealEigenvector,
     SpectrumTable,
     build_spectrum_level0,
-    character_sum_oracle,
     eigenvalue_level0,
     real_eigenvector,
 )
@@ -63,21 +60,18 @@ __all__ = [
     "binomial",
     "build_bound_report",
     "build_spectrum_level0",
-    "character_sum_oracle",
     "codewords",
     "descend",
     "descent_bound",
     "eigenvalue_level0",
     "entropy_q",
     "format_pchk",
-    "gilbert_adjacency",
     "gv_bound",
     "hoffman_bound",
     "hoffman_paper_literal",
     "is_independent_set",
     "is_prime",
     "krawtchouk",
-    "max_independent_set_oracle",
     "min_distance",
     "read_pchk",
     "real_eigenvector",

@@ -30,6 +30,27 @@ __all__ = ["main"]
 
 log = logging.getLogger("gvgraph")
 
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is emitted,
+    so a caller that redirects stderr around one ``main`` call gets that
+    call's warnings."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass
+
+
+_STDERR_HANDLER = _StderrHandler()
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -111,10 +132,11 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 def _bound_report(params: GraphParams, budget: int | None) -> tuple[BoundReport, str]:
     """The report and status "ok", or, over the budget, the report without the descent and "skipped"."""
     try:
-        return build_bound_report(params, budget=budget), "ok"
+        trace = run_algorithm1(params, budget=budget)
     except BudgetError as exc:
         log.warning("descent skipped for (q=%d, n=%d, d=%d): %s", params.q, params.n, params.d, exc)
         return build_bound_report(params, include_descent=False), "skipped"
+    return build_bound_report(params, trace=trace), "ok"
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -308,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(format="%(name)s: %(levelname)s: %(message)s")
+    log.addHandler(_STDERR_HANDLER)  # a no-op once added
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,5 +1,4 @@
-"""Linear codes from parity-check rows, exact distance verification, and
-small-instance independence oracles.
+"""Linear codes from parity-check rows and exact distance verification.
 
 A code here is always the joint kernel of its parity rows, so the minimum
 distance equals the minimum nonzero codeword weight and is found by
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .combinat import GraphParams, is_prime
-from .errors import BudgetError, PchkFormatError, check_budget
+from .errors import PchkFormatError, check_budget
 from .modq import kernel_basis, rank
 from .vectors import FqVector
 
@@ -37,9 +36,7 @@ __all__ = [
     "LinearCode",
     "codewords",
     "format_pchk",
-    "gilbert_adjacency",
     "is_independent_set",
-    "max_independent_set_oracle",
     "min_distance",
     "read_pchk",
     "write_pchk",
@@ -48,8 +45,6 @@ __all__ = [
 INFINITE_DISTANCE = math.inf
 
 PCHK_MAGIC = "# gvpchk v1"
-
-EXACT_SEARCH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -122,68 +117,6 @@ def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool
             if u.hamming_distance(v) < params.d:
                 return False
     return True
-
-
-def gilbert_adjacency(params: GraphParams, budget: int | None = None) -> list[int]:
-    """Adjacency bitmasks of the explicit Gilbert graph in rank order."""
-    total = params.num_vertices
-    check_budget(total * total, budget, f"explicit adjacency of G_({params.q},{params.n},{params.d})")
-    vecs = list(FqVector.enumerate_all(params.q, params.n))
-    adj = [0] * total
-    for i, u in enumerate(vecs):
-        for j in range(i + 1, total):
-            if 1 <= u.hamming_distance(vecs[j]) <= params.d - 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
-
-
-def _clique_cover_bound(cand: int, adj: list[int]) -> int:
-    """Greedy clique cover size of the candidate set: an upper bound on its
-    independence number, since an independent set meets each clique at most once."""
-    covers = 0
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= ~(1 << v)
-        common = adj[v] & cand
-        while common:
-            u = (common & -common).bit_length() - 1
-            cand &= ~(1 << u)
-            common &= adj[u] & ~(1 << u)
-        covers += 1
-    return covers
-
-
-def max_independent_set_oracle(params: GraphParams) -> tuple[int, frozenset[FqVector]]:
-    """Exact independence number by branch and bound, for q^n <= 64.
-
-    The returned size is deterministic; the witness is one maximizer.
-    """
-    total = params.num_vertices
-    if total > EXACT_SEARCH_CAP:
-        raise BudgetError(
-            f"exact independence search is capped at {EXACT_SEARCH_CAP} vertices, got {total}"
-        )
-    adj = gilbert_adjacency(params)
-    best_size = 0
-    best_set = 0
-
-    def expand(cand: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_set
-        if size > best_size:
-            best_size, best_set = size, chosen
-        if not cand or size + _clique_cover_bound(cand, adj) <= best_size:
-            return
-        v = (cand & -cand).bit_length() - 1
-        bit = 1 << v
-        expand(cand & ~adj[v] & ~bit, chosen | bit, size + 1)
-        expand(cand & ~bit, chosen, size)
-
-    expand((1 << total) - 1, 0, 0)
-    witness = frozenset(
-        FqVector.from_rank(params.q, params.n, i) for i in range(total) if best_set >> i & 1
-    )
-    return best_size, witness
 
 
 def format_pchk(code: LinearCode) -> str:

@@ -15,25 +15,44 @@ is 0, equivalently degree 0.  The surviving vertex subspace is then a linear
 code of minimum distance at least d whose parity-check rows are the chosen
 pivots.
 
-Averaging without vector arithmetic
------------------------------------
+Averaging by slices
+-------------------
 Let the previous level have m free columns and let the pivot's leading
 column sit at position ``pos`` among them (its earlier free digits are all
 zero, since the pivot is a canonical representative).  Writing a previous
 index as (hi, r, lo) -- hi the digits before pos, r the digit at pos, lo the
-digits after -- the q parents of a new entry (hi, lo) are
+k = m-1-pos digits after -- the q parents of a new entry (hi, lo) are
 
-    parent_r = hi * q^(m-pos)  +  r * q^(m-1-pos)  +  perm_r(lo),
+    parent_r = (hi, r, lo + r * tail),
 
-where perm_r adds r times the pivot's trailing digits to lo.  For q = 2 the
-permutation is a constant XOR mask, which keeps the whole run fast enough
-to descend a million-entry table in seconds.
+where ``tail`` holds the monic pivot's trailing digits and + adds digit by
+digit mod q.  One kernel serves every q.  For each r it copies the slab of
+r-th parents, in (hi, lo) order, with list slices only:
+
+* if lo takes fewer than ``_BLOCK`` values, one extended slice
+  ``vals[(0, r, lo + r * tail) :: q^(k+1)]`` per lo gathers that lo for
+  every hi;
+* otherwise lo is cut into upper digits and a block of trailing digits,
+  wide enough to hold ``_BLOCK`` entries and every trailing digit that the
+  shift leaves at 0.  Blocks move whole, one contiguous slice each, to the
+  place the upper digits' shift sends them; a nonzero shift left in the
+  trailing digits is then applied by one extended slice per position in a
+  block.
+
+The q slabs are summed entry by entry with ``map(operator.add, ...)`` and
+each sum is looked up in a dict of exact quotients.  A sum is divided, with
+``divmod``, the first time it occurs; a nonzero remainder raises
+DivisibilityError naming that sum, the first offending one in index order.
+Every later occurrence reuses the stored quotient, so a level holds one int
+object per distinct eigenvalue (a few dozen) instead of one per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterator
 
 from .combinat import GraphParams, ball_volume
@@ -104,6 +123,78 @@ def select_pivot(table: SpectrumTable) -> FqVector:
     return argmin
 
 
+# Below this many entries, one contiguous slice per block costs more in
+# call overhead than one extended slice per position costs in scattered
+# memory access.
+_BLOCK = 32
+
+
+class _Quotients(dict):
+    """Eigenvalue sums mapped to their exact quotients by q, one object per value."""
+
+    def __init__(self, q: int, level: int) -> None:
+        super().__init__()
+        self.q = q
+        self.level = level
+
+    def __missing__(self, total: int) -> int:
+        div, rem = divmod(total, self.q)
+        if rem:
+            raise DivisibilityError(
+                f"level {self.level}: eigenvalue sum {total} is not divisible by {self.q}"
+            )
+        self[total] = div
+        return div
+
+
+def _shifted(q: int, shift: list[int]) -> list[int]:
+    """Position of ``p + shift`` (digit by digit mod q) for each p < q^len(shift)."""
+    out = [0]
+    for c in shift:
+        out = [p * q + (x + c) % q for p in out for x in range(q)]
+    return out
+
+
+def _slab(vals: tuple[int, ...], q: int, low: int, base: int, shift: list[int]) -> list[int]:
+    """``vals[hi * q * low + base + (lo + shift)]`` for every (hi, lo), in that order."""
+    stride = q * low
+    high = len(vals) // stride
+    cut, width = len(shift), 1
+    while cut and (width < _BLOCK or not shift[cut - 1]):
+        cut -= 1
+        width *= q
+    inner = any(shift[cut:])
+    if width < _BLOCK or (inner and width <= high):
+        slab = [0] * (high * low)
+        for lo, src in enumerate(_shifted(q, shift)):
+            slab[lo::low] = vals[base + src :: stride]
+        return slab
+    upper = _shifted(q, shift[:cut])
+    slab = list(
+        chain.from_iterable(
+            vals[start + u * width : start + (u + 1) * width]
+            for start in range(base, len(vals), stride)
+            for u in upper
+        )
+    )
+    if inner:
+        moved = [0] * len(slab)
+        for w, src in enumerate(_shifted(q, shift[cut:])):
+            moved[w::width] = slab[src::width]
+        slab = moved
+    return slab
+
+
+def _average(vals: tuple[int, ...], q: int, tail: list[int], level: int) -> tuple[int, ...]:
+    """Exact mean of the q parents of every next-level entry (see the module docstring)."""
+    low = q ** len(tail)
+    slabs = [_slab(vals, q, low, r * low, [r * x % q for x in tail]) for r in range(q)]
+    sums: Iterator[int] = iter(slabs[0])
+    for slab in slabs[1:]:
+        sums = map(add, sums, slab)
+    return tuple(map(_Quotients(q, level).__getitem__, sums))
+
+
 def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     """Spectrum of the next level graph, averaging over the pivot's multiples.
 
@@ -137,63 +228,9 @@ def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     inv = pow(v_chosen.digits[lead_col], -1, q)
     row = tuple((inv * x) % q for x in v_chosen.digits)
 
-    tail_cols = free[pos + 1 :]
-    k = len(tail_cols)
-    low_count = q**k
-    stride = q * low_count
-    high_count = q**pos
-    vals = table.values
-    assert vals is not None
-    out = [0] * (high_count * low_count)
-
-    if q == 2:
-        mask = 0
-        for c in tail_cols:
-            mask = (mask << 1) | row[c]
-        idx = 0
-        for hi in range(high_count):
-            b0 = hi * stride
-            b1 = b0 + low_count
-            for lo in range(low_count):
-                s = vals[b0 + lo] + vals[b1 + (lo ^ mask)]
-                if s & 1:
-                    raise DivisibilityError(
-                        f"level {table.level}: eigenvalue sum {s} is not divisible by 2"
-                    )
-                out[idx] = s >> 1
-                idx += 1
-    else:
-        tail = [row[c] for c in tail_cols]
-        perms = []
-        for r in range(1, q):
-            add = [(r * x) % q for x in tail]
-            perm = [0] * low_count
-            digits = [0] * k
-            for lo in range(low_count):
-                enc = 0
-                for i in range(k):
-                    enc = enc * q + (digits[i] + add[i]) % q
-                perm[lo] = enc
-                for i in range(k - 1, -1, -1):
-                    digits[i] += 1
-                    if digits[i] < q:
-                        break
-                    digits[i] = 0
-            perms.append(perm)
-        idx = 0
-        for hi in range(high_count):
-            base = hi * stride
-            for lo in range(low_count):
-                s = vals[base + lo]
-                for r in range(1, q):
-                    s += vals[base + r * low_count + perms[r - 1][lo]]
-                div, rem = divmod(s, q)
-                if rem:
-                    raise DivisibilityError(
-                        f"level {table.level}: eigenvalue sum {s} is not divisible by {q}"
-                    )
-                out[idx] = div
-                idx += 1
+    tail = [row[c] for c in free[pos + 1 :]]
+    assert table.values is not None
+    values = _average(table.values, q, tail, table.level)
 
     # Extend the reduced basis: clear the new pivot column from older rows.
     new_rows = []
@@ -213,7 +250,7 @@ def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
         rref_rows=tuple(new_rows[i] for i in order),
         pivot_cols=tuple(cols[i] for i in order),
         free_cols=tuple(c for c in free if c != lead_col),
-        values=tuple(out),
+        values=values,
     )
 
 

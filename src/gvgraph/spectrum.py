@@ -43,10 +43,15 @@ __all__ = [
     "RealEigenvector",
     "SpectrumTable",
     "build_spectrum_level0",
-    "character_sum_oracle",
     "eigenvalue_level0",
     "real_eigenvector",
 ]
+
+
+# Dense level-0 weights are stored one per byte, and w -> w + 1 is a
+# translation table; densify refuses n > _MAX_WEIGHT, so no weight wraps.
+_MAX_WEIGHT = 255
+_PLUS_ONE = bytes(range(1, _MAX_WEIGHT + 1)) + bytes([_MAX_WEIGHT])
 
 
 def _first_argmin(vals: Sequence[int]) -> int:
@@ -183,14 +188,13 @@ class SpectrumTable:
         q, n = params.q, params.n
         total = q**n
         check_budget(total, budget, f"dense level-0 spectrum of G_({q},{n},{params.d})")
-        lam_w = self.weight_values
-        if q == 2:
-            dense = tuple(lam_w[i.bit_count()] for i in range(total))
-        else:
-            weights = [0] * total
-            for i in range(1, total):
-                weights[i] = weights[i // q] + (1 if i % q else 0)
-            dense = tuple(lam_w[w] for w in weights)
+        if n > _MAX_WEIGHT:
+            raise ValueError(f"dense weights are stored one byte each; n = {n} exceeds {_MAX_WEIGHT}")
+        # Weight of every index, one leading digit at a time: prefixing digit
+        # 0 keeps the weights, each of the q-1 nonzero digits adds 1.
+        weights = b"\0"
+        for _ in range(n):
+            weights += weights.translate(_PLUS_ONE) * (q - 1)
         return SpectrumTable(
             params=params,
             level=0,
@@ -198,7 +202,8 @@ class SpectrumTable:
             rref_rows=(),
             pivot_cols=(),
             free_cols=tuple(range(n)),
-            values=dense,
+            # list.__getitem__ is a direct method, tuple's a slower slot wrapper.
+            values=tuple(map(list(self.weight_values).__getitem__, weights)),
         )
 
 
@@ -216,27 +221,6 @@ def build_spectrum_level0(
         weight_values=tuple(eigenvalue_level0(params, w) for w in range(params.n + 1)),
     )
     return table.densify(budget) if dense else table
-
-
-def character_sum_oracle(difference_set: Iterable[FqVector], v: FqVector) -> int:
-    """Brute-force eigenvalue of the character indexed by ``v``.
-
-    Counts how many elements of the difference set land in each inner-product
-    residue class.  For a set closed under multiplication by every nonzero
-    scalar the classes 1..q-1 must be equally populated, making the
-    root-of-unity sum the exact integer c_0 - c_1; unequal counts mean the
-    closure precondition fails and a ValueError is raised.
-    """
-    q = v.q
-    counts = [0] * q
-    for u in difference_set:
-        counts[u.dot(v)] += 1
-    if q > 2 and any(c != counts[1] for c in counts[2:]):
-        raise ValueError(
-            "difference set is not closed under nonzero scalar multiplication: "
-            f"residue counts {counts} are unequal beyond residue 0"
-        )
-    return counts[0] - counts[1]
 
 
 @dataclass(frozen=True)

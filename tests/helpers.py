@@ -1,17 +1,26 @@
-"""Brute-force oracles shared by the test suite.
+"""Brute-force oracles and reference implementations shared by the test suite.
 
 Everything here recomputes results from first principles -- explicit vector
 enumeration, explicit character sums over materialized difference sets,
 explicit induced subgraphs -- and never reuses the library's quotient-index
-machinery, so agreement is a genuine two-route check.
+machinery, so agreement is a genuine two-route check.  The reference
+averaging loops and dense level-0 expressions are the library's earlier
+entry-by-entry implementations, kept as the oracle its slice kernels are
+compared against.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from typing import Iterable
 
 import numpy as np
+
+from gvgraph import BudgetError, FqVector, GraphParams
+from gvgraph.errors import DivisibilityError, check_budget
+
+EXACT_SEARCH_CAP = 64
 
 
 def all_vectors(q, n):
@@ -202,3 +211,160 @@ def pairwise_distance_matrix(M):
     for col in range(n):
         dist += M[:, col : col + 1] != M[:, col][None, :]
     return dist
+
+
+def character_sum_oracle(difference_set: Iterable[FqVector], v: FqVector) -> int:
+    """Brute-force eigenvalue of the character indexed by ``v``.
+
+    Counts how many elements of the difference set land in each inner-product
+    residue class.  For a set closed under multiplication by every nonzero
+    scalar the classes 1..q-1 must be equally populated, making the
+    root-of-unity sum the exact integer c_0 - c_1; unequal counts mean the
+    closure precondition fails and a ValueError is raised.
+    """
+    q = v.q
+    counts = [0] * q
+    for u in difference_set:
+        counts[u.dot(v)] += 1
+    if q > 2 and any(c != counts[1] for c in counts[2:]):
+        raise ValueError(
+            "difference set is not closed under nonzero scalar multiplication: "
+            f"residue counts {counts} are unequal beyond residue 0"
+        )
+    return counts[0] - counts[1]
+
+
+def gilbert_adjacency(params: GraphParams, budget: int | None = None) -> list[int]:
+    """Adjacency bitmasks of the explicit Gilbert graph in rank order."""
+    total = params.num_vertices
+    check_budget(total * total, budget, f"explicit adjacency of G_({params.q},{params.n},{params.d})")
+    vecs = list(FqVector.enumerate_all(params.q, params.n))
+    adj = [0] * total
+    for i, u in enumerate(vecs):
+        for j in range(i + 1, total):
+            if 1 <= u.hamming_distance(vecs[j]) <= params.d - 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _clique_cover_bound(cand: int, adj: list[int]) -> int:
+    """Greedy clique cover size of the candidate set: an upper bound on its
+    independence number, since an independent set meets each clique at most once."""
+    covers = 0
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= ~(1 << v)
+        common = adj[v] & cand
+        while common:
+            u = (common & -common).bit_length() - 1
+            cand &= ~(1 << u)
+            common &= adj[u] & ~(1 << u)
+        covers += 1
+    return covers
+
+
+def max_independent_set_oracle(params: GraphParams) -> tuple[int, frozenset[FqVector]]:
+    """Exact independence number by branch and bound, for q^n <= 64.
+
+    The returned size is deterministic; the witness is one maximizer.
+    """
+    total = params.num_vertices
+    if total > EXACT_SEARCH_CAP:
+        raise BudgetError(
+            f"exact independence search is capped at {EXACT_SEARCH_CAP} vertices, got {total}"
+        )
+    adj = gilbert_adjacency(params)
+    best_size = 0
+    best_set = 0
+
+    def expand(cand: int, chosen: int, size: int) -> None:
+        nonlocal best_size, best_set
+        if size > best_size:
+            best_size, best_set = size, chosen
+        if not cand or size + _clique_cover_bound(cand, adj) <= best_size:
+            return
+        v = (cand & -cand).bit_length() - 1
+        bit = 1 << v
+        expand(cand & ~adj[v] & ~bit, chosen | bit, size + 1)
+        expand(cand & ~bit, chosen, size)
+
+    expand((1 << total) - 1, 0, 0)
+    witness = frozenset(
+        FqVector.from_rank(params.q, params.n, i) for i in range(total) if best_set >> i & 1
+    )
+    return best_size, witness
+
+
+def reference_average(vals, q, tail, level):
+    """Exact means of the q parents of every next-level entry, one entry at a time.
+
+    ``vals`` is a dense level table, ``tail`` the monic pivot's digits after
+    its leading free column.  The q = 2 XOR-mask loop and the q > 2
+    permutation-table loop are the descent's former averaging code.
+    """
+    k = len(tail)
+    low_count = q**k
+    stride = q * low_count
+    high_count = len(vals) // stride
+    out = [0] * (high_count * low_count)
+
+    if q == 2:
+        mask = 0
+        for x in tail:
+            mask = (mask << 1) | x
+        idx = 0
+        for hi in range(high_count):
+            b0 = hi * stride
+            b1 = b0 + low_count
+            for lo in range(low_count):
+                s = vals[b0 + lo] + vals[b1 + (lo ^ mask)]
+                if s & 1:
+                    raise DivisibilityError(
+                        f"level {level}: eigenvalue sum {s} is not divisible by 2"
+                    )
+                out[idx] = s >> 1
+                idx += 1
+    else:
+        perms = []
+        for r in range(1, q):
+            add = [(r * x) % q for x in tail]
+            perm = [0] * low_count
+            digits = [0] * k
+            for lo in range(low_count):
+                enc = 0
+                for i in range(k):
+                    enc = enc * q + (digits[i] + add[i]) % q
+                perm[lo] = enc
+                for i in range(k - 1, -1, -1):
+                    digits[i] += 1
+                    if digits[i] < q:
+                        break
+                    digits[i] = 0
+            perms.append(perm)
+        idx = 0
+        for hi in range(high_count):
+            base = hi * stride
+            for lo in range(low_count):
+                s = vals[base + lo]
+                for r in range(1, q):
+                    s += vals[base + r * low_count + perms[r - 1][lo]]
+                div, rem = divmod(s, q)
+                if rem:
+                    raise DivisibilityError(
+                        f"level {level}: eigenvalue sum {s} is not divisible by {q}"
+                    )
+                out[idx] = div
+                idx += 1
+    return tuple(out)
+
+
+def reference_dense_level0(lam_w, q, n):
+    """Dense level-0 values from per-weight eigenvalues, one expression per entry."""
+    total = q**n
+    if q == 2:
+        return tuple(lam_w[i.bit_count()] for i in range(total))
+    weights = [0] * total
+    for i in range(1, total):
+        weights[i] = weights[i // q] + (1 if i % q else 0)
+    return tuple(lam_w[w] for w in weights)

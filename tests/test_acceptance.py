@@ -27,13 +27,12 @@ from gvgraph import (
     gv_bound,
     hoffman_bound,
     krawtchouk,
-    max_independent_set_oracle,
     run_algorithm1,
     spectrum_descend,
     wilf_cor27_bound,
     write_pchk,
 )
-from helpers import pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
+from helpers import max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import logging
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+
+from gvgraph import GraphParams, build_bound_report, cli
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -57,6 +62,36 @@ class TestBoundsCommand:
             assert rows[0][key] == ""
         assert "gvgraph: WARNING: descent skipped for (q=2, n=10, d=3)" in r.stderr
         assert "budget of 64" in r.stderr
+
+    def test_each_in_process_call_logs_to_its_own_stderr(self):
+        argv = ["bounds", "-q", "2", "-n", "10", "-d", "3", "--budget", "64"]
+        for _ in range(3):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 0
+            assert err.getvalue().count("gvgraph: WARNING: descent skipped for (q=2, n=10, d=3)") == 1
+
+    def test_bound_report_built_once(self, monkeypatch, caplog):
+        params = GraphParams(2, 10, 3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return build_bound_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_bound_report", counted)
+        with caplog.at_level(logging.WARNING, logger="gvgraph"):
+            report, status = cli._bound_report(params, 64)
+        assert status == "skipped"
+        assert report == build_bound_report(params, include_descent=False)
+        assert len(calls) == 1
+        assert ["descent skipped" in r.getMessage() for r in caplog.records] == [True]
+
+        calls.clear()
+        report, status = cli._bound_report(params, None)
+        assert status == "ok"
+        assert report == build_bound_report(params)
+        assert len(calls) == 1
 
     def test_csv_output(self):
         r = run_cli("bounds", "-q", "2", "-n", "7", "-d", "3")

@@ -11,16 +11,14 @@ from gvgraph import (
     PchkFormatError,
     codewords,
     format_pchk,
-    gilbert_adjacency,
     is_independent_set,
-    max_independent_set_oracle,
     min_distance,
     read_pchk,
     run_algorithm1,
     write_pchk,
 )
 from gvgraph.codes import parse_pchk
-from helpers import alpha_bruteforce, hamming
+from helpers import alpha_bruteforce, gilbert_adjacency, hamming, max_independent_set_oracle
 
 HAMMING_ROWS = ("0001111", "0110011", "1010101")
 
@@ -100,6 +98,13 @@ class TestMinDistance:
                 for u, v in itertools.combinations(words, 2)
             )
             assert min_distance(code) == brute
+
+
+def test_public_api_holds_no_test_oracles():
+    import gvgraph
+
+    for name in ("character_sum_oracle", "gilbert_adjacency", "max_independent_set_oracle"):
+        assert name not in gvgraph.__all__ and not hasattr(gvgraph, name)
 
 
 class TestIndependentSet:

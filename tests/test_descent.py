@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvgraph import (
     BudgetError,
@@ -10,14 +13,14 @@ from gvgraph import (
     LinearCode,
     SpectrumTable,
     build_spectrum_level0,
-    character_sum_oracle,
     descend,
     min_distance,
     run_algorithm1,
     select_pivot,
     spectrum_descend,
 )
-from helpers import reference_descent
+from gvgraph.descent import _average
+from helpers import character_sum_oracle, reference_average, reference_descent
 
 
 def digits(*rows):
@@ -110,6 +113,79 @@ class TestSpectrumDescend:
         pivot = FqVector(2, (1, 1, 1, 1))
         with pytest.raises(DivisibilityError):
             spectrum_descend(doctored, pivot)
+
+
+# Free digits per q so that a table has at most 4096 entries.
+MAX_DIGITS = {2: 12, 3: 7, 5: 5, 7: 4}
+
+
+def parent_positions(q, high, tail):
+    """Each next-level entry's q parents, (hi, r, lo + r * tail), from digit lists."""
+    low = q ** len(tail)
+    out = []
+    for hi in range(high):
+        for lo in range(low):
+            lo_digits = [lo // q**i % q for i in reversed(range(len(tail)))]
+            row = []
+            for r in range(q):
+                shifted = 0
+                for x, t in zip(lo_digits, tail):
+                    shifted = shifted * q + (x + r * t) % q
+                row.append((hi * q + r) * low + shifted)
+            out.append(row)
+    return out
+
+
+def divisible_case(q, pos, tail, spread, seed):
+    """A level table with q^pos hi blocks whose parent sums all divide by q."""
+    rng = random.Random(seed)
+    vals = [rng.randint(-spread, spread) for _ in range(q ** (pos + 1 + len(tail)))]
+    parents = parent_positions(q, q**pos, tail)
+    for row in parents:
+        vals[row[0]] -= sum(vals[i] for i in row) % q
+    return q, tail, vals, parents, rng
+
+
+@st.composite
+def averaging_cases(draw):
+    q = draw(st.sampled_from(sorted(MAX_DIGITS)))
+    m = draw(st.integers(1, MAX_DIGITS[q]))
+    pos = draw(st.integers(0, m - 1))
+    tail = draw(st.lists(st.integers(0, q - 1), min_size=m - 1 - pos, max_size=m - 1 - pos))
+    spread = draw(st.sampled_from([2, 60, 10**30]))
+    return divisible_case(q, pos, tail, spread, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestAveragingKernel:
+    """The slice kernel against the former entry-by-entry loops (helpers.reference_average)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(averaging_cases())
+    @example(divisible_case(2, 0, [1] * 11, 60, 0))  # one hi block, blocks shifted inside
+    @example(divisible_case(2, 5, [1, 0, 0, 0, 0, 0], 60, 0))  # blocks move whole
+    @example(divisible_case(2, 6, [0, 0, 0, 0, 1], 60, 0))  # many hi blocks: extended slices
+    @example(divisible_case(7, 2, [3], 60, 0))  # few lo values: extended slices
+    def test_divisible_tables_match_reference(self, case):
+        q, tail, vals, parents, _ = case
+        table = tuple(vals)
+        out = _average(table, q, tail, 3)
+        assert isinstance(out, tuple)
+        assert out == reference_average(table, q, tail, 3)
+        assert out == tuple(sum(vals[i] for i in row) // q for row in parents)
+        # One int object per distinct value.
+        assert len({id(x) for x in out}) == len(set(out))
+
+    @settings(max_examples=100, deadline=None)
+    @given(averaging_cases())
+    def test_doctored_tables_raise_from_both(self, case):
+        q, tail, vals, _, rng = case
+        vals[rng.randrange(len(vals))] += rng.randint(1, q - 1)
+        table = tuple(vals)
+        with pytest.raises(DivisibilityError) as got:
+            _average(table, q, tail, 3)
+        with pytest.raises(DivisibilityError) as want:
+            reference_average(table, q, tail, 3)
+        assert str(got.value) == str(want.value)
 
 
 class TestSelectPivot:

@@ -1,15 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvgraph import (
     BudgetError,
     FqVector,
     GraphParams,
     build_spectrum_level0,
-    character_sum_oracle,
     eigenvalue_level0,
     real_eigenvector,
 )
-from helpers import all_vectors, char_sum, gilbert_neighbor_lists, weight
+from gvgraph import spectrum
+from helpers import all_vectors, char_sum, character_sum_oracle, gilbert_neighbor_lists, reference_dense_level0, weight
 
 # Small-enough cells for pure-Python exhaustive checks.
 SMALL_GRID = [
@@ -43,6 +45,14 @@ class TestEigenvalueLevel0:
         for q, n, d in [(2, 5, 3), (3, 4, 2), (5, 3, 3)]:
             p = GraphParams(q, n, d)
             assert eigenvalue_level0(p, 0) == p.degree
+
+
+@st.composite
+def level0_cells(draw):
+    """(q, n, d) with q^n <= 2^14 and 1 <= d <= n + 1."""
+    q, n_max = draw(st.sampled_from([(2, 14), (3, 8), (5, 6), (7, 5)]))
+    n = draw(st.integers(1, n_max))
+    return q, n, draw(st.integers(1, n + 1))
 
 
 class TestSpectrumTable:
@@ -86,6 +96,24 @@ class TestSpectrumTable:
             assert len(dense.values) == q**n
             for v, lam in dense.entries():
                 assert lam == eigenvalue_level0(p, v.weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level0_cells())
+    def test_densify_matches_reference(self, cell):
+        q, n, d = cell
+        table = build_spectrum_level0(GraphParams(q, n, d))
+        dense = table.densify().values
+        assert isinstance(dense, tuple)
+        assert dense == reference_dense_level0(table.weight_values, q, n)
+
+    def test_densify_refuses_weights_beyond_its_store(self, monkeypatch):
+        # Weights are stored one byte each, so n > 255 must be refused, not
+        # wrapped.  A lowered cap checks the refusal without a huge table.
+        monkeypatch.setattr(spectrum, "_MAX_WEIGHT", 3)
+        table = build_spectrum_level0(GraphParams(2, 4, 3))
+        with pytest.raises(ValueError, match="one byte"):
+            table.densify()
+        assert len(build_spectrum_level0(GraphParams(2, 3, 3)).densify().values) == 8
 
     def test_dense_min_agrees_with_compressed(self):
         for q, n, d in [(2, 6, 3), (2, 6, 4), (3, 4, 3), (5, 2, 2)]:
