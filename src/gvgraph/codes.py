@@ -54,7 +54,6 @@ class LinearCode:
     q: int
     n: int
     parity_rows: tuple[FqVector, ...]
-    verified_min_distance: int | float | None = None
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
@@ -80,13 +79,10 @@ class LinearCode:
     def size(self) -> int:
         return self.q**self.dimension
 
-    def with_verified_distance(self, distance: int | float) -> "LinearCode":
-        return LinearCode(self.q, self.n, self.parity_rows, distance)
-
 
 def codewords(code: LinearCode, budget: int | None = None) -> list[FqVector]:
     """All q^(n-s) vectors orthogonal to every parity row, zero included."""
-    check_budget(code.size, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
+    check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
     q, n = code.q, code.n
     basis = kernel_basis([row.digits for row in code.parity_rows], q, n)
     words = [FqVector.zero(q, n)]

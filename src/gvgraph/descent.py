@@ -57,7 +57,7 @@ from typing import Iterator
 
 from .combinat import GraphParams, ball_volume
 from .errors import DivisibilityError
-from .spectrum import SpectrumTable, build_spectrum_level0
+from .spectrum import SpectrumTable, _lead_col, build_spectrum_level0
 from .vectors import FqVector
 
 __all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot", "spectrum_descend"]
@@ -202,56 +202,25 @@ def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     minimum eigenvalue.  Every new entry is the exact mean of its q parent
     entries; a nonzero remainder raises DivisibilityError.
     """
-    if not table.is_dense:
-        table = table.densify()
-    params = table.params
-    q, n = params.q, params.n
+    table = table.densify()
+    q, n = table.params.q, table.params.n
     if v_chosen.q != q or v_chosen.n != n:
         raise ValueError("pivot parameters do not match the table")
     if v_chosen.is_zero:
         raise ValueError("pivot must be nonzero")
-    if any(v_chosen.digits[c] for c in table.pivot_cols):
-        raise ValueError("pivot must be a canonical representative (zero at pivot columns)")
+    assert table.values is not None
+    value = table.values[table.index_of(v_chosen)]  # refuses a non-canonical pivot
     min_val, _ = table.min_eigenvalue()
-    if table.eigenvalue_of(v_chosen) != min_val:
-        raise ValueError(
-            f"pivot eigenvalue {table.eigenvalue_of(v_chosen)} is not the "
-            f"level minimum {min_val}"
-        )
+    if value != min_val:
+        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {min_val}")
 
     free = table.free_cols
-    m = len(free)
-    lead_col = next(c for c in free if v_chosen.digits[c])
-    pos = free.index(lead_col)
-    # Monic copy of the pivot for row-reduction bookkeeping (the recorded
-    # pivot itself is returned untouched by the caller).
-    inv = pow(v_chosen.digits[lead_col], -1, q)
-    row = tuple((inv * x) % q for x in v_chosen.digits)
-
-    tail = [row[c] for c in free[pos + 1 :]]
-    assert table.values is not None
+    lead = _lead_col(v_chosen)
+    # Trailing free digits of the monic multiple of the pivot.
+    inv = pow(v_chosen.digits[lead], -1, q)
+    tail = [inv * v_chosen.digits[c] % q for c in free[free.index(lead) + 1 :]]
     values = _average(table.values, q, tail, table.level)
-
-    # Extend the reduced basis: clear the new pivot column from older rows.
-    new_rows = []
-    for old in table.rref_rows:
-        c = old[lead_col]
-        if c:
-            old = tuple((a - c * b) % q for a, b in zip(old, row))
-        new_rows.append(old)
-    new_rows.append(row)
-    cols = list(table.pivot_cols) + [lead_col]
-    order = sorted(range(len(cols)), key=cols.__getitem__)
-
-    return SpectrumTable(
-        params=params,
-        level=table.level + 1,
-        pivots=table.pivots + (v_chosen,),
-        rref_rows=tuple(new_rows[i] for i in order),
-        pivot_cols=tuple(cols[i] for i in order),
-        free_cols=tuple(c for c in free if c != lead_col),
-        values=values,
-    )
+    return SpectrumTable(params=table.params, pivots=table.pivots + (v_chosen,), values=values)
 
 
 def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[SpectrumTable, LevelRecord | None]]:

@@ -23,10 +23,15 @@ class DivisibilityError(ArithmeticError):
     """
 
 
-def check_budget(entries: int, budget: int | None, what: str) -> None:
+def check_budget(q: int, k: int, budget: int | None, what: str) -> None:
+    """Refuse to materialize q^k entries (q >= 2) when that exceeds the budget.
+
+    Since q^k >= 2^k, an exponent at or beyond the cap's bit length is
+    refused before the power is computed, so the check is instant at any k.
+    """
     cap = DEFAULT_BUDGET if budget is None else budget
-    if entries > cap:
+    if k >= cap.bit_length() or q**k > cap:
         raise BudgetError(
-            f"{what} needs {entries} table entries, exceeding the budget of {cap}; "
+            f"{what} needs {q}^{k} table entries, exceeding the budget of {cap}; "
             f"raise the budget to proceed"
         )

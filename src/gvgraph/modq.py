@@ -6,7 +6,7 @@ invertible (pow(a, -1, q)).
 
 from __future__ import annotations
 
-__all__ = ["kernel_basis", "rank", "reduce_by_rref", "rref"]
+__all__ = ["kernel_basis", "rank", "rref"]
 
 
 def rref(rows: list[tuple[int, ...]], q: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -44,24 +44,6 @@ def rref(rows: list[tuple[int, ...]], q: int) -> tuple[list[tuple[int, ...]], li
 
 def rank(rows: list[tuple[int, ...]], q: int) -> int:
     return len(rref(rows, q)[0])
-
-
-def reduce_by_rref(
-    vec: tuple[int, ...], rref_rows: list[tuple[int, ...]], pivot_cols: list[int], q: int
-) -> tuple[int, ...]:
-    """Canonical coset representative of ``vec`` modulo the row span.
-
-    Subtracting each row times the entry at its pivot column zeroes every
-    pivot column; because the rows are in RREF this greedy step yields the
-    lexicographically (base-q, digit 1 most significant) smallest element
-    of the coset.
-    """
-    out = list(vec)
-    for row, col in zip(rref_rows, pivot_cols):
-        c = out[col]
-        if c:
-            out[:] = [(a - c * b) % q for a, b in zip(out, row)]
-    return tuple(out)
 
 
 def kernel_basis(rows: list[tuple[int, ...]], q: int, n: int) -> list[tuple[int, ...]]:

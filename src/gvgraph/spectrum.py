@@ -11,13 +11,17 @@ degree V_q(n, d-1) - 1 for v = 0.
 Index-space conventions
 -----------------------
 At descent level t the character indices live in the quotient of F_q^n by
-the span of the chosen pivot vectors.  Each coset is named by its canonical
-representative: the unique member with zeros in every pivot column of the
-span's reduced row-echelon basis, which is also the base-q smallest member
-(digit 1 most significant).  A dense table stores one exact integer per
-canonical representative, ordered by the base-q number formed by the free
-columns; that ordering agrees with lexicographic order on the vectors, so
-"first index attaining the minimum" is exactly the smallest argmin vector.
+the span of the t chosen pivots, and a level is named by its pivots alone.
+A pivot column is a pivot's leading (first nonzero) column.  Each pivot is
+canonical when chosen, so it is zero at every earlier pivot column, and the
+t pivot columns are distinct.  Each coset is named by its canonical
+representative: the unique member that is zero at every pivot column, which
+is also the base-q smallest member (digit 1 most significant).  The other
+n - t columns are the free columns.  A dense table stores one exact integer
+per canonical representative, ordered by the base-q number formed by the
+free digits; that ordering agrees with lexicographic order on the vectors,
+so "first index attaining the minimum" is exactly the smallest argmin
+vector.
 
 Level-0 tables are stored compressed by weight (n + 1 entries, each with
 multiplicity C(n,w)(q-1)^w) and are expanded to a dense q^n table only when
@@ -36,7 +40,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, ball_volume, binomial, krawtchouk
 from .errors import check_budget
-from .modq import reduce_by_rref
 from .vectors import FqVector
 
 __all__ = [
@@ -68,30 +71,46 @@ def eigenvalue_level0(params: GraphParams, weight: int) -> int:
     return krawtchouk(params.d - 1, weight - 1, params.n - 1, params.q) - 1
 
 
+def _lead_col(v: FqVector) -> int:
+    """Column of the first nonzero digit of ``v``."""
+    return next(c for c, x in enumerate(v.digits) if x)
+
+
+def _check_densifiable(params: GraphParams, budget: int | None) -> None:
+    """Refuse a dense level-0 table over the budget or beyond one byte per weight."""
+    q, n = params.q, params.n
+    check_budget(q, n, budget, f"dense level-0 spectrum of G_({q},{n},{params.d})")
+    if n > _MAX_WEIGHT:
+        raise ValueError(f"dense weights are stored one byte each; n = {n} exceeds {_MAX_WEIGHT}")
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
     """Exact integer eigenvalues of a descent-level graph, indexed by characters.
 
-    Either ``weight_values`` (level 0, compressed by weight) or ``values``
-    (dense, one entry per canonical coset representative) is set.
+    The level is named by its ``pivots``.  Either ``weight_values`` (level 0,
+    compressed by weight) or ``values`` (dense, one entry per canonical coset
+    representative) is set.
     """
 
     params: GraphParams
-    level: int
-    pivots: tuple[FqVector, ...]
-    rref_rows: tuple[tuple[int, ...], ...]
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
+    pivots: tuple[FqVector, ...] = ()
     values: tuple[int, ...] | None = None
     weight_values: tuple[int, ...] | None = None
 
     @property
-    def size(self) -> int:
-        return self.params.q ** (self.params.n - self.level)
+    def level(self) -> int:
+        return len(self.pivots)
+
+    @cached_property
+    def free_cols(self) -> tuple[int, ...]:
+        """Every column but the pivot columns, in increasing order."""
+        pivot_cols = set(map(_lead_col, self.pivots))
+        return tuple(c for c in range(self.params.n) if c not in pivot_cols)
 
     @property
-    def is_dense(self) -> bool:
-        return self.values is not None
+    def size(self) -> int:
+        return self.params.q ** (self.params.n - self.level)
 
     @property
     def degree(self) -> int:
@@ -117,31 +136,16 @@ class SpectrumTable:
         return FqVector(q, tuple(digits))
 
     def index_of(self, v: FqVector) -> int:
-        """Dense-table position of the coset of ``v`` (any representative)."""
-        rep = self.canonicalize(v)
+        """Dense-table position of a canonical representative: its free digits, base q."""
         q = self.params.q
+        if v.q != q or v.n != self.params.n:
+            raise ValueError("vector parameters do not match the table")
+        if any(v.digits[_lead_col(p)] for p in self.pivots):
+            raise ValueError(f"{v} is not a canonical representative (nonzero at a pivot column)")
         idx = 0
         for col in self.free_cols:
-            idx = idx * q + rep.digits[col]
+            idx = idx * q + v.digits[col]
         return idx
-
-    def canonicalize(self, v: FqVector) -> FqVector:
-        """Base-q smallest member of the coset of ``v`` modulo the pivot span."""
-        if v.q != self.params.q or v.n != self.params.n:
-            raise ValueError("vector parameters do not match the table")
-        if not self.rref_rows:
-            return v
-        return FqVector(
-            v.q, reduce_by_rref(v.digits, list(self.rref_rows), list(self.pivot_cols), v.q)
-        )
-
-    def eigenvalue_of(self, v: FqVector) -> int:
-        if self.values is not None:
-            return self.values[self.index_of(v)]
-        assert self.weight_values is not None
-        if v.q != self.params.q or v.n != self.params.n:
-            raise ValueError("vector parameters do not match the table")
-        return self.weight_values[v.weight]
 
     def min_eigenvalue(self) -> tuple[int, FqVector]:
         """Minimum eigenvalue and its smallest attaining index.
@@ -186,10 +190,7 @@ class SpectrumTable:
         assert self.weight_values is not None
         params = self.params
         q, n = params.q, params.n
-        total = q**n
-        check_budget(total, budget, f"dense level-0 spectrum of G_({q},{n},{params.d})")
-        if n > _MAX_WEIGHT:
-            raise ValueError(f"dense weights are stored one byte each; n = {n} exceeds {_MAX_WEIGHT}")
+        _check_densifiable(params, budget)
         # Weight of every index, one leading digit at a time: prefixing digit
         # 0 keeps the weights, each of the q-1 nonzero digits adds 1.
         weights = b"\0"
@@ -197,11 +198,6 @@ class SpectrumTable:
             weights += weights.translate(_PLUS_ONE) * (q - 1)
         return SpectrumTable(
             params=params,
-            level=0,
-            pivots=(),
-            rref_rows=(),
-            pivot_cols=(),
-            free_cols=tuple(range(n)),
             # list.__getitem__ is a direct method, tuple's a slower slot wrapper.
             values=tuple(map(list(self.weight_values).__getitem__, weights)),
         )
@@ -210,14 +206,15 @@ class SpectrumTable:
 def build_spectrum_level0(
     params: GraphParams, dense: bool = False, budget: int | None = None
 ) -> SpectrumTable:
-    """Level-0 spectrum, compressed by weight unless ``dense`` is requested."""
+    """Level-0 spectrum, compressed by weight unless ``dense`` is requested.
+
+    A dense request is checked against the budget before the closed form is
+    computed, so a refusal costs nothing at any n.
+    """
+    if dense:
+        _check_densifiable(params, budget)
     table = SpectrumTable(
         params=params,
-        level=0,
-        pivots=(),
-        rref_rows=(),
-        pivot_cols=(),
-        free_cols=tuple(range(params.n)),
         weight_values=tuple(eigenvalue_level0(params, w) for w in range(params.n + 1)),
     )
     return table.densify(budget) if dense else table
@@ -251,7 +248,7 @@ class RealEigenvector:
 
     def dense_entries(self, budget: int | None = None) -> list[int]:
         params = self.params
-        check_budget(params.num_vertices, budget, "dense real eigenvector")
+        check_budget(params.q, params.n, budget, "dense real eigenvector")
         ind = self.indicator
         q = params.q
         return [q - 1 if u.dot(ind) == 0 else -1 for u in FqVector.enumerate_all(q, params.n)]

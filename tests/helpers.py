@@ -237,7 +237,7 @@ def character_sum_oracle(difference_set: Iterable[FqVector], v: FqVector) -> int
 def gilbert_adjacency(params: GraphParams, budget: int | None = None) -> list[int]:
     """Adjacency bitmasks of the explicit Gilbert graph in rank order."""
     total = params.num_vertices
-    check_budget(total * total, budget, f"explicit adjacency of G_({params.q},{params.n},{params.d})")
+    check_budget(params.q, 2 * params.n, budget, f"explicit adjacency of G_({params.q},{params.n},{params.d})")
     vecs = list(FqVector.enumerate_all(params.q, params.n))
     adj = [0] * total
     for i, u in enumerate(vecs):

@@ -5,6 +5,7 @@ import json
 import logging
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,36 @@ class TestConstructCommand:
         r = run_cli("construct", "-q", "2", "-n", "10", "-d", "3", "-o", str(out), "--budget", "64")
         assert r.returncode == 3
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBudgetRefusalsAtAnySize:
+    """Over-budget requests exit 3 at once, however large q^k is."""
+
+    @staticmethod
+    def main_timed(argv):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return code, time.perf_counter() - start, err.getvalue()
+
+    @pytest.mark.parametrize("n, d", [(20000, 3), (3000, 1500)])
+    def test_construct_huge_n(self, tmp_path, n, d):
+        argv = ["construct", "-q", "2", "-n", str(n), "-d", str(d), "-o", str(tmp_path / "h.pchk")]
+        code, elapsed, err = self.main_timed(argv)
+        assert code == 3, err
+        assert f"needs 2^{n} table entries" in err
+        assert elapsed < 5.0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [20000000, 100000000])
+    def test_verify_huge_header(self, tmp_path, n):
+        path = tmp_path / "huge.pchk"
+        path.write_text(f"# gvpchk v1\nq 3\nn {n}\ns 0\n")
+        code, elapsed, err = self.main_timed(["verify", str(path), "-d", "3"])
+        assert code == 3, err
+        assert f"needs 3^{n} table entries" in err
+        assert elapsed < 5.0
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from gvgraph import (
     FqVector,
     GraphParams,
     LinearCode,
-    SpectrumTable,
     build_spectrum_level0,
     descend,
     min_distance,
@@ -20,6 +20,7 @@ from gvgraph import (
     spectrum_descend,
 )
 from gvgraph.descent import _average
+from gvgraph.modq import rref
 from helpers import character_sum_oracle, reference_average, reference_descent
 
 
@@ -101,15 +102,7 @@ class TestSpectrumDescend:
     def test_divisibility_violation_is_reported(self):
         p = GraphParams(2, 4, 2)
         table = build_spectrum_level0(p, dense=True)
-        doctored = SpectrumTable(
-            params=table.params,
-            level=table.level,
-            pivots=table.pivots,
-            rref_rows=table.rref_rows,
-            pivot_cols=table.pivot_cols,
-            free_cols=table.free_cols,
-            values=table.values[:-1] + (table.values[-1] + 1,),
-        )
+        doctored = dataclasses.replace(table, values=table.values[:-1] + (table.values[-1] + 1,))
         pivot = FqVector(2, (1, 1, 1, 1))
         with pytest.raises(DivisibilityError):
             spectrum_descend(doctored, pivot)
@@ -346,6 +339,31 @@ class TestDescend:
             if table.level == 2:
                 break
         assert averaged == [0, 1]
+
+
+class TestCosetIndexing:
+    """A level's free columns and indexing, derived from its pivots alone."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_every_level_of_every_small_cell(self, q):
+        for n in range(1, MAX_DIGITS[q] + 1):
+            for d in range(1, n + 2):
+                for table, _ in descend(GraphParams(q, n, d)):
+                    pivots = table.pivots
+                    assert table.level == len(pivots)
+                    # Second route to the pivot columns: the RREF of the pivot span.
+                    pivot_cols = rref([p.digits for p in pivots], q)[1]
+                    assert table.free_cols == tuple(c for c in range(n) if c not in pivot_cols)
+                    for i in range(table.size):
+                        assert table.index_of(table.vector_at(i)) == i
+                    for col in pivot_cols:
+                        unit = FqVector(q, tuple(int(c == col) for c in range(n)))
+                        for bad in (unit, table.vector_at(table.size - 1).add(unit)):
+                            with pytest.raises(ValueError, match="canonical"):
+                                table.index_of(bad)
+                    for pivot in pivots:
+                        with pytest.raises(ValueError, match="canonical"):
+                            table.index_of(pivot)
 
 
 @pytest.mark.parametrize("cell", [(2, 10, 4), (2, 9, 3), (3, 5, 3), (5, 4, 3)])

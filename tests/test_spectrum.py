@@ -125,6 +125,15 @@ class TestSpectrumTable:
         with pytest.raises(BudgetError):
             build_spectrum_level0(GraphParams(2, 10, 3), dense=True, budget=512)
 
+    def test_dense_budget_checked_before_the_closed_form(self, monkeypatch):
+        # A refusal must not pay for the n + 1 Krawtchouk values first.
+        def closed_form(params, weight):
+            raise AssertionError("closed form computed before the budget check")
+
+        monkeypatch.setattr(spectrum, "eigenvalue_level0", closed_form)
+        with pytest.raises(BudgetError, match=r"needs 2\^3000 table entries"):
+            build_spectrum_level0(GraphParams(2, 3000, 1500), dense=True)
+
     def test_trace_identities_level0(self):
         for q, n, d in SMALL_GRID:
             p = GraphParams(q, n, d)
