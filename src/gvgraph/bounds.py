@@ -4,6 +4,9 @@ Every bound is an exact ``fractions.Fraction``; the only non-rational output
 is the asymptotic rate, a high-precision Decimal.  Rounding toward an
 integer code size is always explicit: ceilings for lower bounds, floors for
 upper bounds.
+
+``descent_bound`` alone evaluates the descent-bound formula; the descent
+calls it per level.  This module never runs the descent itself.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .combinat import GraphParams, ball_volume, entropy_q
-from .descent import DescentTrace, run_algorithm1
 from .spectrum import build_spectrum_level0
+
+if TYPE_CHECKING:
+    from .descent import DescentTrace
 
 __all__ = [
     "BoundReport",
@@ -72,17 +77,14 @@ def hoffman_paper_literal(params: GraphParams, lambda_min: int) -> Fraction | No
 
 def wilf_cor27_bound(params: GraphParams, lambda_min: int) -> Fraction:
     """Eigenvector lower bound q^n / (V_q(n,d-1) + (q-1) lambda_min + q)."""
-    denom = ball_volume(params, params.d - 1) + (params.q - 1) * lambda_min + params.q
-    if denom <= 0:
-        raise ValueError(f"bound denominator {denom} is not positive; the bound is vacuous here")
-    return Fraction(params.num_vertices, denom)
+    return descent_bound(params, [lambda_min])
 
 
 def descent_bound(params: GraphParams, lambda_min_sequence: Sequence[int]) -> Fraction:
     """Improved lower bound after descending through the given level minima.
 
-    q^n / (V_q(n,d-1) + sum_i (q-1) q^i lambda_i + q^(t+1)); with a single
-    level minimum this reduces to ``wilf_cor27_bound``.
+    q^n / (V_q(n,d-1) + sum_i (q-1) q^i lambda_i + q^(t+1)) for the minima
+    lambda_0..lambda_t; with a single level minimum it is ``wilf_cor27_bound``.
     """
     if not lambda_min_sequence:
         raise ValueError("lambda_min_sequence must contain at least one level minimum")
@@ -133,18 +135,12 @@ class BoundReport:
     degenerate: bool
 
 
-def build_bound_report(
-    params: GraphParams,
-    budget: int | None = None,
-    include_descent: bool = True,
-    digits: int = 50,
-    trace: DescentTrace | None = None,
-) -> BoundReport:
-    """Assemble a full report; runs the descent unless told not to.
+def build_bound_report(params: GraphParams, trace: DescentTrace | None = None) -> BoundReport:
+    """Assemble a full report; the descent fields come from ``trace``.
 
-    Closed-form fields never need a table budget.  With ``include_descent``
-    the descent fields are populated from ``trace`` (or a fresh run, which
-    may raise BudgetError); otherwise they are left absent.
+    Closed-form fields never need a table budget.  The descent fields are
+    copied from ``trace`` (a ``run_algorithm1`` result for ``params``) and
+    are None without one; no descent is run here.
     """
     q, n, d = params.q, params.n, params.d
     lam_min, _ = build_spectrum_level0(params).min_eigenvalue()
@@ -157,17 +153,7 @@ def build_bound_report(
         hoffman = None
         hoffman_literal = None
     delta = Fraction(d, n)
-    rate = asymptotic_gv(q, delta, digits) if delta < 1 - Fraction(1, q) else None
-
-    descent_bounds: tuple[Fraction, ...] | None = None
-    code_size: int | None = None
-    s: int | None = None
-    if include_descent:
-        if trace is None:
-            trace = run_algorithm1(params, budget=budget)
-        descent_bounds = trace.bounds
-        code_size = trace.code_size
-        s = trace.s
+    rate = asymptotic_gv(q, delta) if delta < 1 - Fraction(1, q) else None
 
     return BoundReport(
         params=params,
@@ -176,9 +162,9 @@ def build_bound_report(
         wilf_cor27=wilf,
         hoffman_upper=hoffman,
         hoffman_paper_literal=hoffman_literal,
-        descent_bounds=descent_bounds,
-        constructed_code_size=code_size,
-        s=s,
+        descent_bounds=None if trace is None else trace.bounds,
+        constructed_code_size=None if trace is None else trace.code_size,
+        s=None if trace is None else trace.s,
         asymptotic_rate=rate,
         degenerate=params.is_edgeless or params.is_complete,
     )

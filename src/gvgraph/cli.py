@@ -13,14 +13,15 @@ import csv
 import io
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import ceil, floor, inf
+from math import ceil, floor
 
 from .bounds import BoundReport, build_bound_report
-from .codes import LinearCode, _atomic_write_text, codewords, read_pchk, write_pchk
+from .codes import INFINITE_DISTANCE, LinearCode, _atomic_write_text, min_distance, read_pchk, write_pchk
 from .combinat import GraphParams
 from .descent import descend, run_algorithm1
 from .errors import BudgetError, PchkFormatError
@@ -135,7 +136,7 @@ def _bound_report(params: GraphParams, budget: int | None) -> tuple[BoundReport,
         trace = run_algorithm1(params, budget=budget)
     except BudgetError as exc:
         log.warning("descent skipped for (q=%d, n=%d, d=%d): %s", params.q, params.n, params.d, exc)
-        return build_bound_report(params, include_descent=False), "skipped"
+        return build_bound_report(params), "skipped"
     return build_bound_report(params, trace=trace), "ok"
 
 
@@ -202,13 +203,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code = read_pchk(args.pchk)
-    words = codewords(code, budget=args.budget)
-    distance = min((w.weight for w in words if not w.is_zero), default=inf)
-    shown = "infinity" if distance == inf else str(distance)
+    distance = min_distance(code, budget=args.budget)
+    shown = "infinity" if distance == INFINITE_DISTANCE else str(distance)
     print(f"q: {code.q}")
     print(f"n: {code.n}")
     print(f"dimension: {code.dimension}")
-    print(f"codewords: {len(words)}")
+    print(f"codewords: {code.size}")
     print(f"min_distance: {shown}")
     return EXIT_OK if distance >= args.d else EXIT_VERIFY_FAILED
 
@@ -246,6 +246,8 @@ def _sweep_cell(cell: tuple[int, int, int, int | None]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     q_list = _parse_int_list(args.q)
     n_lo, n_hi = _parse_range(args.n)
     d_lo, d_hi = _parse_range(args.d)
@@ -259,8 +261,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     log.warning("skipping invalid cell (q=%d, n=%d, d=%d): %s", q, n, d, exc)
                     continue
                 cells.append((q, n, d, args.budget))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at the first task.
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -15,7 +15,8 @@ The file format ``gvpchk v1`` is plain UTF-8 text with LF newlines:
     <s rows of n space-separated digits in [0, q), digit 1 first>
 
 Parsers reject wrong magic, malformed headers, out-of-range digits, wrong
-row length, and row rank below s.
+row length, and every code ``LinearCode`` refuses (q not prime, n < 1, row
+rank below s).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ PCHK_MAGIC = "# gvpchk v1"
 
 @dataclass(frozen=True)
 class LinearCode:
-    """The kernel of a full-rank set of parity-check rows over F_q."""
+    """The kernel of a full-rank set of parity-check rows over F_q; ``parse_pchk`` relies on its checks."""
 
     q: int
     n: int
@@ -65,7 +66,7 @@ class LinearCode:
                 raise ValueError("parity row parameters do not match the code")
         rows = [row.digits for row in self.parity_rows]
         if rows and rank(list(rows), self.q) != len(rows):
-            raise ValueError("parity rows are linearly dependent")
+            raise ValueError(f"parity rows are linearly dependent: rank below s = {len(rows)}")
 
     @property
     def s(self) -> int:
@@ -94,10 +95,9 @@ def codewords(code: LinearCode, budget: int | None = None) -> list[FqVector]:
 
 
 def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
-    """Exact minimum distance: least nonzero codeword weight, by enumeration."""
-    if code.dimension == 0:
-        return INFINITE_DISTANCE
-    return min(w.weight for w in codewords(code, budget) if not w.is_zero)
+    """Exact minimum distance: least nonzero codeword weight, by enumeration (even for {0})."""
+    words = codewords(code, budget)
+    return min((w.weight for w in words if not w.is_zero), default=INFINITE_DISTANCE)
 
 
 def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool:
@@ -162,10 +162,6 @@ def parse_pchk(text: str) -> LinearCode:
     q = _header_int(lines[1], "q", 2)
     n = _header_int(lines[2], "n", 3)
     s = _header_int(lines[3], "s", 4)
-    if not is_prime(q):
-        raise PchkFormatError(f"q must be prime, got {q}")
-    if n < 1:
-        raise PchkFormatError(f"n must be positive, got {n}")
     if s < 0:
         raise PchkFormatError(f"s must be nonnegative, got {s}")
     if len(lines) != 4 + s:
@@ -181,10 +177,11 @@ def parse_pchk(text: str) -> LinearCode:
             raise PchkFormatError(f"row {offset}: non-integer digit in {line!r}") from None
         if any(not 0 <= x < q for x in digits):
             raise PchkFormatError(f"row {offset}: digit out of range [0, {q})")
-        rows.append(FqVector(q, digits))
-    if rows and rank([r.digits for r in rows], q) != s:
-        raise PchkFormatError(f"parity rows have rank below s = {s}")
-    return LinearCode(q, n, tuple(rows))
+        rows.append(digits)
+    try:
+        return LinearCode(q, n, tuple(FqVector(q, digits) for digits in rows))
+    except ValueError as exc:
+        raise PchkFormatError(str(exc)) from None
 
 
 def read_pchk(path: str) -> LinearCode:

@@ -55,7 +55,8 @@ from itertools import chain
 from operator import add
 from typing import Iterator
 
-from .combinat import GraphParams, ball_volume
+from .bounds import descent_bound
+from .combinat import GraphParams
 from .errors import DivisibilityError
 from .spectrum import SpectrumTable, _lead_col, build_spectrum_level0
 from .vectors import FqVector
@@ -231,10 +232,8 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
     """
     q, n = params.q, params.n
     table = build_spectrum_level0(params, dense=True, budget=budget)
-    volume = ball_volume(params, params.d - 1)
-    degree = volume - 1
-    denom = volume
-    size = q**n
+    degree = params.degree
+    minima: list[int] = []
     while True:
         t = table.level
         if table.degree != degree:
@@ -250,14 +249,13 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
             return
         pivot = select_pivot(table)
         orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
-        denom += (q - 1) * q**t * value
-        bound = Fraction(size, denom + q ** (t + 1))
+        minima.append(value)
         yield table, LevelRecord(
             t=t,
             pivot=pivot,
             lambda_min=value,
             degree=degree,
-            bound=bound,
+            bound=descent_bound(params, minima),
             pivot_orthogonal=orthogonal,
         )
         table = spectrum_descend(table, pivot)

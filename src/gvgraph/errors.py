@@ -2,8 +2,9 @@
 
 # Default cap on materialized table / enumeration entries.  Dense spectrum
 # tables, codeword enumerations and explicit graph builds refuse to allocate
-# more entries than this; the CLI exposes --budget to override it.
-DEFAULT_BUDGET = 2**30
+# more entries than this; the CLI exposes --budget to override it.  At the
+# ~21 bytes per level-0 entry a dense descent peaks at, 2^26 is ~1.4 GiB.
+DEFAULT_BUDGET = 2**26
 
 
 class BudgetError(RuntimeError):

@@ -166,7 +166,8 @@ class TestSufficientDimension:
 
 class TestBoundReport:
     def test_flagship_report(self):
-        report = build_bound_report(GraphParams(2, 7, 3))
+        p = GraphParams(2, 7, 3)
+        report = build_bound_report(p, run_algorithm1(p))
         assert isinstance(report, BoundReport)
         assert report.lambda_min == -4
         assert report.gv == Fraction(128, 29)
@@ -181,7 +182,8 @@ class TestBoundReport:
 
     def test_monotone_chain_gv_wilf_descent(self):
         for cell in [(2, 7, 3), (2, 8, 3), (2, 9, 4), (3, 5, 3), (3, 4, 3)]:
-            report = build_bound_report(GraphParams(*cell))
+            p = GraphParams(*cell)
+            report = build_bound_report(p, run_algorithm1(p))
             assert report.gv <= report.wilf_cor27
             chain = (report.wilf_cor27,) + report.descent_bounds
             assert all(a <= b for a, b in zip(chain, chain[1:]))
@@ -190,12 +192,14 @@ class TestBoundReport:
         from math import ceil, floor
 
         for cell in [(2, 7, 3), (2, 8, 3), (2, 9, 4), (3, 5, 3), (5, 3, 2)]:
-            report = build_bound_report(GraphParams(*cell))
+            p = GraphParams(*cell)
+            report = build_bound_report(p, run_algorithm1(p))
             assert ceil(report.descent_bounds[-1]) <= report.constructed_code_size
             assert report.constructed_code_size <= floor(report.hoffman_upper)
 
     def test_degenerate_d1(self):
-        report = build_bound_report(GraphParams(2, 5, 1))
+        p = GraphParams(2, 5, 1)
+        report = build_bound_report(p, run_algorithm1(p))
         assert report.degenerate
         assert report.lambda_min == 0
         assert report.hoffman_upper is None
@@ -204,7 +208,8 @@ class TestBoundReport:
         assert report.constructed_code_size == 2**5
 
     def test_degenerate_complete(self):
-        report = build_bound_report(GraphParams(2, 4, 5))
+        p = GraphParams(2, 4, 5)
+        report = build_bound_report(p, run_algorithm1(p))
         assert report.degenerate
         assert report.hoffman_upper == 1
         assert report.constructed_code_size == 1
@@ -212,11 +217,22 @@ class TestBoundReport:
 
     def test_budget_propagates_and_closed_form_fallback(self):
         with pytest.raises(BudgetError):
-            build_bound_report(GraphParams(2, 12, 3), budget=100)
-        report = build_bound_report(GraphParams(2, 12, 3), include_descent=False)
+            build_bound_report(GraphParams(2, 12, 3), run_algorithm1(GraphParams(2, 12, 3), budget=100))
+        report = build_bound_report(GraphParams(2, 12, 3))
         assert report.descent_bounds is None
         assert report.constructed_code_size is None
         assert report.gv == Fraction(2**12, 1 + 12 + 66)
+
+    def test_report_without_trace_never_descends(self, monkeypatch):
+        import gvgraph.descent
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_bound_report ran the descent")
+
+        monkeypatch.setattr(gvgraph.descent, "descend", refuse)
+        report = build_bound_report(GraphParams(2, 7, 3))
+        assert (report.descent_bounds, report.constructed_code_size, report.s) == (None, None, None)
+        assert report.wilf_cor27 == Fraction(128, 27)
 
     def test_asymptotic_rate_absent_when_delta_too_large(self):
         assert build_bound_report(GraphParams(2, 4, 3)).asymptotic_rate is None

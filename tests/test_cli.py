@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import GraphParams, build_bound_report, cli
+from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, min_distance, read_pchk, run_algorithm1
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -84,14 +84,14 @@ class TestBoundsCommand:
         with caplog.at_level(logging.WARNING, logger="gvgraph"):
             report, status = cli._bound_report(params, 64)
         assert status == "skipped"
-        assert report == build_bound_report(params, include_descent=False)
+        assert report == build_bound_report(params)
         assert len(calls) == 1
         assert ["descent skipped" in r.getMessage() for r in caplog.records] == [True]
 
         calls.clear()
         report, status = cli._bound_report(params, None)
         assert status == "ok"
-        assert report == build_bound_report(params)
+        assert report == build_bound_report(params, run_algorithm1(params))
         assert len(calls) == 1
 
     def test_csv_output(self):
@@ -242,6 +242,14 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert "q must be prime" in r.stderr
 
+    def test_trivial_code_zero_budget_exits_3(self, tmp_path):
+        path = tmp_path / "t.pchk"
+        path.write_text("# gvpchk v1\nq 2\nn 2\ns 2\n1 0\n0 1\n")
+        assert min_distance(read_pchk(str(path))) == INFINITE_DISTANCE
+        r = run_cli("verify", str(path), "-d", "2", "--budget", "0")
+        assert r.returncode == 3
+        assert "needs 2^0 table entries" in r.stderr
+
     def test_trivial_code_infinite_distance(self, tmp_path):
         out = tmp_path / "c.pchk"
         run_cli("construct", "-q", "2", "-n", "3", "-d", "4", "-o", str(out))
@@ -311,6 +319,58 @@ class TestSweepCommand:
             return rows
 
         assert strip_runtime(seq) == strip_runtime(par)
+
+
+class TestSweepJobs:
+    """The worker count never exceeds the cells or the CPUs; no process is started here."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        return created
+
+    def sweep(self, tmp_path, n_range, jobs):
+        argv = ["sweep", "-q", "2", "-n", n_range, "-d", "3", "-o", str(tmp_path / "s.csv"), "--jobs", str(jobs)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("jobs", [0, -1, -100000])
+    def test_jobs_below_one_exits_2(self, tmp_path, pools, jobs):
+        code, err = self.sweep(tmp_path, "4:6", jobs)
+        assert code == 2
+        assert "--jobs must be at least 1" in err
+        assert pools == []
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n_range, jobs, workers",
+        [("4:4", 100000, None), ("4:6", 100000, 3), ("4:15", 100000, 8), ("4:15", 5, 5), ("4:15", 1, None)],
+    )
+    def test_workers_capped_by_cells_and_cpus(self, tmp_path, pools, n_range, jobs, workers):
+        code, err = self.sweep(tmp_path, n_range, jobs)
+        assert code == 0, err
+        assert pools == ([] if workers is None else [workers])
+        lo, hi = map(int, n_range.split(":"))
+        rows = list(csv.DictReader((tmp_path / "s.csv").read_text().splitlines()))
+        assert [int(x["n"]) for x in rows] == list(range(lo, hi + 1))
 
 
 def test_usage_error_exits_2():

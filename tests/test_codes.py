@@ -89,6 +89,12 @@ class TestMinDistance:
         assert min_distance(code) == INFINITE_DISTANCE
         assert min_distance(code) > 10**9
 
+    def test_trivial_code_is_still_enumerated(self):
+        code = make_code(2, ("10", "01"))
+        with pytest.raises(BudgetError):
+            min_distance(code, budget=0)
+        assert min_distance(code, budget=1) == INFINITE_DISTANCE
+
     def test_matches_all_pairs_brute_force(self):
         for q, rows in [(2, HAMMING_ROWS), (3, ("0111", "1012")), (2, ("0011", "0101", "1000"))]:
             code = make_code(q, rows)
@@ -198,12 +204,14 @@ class TestPchkFormat:
             ("# gvpchk v1\nq 2\nn 3\n", "header"),
             ("# gvpchk v1\nq 2\nn 3\ns x\n", "integer"),
             ("# gvpchk v1\nq 6\nn 3\ns 0\n", "prime"),
+            ("# gvpchk v1\nq 4\nn 2\ns 1\n1 3\n", "prime"),
             ("# gvpchk v1\nq 2\nn 0\ns 0\n", "positive"),
             ("# gvpchk v1\nq 2\nn 3\ns -1\n", "nonnegative"),
             ("# gvpchk v1\nq 2\nn 3\ns 1\n0 1\n", "expected 3 digits"),
             ("# gvpchk v1\nq 2\nn 3\ns 1\n0 1 2\n", "out of range"),
             ("# gvpchk v1\nq 2\nn 3\ns 1\n", "expected 1 rows"),
             ("# gvpchk v1\nq 2\nn 3\ns 2\n0 1 1\n0 1 1\n", "rank"),
+            ("# gvpchk v1\nq 2\nn 3\ns 2\n0 1 1\n0 1 1\n", "linearly dependent"),
             ("# gvpchk v1\nq 2\nn 3\ns 1\n0 a 1\n", "non-integer"),
         ],
     )
