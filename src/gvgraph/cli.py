@@ -175,7 +175,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
         writer.writerow(["vector", "eigenvalue"])
-        for vec, lam in table.entries():
+        for vec, lam in table.densify(args.budget).entries():
             writer.writerow([str(vec), lam])
     _emit(buf.getvalue(), args.output)
     return EXIT_OK

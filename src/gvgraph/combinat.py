@@ -23,6 +23,7 @@ __all__ = [
     "entropy_q",
     "is_prime",
     "krawtchouk",
+    "krawtchouk_row",
 ]
 
 
@@ -138,12 +139,40 @@ def krawtchouk(k: int, x: int, n: int, q: int) -> int:
     return total
 
 
+def krawtchouk_row(k: int, n: int, q: int) -> list[int]:
+    """[K_k(x; n, q) for x in 0..n] by the three-term recurrence in x,
+
+        (q-1)(n-x) K_k(x+1) = (x + (q-1)(n-x) - qk) K_k(x) - x K_k(x-1),
+
+    from K_k(0) = C(n,k)(q-1)^k.  Every division is checked to be exact.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    row = [binomial(n, k) * (q - 1) ** k]
+    prev = 0
+    for x in range(n):
+        total = (x + (q - 1) * (n - x) - q * k) * row[x] - x * prev
+        value, rem = divmod(total, (q - 1) * (n - x))
+        if rem:
+            raise ArithmeticError(f"Krawtchouk recurrence: {total} is not divisible by {(q - 1) * (n - x)}")
+        prev = row[x]
+        row.append(value)
+    return row
+
+
 def ball_volume(params: GraphParams, radius: int) -> int:
     """Number of vectors of Hamming weight <= radius: sum of C(n,i)(q-1)^i."""
     if not 0 <= radius <= params.n:
         raise ValueError(f"radius must lie in [0, n], got {radius} with n={params.n}")
     q, n = params.q, params.n
-    return sum(binomial(n, i) * (q - 1) ** i for i in range(radius + 1))
+    term = total = 1
+    for i in range(radius):
+        # C(n,i+1)(q-1)^(i+1) = C(n,i)(q-1)^i (n-i)(q-1) / (i+1), exactly.
+        term = term * (n - i) * (q - 1) // (i + 1)
+        total += term
+    return total
 
 
 def _as_fraction(x) -> Fraction:

@@ -1,6 +1,6 @@
 """Spectral descent: iterated quotient spectra and the resulting parity rows.
 
-Starting from the dense level-0 spectrum, each step picks the smallest
+Starting from the level-0 spectrum, each step picks the smallest
 character index attaining the minimum eigenvalue, intersects the vertex
 subspace with that character's kernel, and rebuilds the spectrum of the
 induced graph by exact averaging:
@@ -14,6 +14,23 @@ divisibility, and the run stops at the first level whose minimum eigenvalue
 is 0, equivalently degree 0.  The surviving vertex subspace is then a linear
 code of minimum distance at least d whose parity-check rows are the chosen
 pivots.
+
+Typed levels and the crossover
+------------------------------
+Levels start typed (one value per type, see ``spectrum``).  The q parents
+v + r * pivot of a next-level type v are types of the previous level, and
+each next-level class sits inside one previous class, shifted by r times
+the pivot's digit there, while the pivot column itself holds r times the
+pivot's leading digit.  So the
+parent code of every next-level type is an outer sum of short per-class
+lists, one list of codes per r, and the mean is taken as below, through a
+dict from code to position for q > 2.  The argmin of a typed level is the
+least value over the nonzero types, then the smallest vector of a type
+that attains it, built one free column at a time.  A level stays typed
+while q entries per type plus ``_CROSSOVER`` come to less than its dense
+size q^(n-t); the first level past that is densified once, and every later
+level is dense.  Budgets are checked against q^n before level 0, as if the
+run were dense throughout.
 
 Averaging by slices
 -------------------
@@ -42,26 +59,39 @@ r-th parents, in (hi, lo) order, with list slices only:
 The q slabs are summed entry by entry with ``map(operator.add, ...)`` and
 each sum is looked up in a dict of exact quotients.  A sum is divided, with
 ``divmod``, the first time it occurs; a nonzero remainder raises
-DivisibilityError naming that sum, the first offending one in index order.
+DivisibilityError naming that sum, the first offending one in index order
+(in type order on a typed level).
 Every later occurrence reuses the stored quotient, so a level holds one int
 object per distinct eigenvalue (a few dozen) instead of one per entry.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
-from typing import Iterator
+from operator import add, mul
+from time import perf_counter
+from typing import Iterable, Iterator
 
 from .bounds import descent_bound
 from .combinat import GraphParams
 from .errors import DivisibilityError
-from .spectrum import SpectrumTable, _lead_col, build_spectrum_level0
+from .spectrum import SpectrumTable, _check_dense, _lead_col, _outer_sum, _Types, build_spectrum_level0
 from .vectors import FqVector
 
 __all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot", "spectrum_descend"]
+
+log = logging.getLogger("gvgraph")
+
+# A typed level builds and reads about q parent codes per type, a dense
+# level about one entry per entry; a typed level's layout and argmin add a
+# fixed cost, worth _CROSSOVER dense entries.  A level stays typed while
+# q * types + _CROSSOVER is below its dense size.  Over the sweep cells
+# (q^n <= 2*10^4), 512 and 2048 gave the least total descent time (0 and
+# 8192 were 15-35% slower); 2048 keeps tables of up to ~2000 entries dense.
+_CROSSOVER = 2048
 
 
 @dataclass(frozen=True)
@@ -186,14 +216,72 @@ def _slab(vals: tuple[int, ...], q: int, low: int, base: int, shift: list[int]) 
     return slab
 
 
-def _average(vals: tuple[int, ...], q: int, tail: list[int], level: int) -> tuple[int, ...]:
-    """Exact mean of the q parents of every next-level entry (see the module docstring)."""
-    low = q ** len(tail)
-    slabs = [_slab(vals, q, low, r * low, [r * x % q for x in tail]) for r in range(q)]
+def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
+    """Entry-by-entry sums of the q slabs, each divided exactly by q."""
     sums: Iterator[int] = iter(slabs[0])
     for slab in slabs[1:]:
         sums = map(add, sums, slab)
     return tuple(map(_Quotients(q, level).__getitem__, sums))
+
+
+def _average(vals: tuple[int, ...], q: int, tail: list[int], level: int) -> tuple[int, ...]:
+    """Exact mean of the q parents of every next-level entry (see the module docstring)."""
+    low = q ** len(tail)
+    return _exact_means([_slab(vals, q, low, r * low, [r * x % q for x in tail]) for r in range(q)], q, level)
+
+
+def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[int]]:
+    """Per r, the parent type code of ``v + r * pivot`` for every type v of
+    the next level, in its type order."""
+    q, lead = parent.q, _lead_col(pivot)
+    lead_codes = parent.digit_codes[parent.class_of[lead]]
+    parent_class = {key: j for j, (key, _) in enumerate(parent.classes)}
+    parts: list[list[list[int]]] = [[] for _ in range(q)]
+    # v is zero at the pivot column, so v + r * pivot holds r * lead digit there.
+    starts = [lead_codes[r * pivot.digits[lead] % q] for r in range(q)]
+    for j, (key, cols) in reversed(list(enumerate(types.classes))):
+        codes = parent.digit_codes[parent_class[key[:-1]]]
+        a = key[-1]
+        hists = types.histograms(j)
+        for r in range(q):
+            # Slot s counts digit s (any nonzero digit in the zero class,
+            # where a = 0 and every nonzero digit adds the same code); in the
+            # parent such a column holds s + r*a, a zero column r*a.
+            base = codes[r * a % q]
+            starts[r] += len(cols) * base
+            steps = [codes[(s + r * a) % q] - base for s in range(1, len(types.radices[j]) + 1)]
+            parts[r].append([sum(map(mul, h, steps)) for h in hists])
+    return [_outer_sum(part, start) for part, start in zip(parts, starts)]
+
+
+def _check_pivot(table: SpectrumTable, v_chosen: FqVector) -> None:
+    """Refuse a pivot that is zero, not canonical or not at the level minimum."""
+    q, n = table.params.q, table.params.n
+    if v_chosen.q != q or v_chosen.n != n:
+        raise ValueError("pivot parameters do not match the table")
+    if v_chosen.is_zero:
+        raise ValueError("pivot must be nonzero")
+    value = table.value_of(v_chosen)  # refuses a non-canonical pivot
+    min_val, _ = table.min_eigenvalue()
+    if value != min_val:
+        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {min_val}")
+
+
+def _descend_types(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
+    """``spectrum_descend`` on a typed table, one exact mean per next-level type.
+
+    A nonzero remainder raises DivisibilityError naming the first offending
+    sum in type order.
+    """
+    _check_pivot(table, v_chosen)
+    q, lead = table.params.q, _lead_col(v_chosen)
+    pivots = table.pivots + (v_chosen,)
+    types = _Types(q, pivots, [c for c in table.free_cols if c != lead])
+    vals, position = list(table.weight_values), table.types.position
+    slabs: list[Iterable[int]] = []
+    for codes in _parent_codes(table.types, types, v_chosen):
+        slabs.append(map(vals.__getitem__, codes if position is None else map(position.__getitem__, codes)))
+    return SpectrumTable(params=table.params, pivots=pivots, weight_values=_exact_means(slabs, q, table.level))
 
 
 def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
@@ -204,18 +292,9 @@ def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     entries; a nonzero remainder raises DivisibilityError.
     """
     table = table.densify()
-    q, n = table.params.q, table.params.n
-    if v_chosen.q != q or v_chosen.n != n:
-        raise ValueError("pivot parameters do not match the table")
-    if v_chosen.is_zero:
-        raise ValueError("pivot must be nonzero")
+    _check_pivot(table, v_chosen)
     assert table.values is not None
-    value = table.values[table.index_of(v_chosen)]  # refuses a non-canonical pivot
-    min_val, _ = table.min_eigenvalue()
-    if value != min_val:
-        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {min_val}")
-
-    free = table.free_cols
+    q, free = table.params.q, table.free_cols
     lead = _lead_col(v_chosen)
     # Trailing free digits of the monic multiple of the pivot.
     inv = pow(v_chosen.digits[lead], -1, q)
@@ -231,17 +310,27 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
     only when the caller asks for it.
     """
     q, n = params.q, params.n
-    table = build_spectrum_level0(params, dense=True, budget=budget)
+    _check_dense(params, 0, budget)
+    start = perf_counter()
+    table = build_spectrum_level0(params)
     degree = params.degree
     minima: list[int] = []
     while True:
         t = table.level
+        if table.values is None and q * table.types.count + _CROSSOVER >= table.size:
+            table = table.densify()
         if table.degree != degree:
             raise RuntimeError(
                 f"level {t}: averaged zero-character eigenvalue {table.degree} "
                 f"disagrees with the degree recursion value {degree}"
             )
         value, _ = table.min_eigenvalue()
+        typed = table.values is None
+        log.debug(
+            "level %d: %s, %d entries, lambda_min %d, degree %d, %.6f s",
+            t, "typed" if typed else "dense", len(table.weight_values if typed else table.values),
+            value, degree, perf_counter() - start,
+        )
         if value == 0:
             if degree != 0:
                 raise RuntimeError(f"level {t}: minimum eigenvalue 0 but degree {degree} != 0")
@@ -258,7 +347,8 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
             bound=descent_bound(params, minima),
             pivot_orthogonal=orthogonal,
         )
-        table = spectrum_descend(table, pivot)
+        start = perf_counter()
+        table = spectrum_descend(table, pivot) if table.values is not None else _descend_types(table, pivot)
         total = degree + (q - 1) * value
         degree, rem = divmod(total, q)
         if rem:

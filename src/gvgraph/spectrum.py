@@ -17,15 +17,34 @@ canonical when chosen, so it is zero at every earlier pivot column, and the
 t pivot columns are distinct.  Each coset is named by its canonical
 representative: the unique member that is zero at every pivot column, which
 is also the base-q smallest member (digit 1 most significant).  The other
-n - t columns are the free columns.  A dense table stores one exact integer
-per canonical representative, ordered by the base-q number formed by the
-free digits; that ordering agrees with lexicographic order on the vectors,
-so "first index attaining the minimum" is exactly the smallest argmin
-vector.
+n - t columns are the free columns.  A dense table (``values``) stores one
+exact integer per canonical representative, ordered by the base-q number
+formed by the free digits; that ordering agrees with lexicographic order on
+the vectors, so "first index attaining the minimum" is exactly the smallest
+argmin vector.
 
-Level-0 tables are stored compressed by weight (n + 1 entries, each with
-multiplicity C(n,w)(q-1)^w) and are expanded to a dense q^n table only when
-a descent run needs per-vector values.
+Types
+-----
+A typed table (``weight_values``) stores one integer per *type* instead.
+The free columns fall into classes by their column vector over the t
+pivots; every u in the pivots' span is constant on each class.  The type of
+a representative v is its digit histogram on each class, except that the
+class whose column vector is zero keeps only v's weight there.  A level-t
+eigenvalue is the mean of level-0 eigenvalues lam_0(w(v + u)) over the span,
+and w(v + u) depends on v only through its type, so one value per type
+describes the whole level.  At level 0 the one class is every column and a
+type is a weight: ``weight_values`` then has n + 1 entries, one per weight.
+
+A type's code is additive in digit counts: each class owns one mixed-radix
+slot per nonzero digit (one slot in all for the zero class), a slot counts
+the columns of its class holding that digit, and the code is the sum of the
+slot counts times their radices.  A column with digit b therefore adds a
+fixed amount to the code, so every map between indices and codes is an
+outer sum of short per-column or per-class lists.  Only histograms whose
+counts fit their class are types; ``weight_values`` lists the types in
+increasing code order, and for q > 2 a dict takes a code to its position.
+``densify`` expands a typed table to the dense one through the code of
+every dense index.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's argmin is computed on first use and kept.
@@ -35,10 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import compress, count, islice
+from math import comb
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import GraphParams, ball_volume, binomial, krawtchouk
+from .combinat import GraphParams, ball_volume, binomial, krawtchouk, krawtchouk_row
 from .errors import check_budget
 from .vectors import FqVector
 
@@ -49,12 +70,6 @@ __all__ = [
     "eigenvalue_level0",
     "real_eigenvector",
 ]
-
-
-# Dense level-0 weights are stored one per byte, and w -> w + 1 is a
-# translation table; densify refuses n > _MAX_WEIGHT, so no weight wraps.
-_MAX_WEIGHT = 255
-_PLUS_ONE = bytes(range(1, _MAX_WEIGHT + 1)) + bytes([_MAX_WEIGHT])
 
 
 def _first_argmin(vals: Sequence[int]) -> int:
@@ -76,21 +91,110 @@ def _lead_col(v: FqVector) -> int:
     return next(c for c, x in enumerate(v.digits) if x)
 
 
-def _check_densifiable(params: GraphParams, budget: int | None) -> None:
-    """Refuse a dense level-0 table over the budget or beyond one byte per weight."""
+def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
+    """Refuse a dense level table of q^(n - level) entries over the budget."""
     q, n = params.q, params.n
-    check_budget(q, n, budget, f"dense level-0 spectrum of G_({q},{n},{params.d})")
-    if n > _MAX_WEIGHT:
-        raise ValueError(f"dense weights are stored one byte each; n = {n} exceeds {_MAX_WEIGHT}")
+    check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{params.d})")
+
+
+def _outer_sum(parts: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """``start + x_0 + ... + x_k`` for every choice of x_i in parts[i], parts[0] varying slowest."""
+    out = [start]
+    for part in parts:
+        out = [o + x for o in out for x in part]
+    return out
+
+
+def _histograms(f: int, slots: int) -> list[tuple[int, ...]]:
+    """Slot-count tuples with sum at most ``f``, in increasing order of
+    their code (the last slot most significant)."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(slots):
+        out = [(k,) + h for h in out for k in range(f - sum(h) + 1)]
+    return out
+
+
+class _Types:
+    """The type layout of a descent level (see "Types" above).
+
+    ``classes`` holds (column vector over the pivots, columns) pairs sorted
+    by column vector, so the zero class comes first; class j's slots are
+    less significant than class j+1's.  ``digit_codes[j][b]`` is what one
+    column of class j holding digit b adds to a type code.
+    """
+
+    def __init__(self, q: int, pivots: Sequence[FqVector], free_cols: Sequence[int]) -> None:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for col in free_cols:
+            groups.setdefault(tuple(p.digits[col] for p in pivots), []).append(col)
+        self.q, self.free_cols = q, tuple(free_cols)
+        self.classes = sorted(groups.items())
+        self.class_of = {col: j for j, (_, cols) in enumerate(self.classes) for col in cols}
+        # Per class: the slot (1-based; 0 for the zero digit) counting each
+        # digit, the slot radices, and the code one column adds per digit.
+        self.slot_of: list[list[int]] = []
+        self.radices: list[list[int]] = []
+        self.digit_codes: list[list[int]] = []
+        radix, self.count = 1, 1
+        for key, cols in self.classes:
+            f = len(cols)
+            slot_of = list(range(q)) if any(key) else [0] + [1] * (q - 1)
+            slots = slot_of[-1]
+            radices = [radix * (f + 1) ** s for s in range(slots)]
+            radix *= (f + 1) ** slots
+            self.slot_of.append(slot_of)
+            self.radices.append(radices)
+            self.digit_codes.append([0] + [radices[s - 1] for s in slot_of[1:]])
+            self.count *= comb(f + slots, slots)
+        # Codes skip the histograms that overfill a class exactly when the
+        # code space is larger than the type count.
+        self.gapped = radix != self.count
+
+    def histograms(self, j: int) -> list[tuple[int, ...]]:
+        return _histograms(len(self.classes[j][1]), len(self.radices[j]))
+
+    @cached_property
+    def codes(self) -> Sequence[int]:
+        """Every type's code, in increasing order."""
+        if not self.gapped:
+            return range(self.count)
+        parts = [
+            [sum(map(mul, h, self.radices[j])) for h in self.histograms(j)]
+            for j in range(len(self.classes))
+        ]
+        return _outer_sum(parts[::-1])
+
+    @cached_property
+    def position(self) -> dict[int, int] | None:
+        """Code -> position in type order; None when every code below ``count`` is a type."""
+        return dict(zip(self.codes, range(self.count))) if self.gapped else None
+
+    def dense_codes(self) -> list[int]:
+        """Type code of every dense index, one leading free digit at a time."""
+        codes = [0]
+        for col in reversed(self.free_cols):
+            codes = [x + c for x in self.digit_codes[self.class_of[col]] for c in codes]
+        return codes
+
+    def counts(self, position: int) -> list[list[int]]:
+        """Per class, the number of columns holding each digit: [zeros, slot counts...]."""
+        code = self.codes[position]
+        out = []
+        for (_, cols), radices in zip(self.classes, self.radices):
+            width = len(cols) + 1
+            slots = [code // radix % width for radix in radices]
+            out.append([len(cols) - sum(slots)] + slots)
+        return out
 
 
 @dataclass(frozen=True)
 class SpectrumTable:
     """Exact integer eigenvalues of a descent-level graph, indexed by characters.
 
-    The level is named by its ``pivots``.  Either ``weight_values`` (level 0,
-    compressed by weight) or ``values`` (dense, one entry per canonical coset
-    representative) is set.
+    The level is named by its ``pivots``.  Either ``weight_values`` (typed:
+    one entry per type in code order, which at level 0 is one per weight)
+    or ``values`` (dense: one entry per canonical coset representative) is
+    set.
     """
 
     params: GraphParams
@@ -107,6 +211,10 @@ class SpectrumTable:
         """Every column but the pivot columns, in increasing order."""
         pivot_cols = set(map(_lead_col, self.pivots))
         return tuple(c for c in range(self.params.n) if c not in pivot_cols)
+
+    @cached_property
+    def types(self) -> _Types:
+        return _Types(self.params.q, self.pivots, self.free_cols)
 
     @property
     def size(self) -> int:
@@ -147,6 +255,16 @@ class SpectrumTable:
             idx = idx * q + v.digits[col]
         return idx
 
+    def value_of(self, v: FqVector) -> int:
+        """Eigenvalue at a canonical representative, dense or typed."""
+        idx = self.index_of(v)  # refuses a non-canonical vector
+        if self.values is not None:
+            return self.values[idx]
+        assert self.weight_values is not None
+        types = self.types
+        code = sum(types.digit_codes[types.class_of[c]][v.digits[c]] for c in self.free_cols)
+        return self.weight_values[code if types.position is None else types.position[code]]
+
     def min_eigenvalue(self) -> tuple[int, FqVector]:
         """Minimum eigenvalue and its smallest attaining index.
 
@@ -164,10 +282,29 @@ class SpectrumTable:
                 return self.values[0], FqVector.zero(q, n)
             arg = _first_argmin(self.values)
             return self.values[arg], self.vector_at(arg)
-        assert self.weight_values is not None
-        best_w = _first_argmin(self.weight_values)
-        argmin = FqVector(q, (0,) * (n - best_w) + (1,) * best_w)
-        return self.weight_values[best_w], argmin
+        vals = self.weight_values
+        assert vals is not None
+        if len(vals) == 1:
+            return vals[0], FqVector.zero(q, n)
+        value = min(islice(vals, 1, None))
+        # The nonzero types attaining the minimum, as per-class digit counts.
+        types = self.types
+        tied = [types.counts(i) for i in compress(count(1), map(value.__eq__, islice(vals, 1, None)))]
+        # Smallest vector of a tied type: at each free column in turn, the
+        # least digit that some tied type still has a column left for.
+        used = [[0] * len(counts) for counts in tied[0]]
+        digits = [0] * n
+        for col in self.free_cols:
+            j = types.class_of[col]
+            for b in range(q):
+                slot = types.slot_of[j][b]
+                left = [t for t in tied if t[j][slot] > used[j][slot]]
+                if left:
+                    break
+            tied = left
+            used[j][slot] += 1
+            digits[col] = b
+        return value, FqVector(q, tuple(digits))
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
         """(canonical representative, eigenvalue) pairs in index order."""
@@ -177,46 +314,41 @@ class SpectrumTable:
             yield self.vector_at(i), lam
 
     def weight_rows(self) -> Iterator[tuple[int, int, int]]:
-        """(weight, eigenvalue, multiplicity) rows of a compressed level-0 table."""
-        if self.weight_values is None:
-            raise ValueError("weight_rows() requires a compressed level-0 table")
+        """(weight, eigenvalue, multiplicity) rows of a typed level-0 table."""
+        if self.weight_values is None or self.level:
+            raise ValueError("weight_rows() requires a typed level-0 table")
         for w, lam in enumerate(self.weight_values):
             yield w, lam, self.multiplicity_for_weight(w)
 
     def densify(self, budget: int | None = None) -> "SpectrumTable":
-        """Expand a compressed level-0 table to one entry per vector."""
+        """Expand a typed table to one entry per canonical representative."""
         if self.values is not None:
             return self
         assert self.weight_values is not None
-        params = self.params
-        q, n = params.q, params.n
-        _check_densifiable(params, budget)
-        # Weight of every index, one leading digit at a time: prefixing digit
-        # 0 keeps the weights, each of the q-1 nonzero digits adds 1.
-        weights = b"\0"
-        for _ in range(n):
-            weights += weights.translate(_PLUS_ONE) * (q - 1)
-        return SpectrumTable(
-            params=params,
-            # list.__getitem__ is a direct method, tuple's a slower slot wrapper.
-            values=tuple(map(list(self.weight_values).__getitem__, weights)),
-        )
+        _check_dense(self.params, self.level, budget)
+        types = self.types
+        codes: Iterable[int] = types.dense_codes()
+        if types.position is not None:
+            codes = map(types.position.__getitem__, codes)
+        # list.__getitem__ is a direct method, tuple's a slower slot wrapper.
+        values = tuple(map(list(self.weight_values).__getitem__, codes))
+        return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
 
 
 def build_spectrum_level0(
     params: GraphParams, dense: bool = False, budget: int | None = None
 ) -> SpectrumTable:
-    """Level-0 spectrum, compressed by weight unless ``dense`` is requested.
+    """Level-0 spectrum, typed by weight unless ``dense`` is requested.
 
-    A dense request is checked against the budget before the closed form is
-    computed, so a refusal costs nothing at any n.
+    The row is K_{d-1}(w - 1; n - 1, q) - 1 for w >= 1 by the Krawtchouk
+    recurrence in x, after the regular degree at w = 0.  A dense request is
+    checked against the budget before the row is computed, so a refusal
+    costs nothing at any n.
     """
     if dense:
-        _check_densifiable(params, budget)
-    table = SpectrumTable(
-        params=params,
-        weight_values=tuple(eigenvalue_level0(params, w) for w in range(params.n + 1)),
-    )
+        _check_dense(params, 0, budget)
+    row = krawtchouk_row(params.d - 1, params.n - 1, params.q)
+    table = SpectrumTable(params=params, weight_values=(params.degree, *(k - 1 for k in row)))
     return table.densify(budget) if dense else table
 
 

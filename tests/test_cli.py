@@ -136,6 +136,25 @@ class TestSpectrumCommand:
         r = run_cli("spectrum", "-q", "2", "-n", "10", "-d", "3", "--level", "1", "--budget", "64")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("cell", [(2, 7, 3), (3, 5, 3), (5, 4, 3)])
+    def test_typed_levels_print_the_dense_rows(self, monkeypatch, cell):
+        from gvgraph import descent
+
+        q, n, d = map(str, cell)
+
+        def outputs(crossover):
+            # Levels 1..3, stdout and exit code, typed or dense to the end.
+            monkeypatch.setattr(descent, "_CROSSOVER", crossover)
+            printed = []
+            for level in "123":
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(["spectrum", "-q", q, "-n", n, "-d", d, "--level", level])
+                printed.append((code, out.getvalue()))
+            return printed
+
+        assert outputs(-(10**30)) == outputs(10**30)
+
 
 class TestConstructCommand:
     def test_writes_file_and_trace(self, tmp_path):
@@ -190,6 +209,17 @@ class TestBudgetRefusalsAtAnySize:
         assert elapsed < 5.0
         assert list(tmp_path.iterdir()) == []
 
+    def test_bounds_at_large_n_reports_without_the_descent(self):
+        argv = ["bounds", "-q", "2", "-n", "3000", "-d", "1500", "--json"]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code == 0
+        assert time.perf_counter() - start < 10.0
+        report = json.loads(out.getvalue())
+        assert report["s"] is None and report["lambda_min"] < 0
+
     @pytest.mark.parametrize("n", [20000000, 100000000])
     def test_verify_huge_header(self, tmp_path, n):
         path = tmp_path / "huge.pchk"
@@ -198,6 +228,29 @@ class TestBudgetRefusalsAtAnySize:
         assert code == 3, err
         assert f"needs 3^{n} table entries" in err
         assert elapsed < 5.0
+
+
+class TestBudgetCoversTheWholeSpace:
+    """--budget is checked against q^n before any level is built, although
+    typed levels hold far fewer entries."""
+
+    @pytest.mark.parametrize("q, n", [(2, "15:16"), (3, "10")])
+    def test_sweep_rows_over_budget_stay_skipped(self, tmp_path, q, n):
+        # The benchmark's sweep rows run with --budget 20000.
+        out = tmp_path / "sweep.csv"
+        r = run_cli("sweep", "-q", str(q), "-n", n, "-d", "2:6", "-o", str(out), "--budget", "20000")
+        assert r.returncode == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 5 * (2 if q == 2 else 1)
+        assert {x["status"] for x in rows} == {"skipped"}
+
+    def test_construct_exits_3_with_the_level0_message(self, tmp_path):
+        r = run_cli("construct", "-q", "2", "-n", "10", "-d", "3", "-o", str(tmp_path / "c.pchk"), "--budget", "64")
+        assert r.returncode == 3
+        assert r.stderr == (
+            "error: dense level-0 spectrum of G_(2,10,3) needs 2^10 table entries, "
+            "exceeding the budget of 64; raise the budget to proceed\n"
+        )
 
 
 class TestVerifyCommand:

@@ -6,7 +6,8 @@ from math import isqrt
 import pytest
 
 from gvgraph import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
-from helpers import all_vectors, krawtchouk_genfunc, weight
+from gvgraph.combinat import krawtchouk_row
+from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, weight
 
 # 50 significant digits, frozen from an independent mpmath evaluation.
 H2_QUARTER = Decimal("0.81127812445913286390969579203913761843013919423064")
@@ -143,6 +144,28 @@ class TestKrawtchouk:
                         assert total == krawtchouk(d - 1, x - 1, n - 1, q)
 
 
+class TestKrawtchoukRow:
+    """The recurrence in x against the explicit sum, which stays the oracle."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_matches_explicit_sum(self, q):
+        for n in range(16):
+            for k in range(n + 2):
+                assert krawtchouk_row(k, n, q) == [krawtchouk(k, x, n, q) for x in range(n + 1)]
+
+    def test_long_row_at_a_few_points(self):
+        row = krawtchouk_row(1499, 2999, 2)
+        assert len(row) == 3000
+        for x in (0, 1, 2, 1499, 2998, 2999):
+            assert row[x] == krawtchouk(1499, x, 2999, 2)
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ValueError):
+            krawtchouk_row(-1, 4, 2)
+        with pytest.raises(ValueError):
+            krawtchouk_row(1, -1, 2)
+
+
 class TestBallVolume:
     def test_anchors(self):
         assert ball_volume(GraphParams(2, 7, 3), 2) == 29
@@ -169,6 +192,10 @@ class TestBallVolume:
             for r in range(n + 1):
                 running += counts[r]
                 assert ball_volume(p, r) == running
+
+    def test_matches_binomial_sum_at_large_n(self):
+        for q, n, r in ((2, 3000, 1499), (3, 500, 321), (7, 200, 200)):
+            assert ball_volume(GraphParams(q, n, 2), r) == ball_volume_brute(q, n, r)
 
 
 class TestEntropy:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from gvgraph import (
     select_pivot,
     spectrum_descend,
 )
-from gvgraph.descent import _average
+from gvgraph import descent as descent_module
+from gvgraph import spectrum as spectrum_module
+from gvgraph.descent import _average, _descend_types
 from gvgraph.modq import rref
 from helpers import character_sum_oracle, reference_average, reference_descent
 
@@ -384,3 +387,114 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     q, n, _ = cell
     trace = run_algorithm1(GraphParams(*cell))
     assert scanned == [q ** (n - t) for t in range(trace.s + 1)]
+
+
+# Crossover settings that keep every level typed, or densify at level 0.
+ALWAYS_TYPED = -(10**30)
+ALWAYS_DENSE = 10**30
+
+
+def typed_levels(params):
+    """Every level of the descent, kept typed to the end."""
+    old = descent_module._CROSSOVER
+    descent_module._CROSSOVER = ALWAYS_TYPED
+    try:
+        return [table for table, _ in descend(params)]
+    finally:
+        descent_module._CROSSOVER = old
+
+
+def trace_key(trace):
+    return trace.s, trace.final_degree, trace.levels
+
+
+class TestTypedLevels:
+    """Typed levels against the dense route they replace."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_dense_route_gives_the_same_trace(self, monkeypatch, q):
+        # Second route: densify at level 0 and average dense tables only.
+        cells = [(q, n, d) for n in range(1, 17) if q**n <= 6 * 10**4 for d in range(1, n + 2)]
+        runs = {}
+        for setting in (ALWAYS_DENSE, ALWAYS_TYPED, descent_module._CROSSOVER):
+            monkeypatch.setattr(descent_module, "_CROSSOVER", setting)
+            runs[setting] = [trace_key(run_algorithm1(GraphParams(*cell))) for cell in cells]
+        dense = runs.pop(ALWAYS_DENSE)
+        for traces in runs.values():
+            for cell, want, got in zip(cells, dense, traces):
+                assert got == want, cell
+
+    @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4), (3, 7, 5)])
+    def test_every_typed_level_densifies_to_the_dense_level(self, cell):
+        params = GraphParams(*cell)
+        dense = [table for table, _ in descend(params)]
+        for table, want in zip(typed_levels(params), dense):
+            assert table.values is None
+            assert len(table.weight_values) == table.types.count
+            assert table.densify() == want.densify()
+            assert table.min_eigenvalue() == want.min_eigenvalue()
+
+    @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
+    def test_ties_across_types_take_the_smallest_vector(self, cell):
+        # Random values from a short range put the minimum on many types at
+        # once, with no scalar symmetry: the typed argmin must still be the
+        # dense rule's first index attaining the minimum.
+        rng = random.Random(7)
+        most_tied = 0
+        for table in typed_levels(GraphParams(*cell))[:-1]:
+            for _ in range(20):
+                vals = tuple(rng.randint(-3, 0) for _ in range(table.types.count))
+                doctored = dataclasses.replace(table, weight_values=vals)
+                assert doctored.min_eigenvalue() == doctored.densify().min_eigenvalue()
+                most_tied = max(most_tied, vals[1:].count(min(vals[1:])))
+        assert most_tied > 3
+
+    def test_doctored_typed_table_raises(self):
+        params = GraphParams(2, 8, 3)
+        level1 = typed_levels(params)[1]
+        pivot = select_pivot(level1)
+        value, _ = level1.min_eigenvalue()
+        vals = list(level1.weight_values)
+        bumped = next(i for i, x in enumerate(vals) if i and x != value)
+        vals[bumped] += 1
+        doctored = dataclasses.replace(level1, weight_values=tuple(vals))
+        with pytest.raises(DivisibilityError, match="level 1: eigenvalue sum -?[0-9]+ is not divisible by 2"):
+            _descend_types(doctored, pivot)
+
+    def test_typed_pivot_checks(self):
+        level1 = typed_levels(GraphParams(2, 7, 3))[1]
+        with pytest.raises(ValueError, match="nonzero"):
+            _descend_types(level1, FqVector.zero(2, 7))
+        with pytest.raises(ValueError, match="canonical"):
+            _descend_types(level1, FqVector(2, (0, 0, 0, 1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="not the level minimum"):
+            _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
+
+    def test_large_dense_tables_are_never_built(self, monkeypatch):
+        # The dense route would build 2^22 entries at level 0.
+        built = []
+        init = spectrum_module.SpectrumTable.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.values is not None:
+                built.append((self.level, len(self.values)))
+
+        monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
+        trace = run_algorithm1(GraphParams(2, 22, 5))
+        handoff = built[0][0]
+        assert handoff >= 6  # so no dense table exceeds 2^16 entries
+        assert [level for level, _ in built] == list(range(handoff, trace.s + 1))
+        assert max(size for _, size in built) == 2 ** (22 - handoff)
+
+    def test_one_debug_record_per_level_shows_the_handoff(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gvgraph")
+        trace = run_algorithm1(GraphParams(2, 14, 4))
+        records = [r.getMessage() for r in caplog.records if r.name == "gvgraph"]
+        assert len(records) == trace.s + 1
+        kinds = [message.split(": ")[1].split(",")[0] for message in records]
+        handoff = kinds.index("dense")
+        assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {"dense"}
+        assert records[handoff].startswith(f"level {handoff}: dense, {2 ** (14 - handoff)} entries, ")
+        assert records[0].startswith(f"level 0: typed, 15 entries, lambda_min {trace.lambda_history[0]}, degree")
+        assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]

@@ -106,14 +106,14 @@ class TestSpectrumTable:
         assert isinstance(dense, tuple)
         assert dense == reference_dense_level0(table.weight_values, q, n)
 
-    def test_densify_refuses_weights_beyond_its_store(self, monkeypatch):
-        # Weights are stored one byte each, so n > 255 must be refused, not
-        # wrapped.  A lowered cap checks the refusal without a huge table.
-        monkeypatch.setattr(spectrum, "_MAX_WEIGHT", 3)
-        table = build_spectrum_level0(GraphParams(2, 4, 3))
-        with pytest.raises(ValueError, match="one byte"):
-            table.densify()
-        assert len(build_spectrum_level0(GraphParams(2, 3, 3)).densify().values) == 8
+    def test_typed_level0_beyond_one_byte_weights(self):
+        # A typed level stores weights as ints, so n > 255 needs no cap.
+        p = GraphParams(2, 300, 5)
+        table = build_spectrum_level0(p)
+        assert len(table.weight_values) == 301
+        value, argmin = table.min_eigenvalue()
+        assert table.value_of(argmin) == value == eigenvalue_level0(p, argmin.weight)
+        assert table.value_of(FqVector(2, (1,) * 300)) == eigenvalue_level0(p, 300)
 
     def test_dense_min_agrees_with_compressed(self):
         for q, n, d in [(2, 6, 3), (2, 6, 4), (3, 4, 3), (5, 2, 2)]:
