@@ -46,19 +46,18 @@ def rank(rows: list[tuple[int, ...]], q: int) -> int:
     return len(rref(rows, q)[0])
 
 
-def kernel_basis(rows: list[tuple[int, ...]], q: int, n: int) -> list[tuple[int, ...]]:
-    """A basis of the joint kernel {u : <u, row> = 0 for every row}.
+def kernel_basis(rref_rows: list[tuple[int, ...]], pivot_cols: list[int], q: int, n: int) -> list[tuple[int, ...]]:
+    """A basis of the joint kernel {u : <u, row> = 0 for every row}, from the rows' ``rref``.
 
     One basis vector per free column f: 1 at f, -row[f] at each pivot
     column, 0 elsewhere.  Returned in increasing free-column order.
     """
-    rr, pivot_cols = rref(rows, q)
     free_cols = [c for c in range(n) if c not in pivot_cols]
     basis = []
     for f in free_cols:
         vec = [0] * n
         vec[f] = 1
-        for row, col in zip(rr, pivot_cols):
+        for row, col in zip(rref_rows, pivot_cols):
             vec[col] = (-row[f]) % q
         basis.append(tuple(vec))
     return basis

@@ -6,7 +6,8 @@ explicit induced subgraphs -- and never reuses the library's quotient-index
 machinery, so agreement is a genuine two-route check.  The reference
 averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
-compared against.
+compared against; so is the codeword enumeration's former ``FqVector``
+doubling loop.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from gvgraph import BudgetError, FqVector, GraphParams
 from gvgraph.errors import DivisibilityError, check_budget
+from gvgraph.modq import kernel_basis, rref
 
 EXACT_SEARCH_CAP = 64
 
@@ -368,3 +370,21 @@ def reference_dense_level0(lam_w, q, n):
     for i in range(1, total):
         weights[i] = weights[i // q] + (1 if i % q else 0)
     return tuple(lam_w[w] for w in weights)
+
+
+def kernel_bruteforce(q, n, rows):
+    """Every vector of F_q^n orthogonal to every row, scanned in rank order."""
+    return [v for v in all_vectors(q, n) if all(dot(v, row, q) == 0 for row in rows)]
+
+
+def reference_codewords(code, budget=None):
+    """All q^(n-s) vectors orthogonal to every parity row, zero included."""
+    check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
+    q, n = code.q, code.n
+    basis = kernel_basis(*rref([row.digits for row in code.parity_rows], q), q, n)
+    words = [FqVector.zero(q, n)]
+    for vec in basis:
+        b = FqVector(q, vec)
+        multiples = [b.scale(c) for c in range(1, q)]
+        words += [w.add(m) for m in multiples for w in words]
+    return words

@@ -429,3 +429,29 @@ class TestSweepJobs:
 def test_usage_error_exits_2():
     r = run_cli("bounds", "-q", "2", "-n", "7")
     assert r.returncode == 2
+
+
+def test_main_calls_share_one_parser(monkeypatch, tmp_path):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as usage:
+            cli.main(["bounds", "-q", "2", "-n", "7"])
+        assert usage.value.code == 2 and "-d" in err.getvalue()
+        path = tmp_path / "h.pchk"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["construct", "-q", "2", "-n", "7", "-d", "3", "-o", str(path)]) == 0
+            assert cli.main(["verify", str(path), "-d", "3"]) == 0
+        assert "min_distance: 3" in out.getvalue()
+        assert len(built) == 1 and cli._parser() is built[0]
+    finally:
+        cli._parser.cache_clear()

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from gvgraph import (
     INFINITE_DISTANCE,
@@ -17,8 +22,17 @@ from gvgraph import (
     run_algorithm1,
     write_pchk,
 )
+from gvgraph import cli, codes, modq
 from gvgraph.codes import parse_pchk
-from helpers import alpha_bruteforce, gilbert_adjacency, hamming, max_independent_set_oracle
+from helpers import (
+    alpha_bruteforce,
+    gilbert_adjacency,
+    hamming,
+    kernel_bruteforce,
+    max_independent_set_oracle,
+    reference_codewords,
+    weight,
+)
 
 HAMMING_ROWS = ("0001111", "0110011", "1010101")
 
@@ -104,6 +118,76 @@ class TestMinDistance:
                 for u, v in itertools.combinations(words, 2)
             )
             assert min_distance(code) == brute
+
+
+# Largest n with q^n <= 5000 for each q the brute-force kernel scan covers.
+ORACLE_MAX_N = {2: 12, 3: 7, 5: 5, 7: 4, 13: 3, 17: 3}
+
+
+@st.composite
+def small_codes(draw):
+    q = draw(st.sampled_from(sorted(ORACLE_MAX_N)))
+    n = draw(st.integers(1, ORACLE_MAX_N[q]))
+    s = draw(st.integers(0, n))
+    digits = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(digits, min_size=s, max_size=s))
+    try:
+        return LinearCode(q, n, tuple(FqVector(q, row) for row in rows))
+    except ValueError:
+        reject()
+
+
+class TestPackedEnumeration:
+    """The packed-integer enumeration against a scan of all q^n vectors and against the former loop.
+
+    At q = 2, 3, 5 and 17, q - 1 is a power of two, so two digits q - 1 sum
+    to exactly 2^(w-1), the guard bit.  The explicit examples with parity
+    rows reach that sum in a pivot slot; every explicit example holds the
+    all-(q-1) word, whose every slot sets the guard bit in the weight sum.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_codes())
+    @example(make_code(3, ("111111",)))
+    @example(make_code(5, ("11111", "12340")))
+    @example(LinearCode(17, 3, (FqVector(17, (1, 1, 15)),)))
+    @example(make_code(2, ("1111111111",)))
+    @example(LinearCode(17, 3, ()))
+    @example(LinearCode(3, 7, ()))
+    def test_matches_bruteforce_kernel(self, code):
+        q, n = code.q, code.n
+        oracle = kernel_bruteforce(q, n, [row.digits for row in code.parity_rows])
+        words = codewords(code)
+        assert sorted(w.digits for w in words) == oracle
+        assert Counter(w.weight for w in words) == Counter(weight(v) for v in oracle)
+        assert min_distance(code) == min((weight(v) for v in oracle if any(v)), default=INFINITE_DISTANCE)
+        assert words == reference_codewords(code)
+
+    @pytest.mark.parametrize(
+        "cell", [(2, 10, 3), (2, 12, 5), (3, 6, 4), (5, 4, 3), (5, 6, 3), (7, 4, 3), (13, 3, 2), (17, 3, 2)]
+    )
+    def test_same_list_as_former_loop_on_constructed_codes(self, cell):
+        params = GraphParams(*cell)
+        code = LinearCode(params.q, params.n, run_algorithm1(params).parity_rows)
+        assert codewords(code) == reference_codewords(code)
+        assert min_distance(code) >= params.d
+
+    def test_verify_computes_one_rref(self, monkeypatch, tmp_path):
+        calls = []
+        real = modq.rref
+
+        def counted(rows, q):
+            calls.append(len(rows))
+            return real(rows, q)
+
+        monkeypatch.setattr(modq, "rref", counted)
+        monkeypatch.setattr(codes, "rref", counted)
+        path = tmp_path / "h.pchk"
+        write_pchk(str(path), make_code(2, HAMMING_ROWS))
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(path), "-d", "3"]) == 0
+        assert calls == [3]
 
 
 def test_public_api_holds_no_test_oracles():
