@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 
 __all__ = [
     "GraphParams",
@@ -108,20 +108,11 @@ class GraphParams:
         return ball_volume(self, self.d - 1) - 1
 
 
-@lru_cache(maxsize=None)
 def binomial(x: int, j: int) -> int:
     """C(x, j) for integers x >= 0, j >= 0, with C(x, 0) = 1 and 0 when j > x."""
     if x < 0 or j < 0:
         raise ValueError(f"binomial requires x >= 0 and j >= 0, got ({x}, {j})")
-    if j == 0:
-        return 1
-    if j > x:
-        return 0
-    j = min(j, x - j)
-    out = 1
-    for i in range(1, j + 1):
-        out = out * (x - i + 1) // i
-    return out
+    return comb(x, j)
 
 
 def krawtchouk(k: int, x: int, n: int, q: int) -> int:

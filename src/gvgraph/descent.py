@@ -15,54 +15,31 @@ is 0, equivalently degree 0.  The surviving vertex subspace is then a linear
 code of minimum distance at least d whose parity-check rows are the chosen
 pivots.
 
-Typed levels and the crossover
-------------------------------
+Typed levels and the handoff
+----------------------------
 Levels start typed (one value per type, see ``spectrum``).  The q parents
 v + r * pivot of a next-level type v are types of the previous level, and
 each next-level class sits inside one previous class, shifted by r times
 the pivot's digit there, while the pivot column itself holds r times the
-pivot's leading digit.  So the
-parent code of every next-level type is an outer sum of short per-class
-lists, one list of codes per r, and the mean is taken as below, through a
-dict from code to position for q > 2.  The argmin of a typed level is the
-least value over the nonzero types, then the smallest vector of a type
-that attains it, built one free column at a time.  A level stays typed
-while q entries per type plus ``_CROSSOVER`` come to less than its dense
-size q^(n-t); the first level past that is densified once, and every later
-level is dense.  Budgets are checked against q^n before level 0, as if the
-run were dense throughout.
+pivot's leading digit.  So the parent code of every next-level type is an
+outer sum of short per-class lists, one list of codes per r, and the mean
+is taken as below, through a dict from code to position for q > 2.  The
+argmin of a typed level is the least (value, least dense index) pair over
+the nonzero types, the least dense index of every type being itself an
+outer sum.  A level is densified once its dense table has at most
+``_CROSSOVER`` entries, and every later level is dense.  Budgets are
+checked against q^n before level 0, as if the run were dense throughout.
 
-Averaging by slices
--------------------
-Let the previous level have m free columns and let the pivot's leading
-column sit at position ``pos`` among them (its earlier free digits are all
-zero, since the pivot is a canonical representative).  Writing a previous
-index as (hi, r, lo) -- hi the digits before pos, r the digit at pos, lo the
-k = m-1-pos digits after -- the q parents of a new entry (hi, lo) are
-
-    parent_r = (hi, r, lo + r * tail),
-
-where ``tail`` holds the monic pivot's trailing digits and + adds digit by
-digit mod q.  One kernel serves every q.  For each r it copies the slab of
-r-th parents, in (hi, lo) order, with list slices only:
-
-* if lo takes fewer than ``_BLOCK`` values, one extended slice
-  ``vals[(0, r, lo + r * tail) :: q^(k+1)]`` per lo gathers that lo for
-  every hi;
-* otherwise lo is cut into upper digits and a block of trailing digits,
-  wide enough to hold ``_BLOCK`` entries and every trailing digit that the
-  shift leaves at 0.  Blocks move whole, one contiguous slice each, to the
-  place the upper digits' shift sends them; a nonzero shift left in the
-  trailing digits is then applied by one extended slice per position in a
-  block.
-
-The q slabs are summed entry by entry with ``map(operator.add, ...)`` and
-each sum is looked up in a dict of exact quotients.  A sum is divided, with
+Exact means
+-----------
+Typed or dense, a level gathers the q parents of every new entry into q
+lazy slabs, sums them entry by entry with ``map(operator.add, ...)`` and
+looks each sum up in a dict of exact quotients.  A sum is divided, with
 ``divmod``, the first time it occurs; a nonzero remainder raises
 DivisibilityError naming that sum, the first offending one in index order
-(in type order on a typed level).
-Every later occurrence reuses the stored quotient, so a level holds one int
-object per distinct eigenvalue (a few dozen) instead of one per entry.
+(in type order on a typed level).  Every later occurrence reuses the stored
+quotient, so a level holds one int object per distinct eigenvalue (a few
+dozen) instead of one per entry.
 """
 
 from __future__ import annotations
@@ -70,7 +47,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -85,13 +61,11 @@ __all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_p
 
 log = logging.getLogger("gvgraph")
 
-# A typed level builds and reads about q parent codes per type, a dense
-# level about one entry per entry; a typed level's layout and argmin add a
-# fixed cost, worth _CROSSOVER dense entries.  A level stays typed while
-# q * types + _CROSSOVER is below its dense size.  Over the sweep cells
-# (q^n <= 2*10^4), 512 and 2048 gave the least total descent time (0 and
-# 8192 were 15-35% slower); 2048 keeps tables of up to ~2000 entries dense.
-_CROSSOVER = 2048
+# A level is densified once its dense table has at most _CROSSOVER entries:
+# below that a dense level costs less than a typed level's layout.  Over the
+# sweep cells (q^n <= 2*10^4), 256 and 512 gave the least total descent time;
+# 1024 and 2048 were 4% and 11% slower.
+_CROSSOVER = 512
 
 
 @dataclass(frozen=True)
@@ -154,12 +128,6 @@ def select_pivot(table: SpectrumTable) -> FqVector:
     return argmin
 
 
-# Below this many entries, one contiguous slice per block costs more in
-# call overhead than one extended slice per position costs in scattered
-# memory access.
-_BLOCK = 32
-
-
 class _Quotients(dict):
     """Eigenvalue sums mapped to their exact quotients by q, one object per value."""
 
@@ -178,44 +146,6 @@ class _Quotients(dict):
         return div
 
 
-def _shifted(q: int, shift: list[int]) -> list[int]:
-    """Position of ``p + shift`` (digit by digit mod q) for each p < q^len(shift)."""
-    out = [0]
-    for c in shift:
-        out = [p * q + (x + c) % q for p in out for x in range(q)]
-    return out
-
-
-def _slab(vals: tuple[int, ...], q: int, low: int, base: int, shift: list[int]) -> list[int]:
-    """``vals[hi * q * low + base + (lo + shift)]`` for every (hi, lo), in that order."""
-    stride = q * low
-    high = len(vals) // stride
-    cut, width = len(shift), 1
-    while cut and (width < _BLOCK or not shift[cut - 1]):
-        cut -= 1
-        width *= q
-    inner = any(shift[cut:])
-    if width < _BLOCK or (inner and width <= high):
-        slab = [0] * (high * low)
-        for lo, src in enumerate(_shifted(q, shift)):
-            slab[lo::low] = vals[base + src :: stride]
-        return slab
-    upper = _shifted(q, shift[:cut])
-    slab = list(
-        chain.from_iterable(
-            vals[start + u * width : start + (u + 1) * width]
-            for start in range(base, len(vals), stride)
-            for u in upper
-        )
-    )
-    if inner:
-        moved = [0] * len(slab)
-        for w, src in enumerate(_shifted(q, shift[cut:])):
-            moved[w::width] = slab[src::width]
-        slab = moved
-    return slab
-
-
 def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
     """Entry-by-entry sums of the q slabs, each divided exactly by q."""
     sums: Iterator[int] = iter(slabs[0])
@@ -225,9 +155,28 @@ def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, .
 
 
 def _average(vals: tuple[int, ...], q: int, tail: list[int], level: int) -> tuple[int, ...]:
-    """Exact mean of the q parents of every next-level entry (see the module docstring)."""
-    low = q ** len(tail)
-    return _exact_means([_slab(vals, q, low, r * low, [r * x % q for x in tail]) for r in range(q)], q, level)
+    """Exact mean of the q parents of every entry of the level below a dense table.
+
+    Let the table have m free columns, with the pivot's leading column at
+    position pos among them (its earlier free digits are all zero, since the
+    pivot is a canonical representative).  Writing an index as (hi, r, lo) --
+    hi the digits before pos, r the digit at pos, lo the k = m-1-pos digits
+    after -- the q parents of a new entry (hi, lo) are
+
+        parent_r = (hi, r, lo + r * tail),
+
+    where ``tail`` holds the monic pivot's trailing digits and + adds digit by
+    digit mod q.  Per r, their positions in (hi, lo) order are an outer sum
+    of the hi offsets and one list per tail digit.
+    """
+    k = len(tail)
+    his = range(0, len(vals), q ** (k + 1))
+    gather = list(vals).__getitem__
+    slabs: list[Iterable[int]] = []
+    for r in range(q):
+        shifts = [[(x + r * c) % q * q**e for x in range(q)] for e, c in zip(range(k - 1, -1, -1), tail)]
+        slabs.append(map(gather, _outer_sum([his, *shifts], r * q**k)))
+    return _exact_means(slabs, q, level)
 
 
 def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[int]]:
@@ -281,7 +230,9 @@ def _descend_types(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     slabs: list[Iterable[int]] = []
     for codes in _parent_codes(table.types, types, v_chosen):
         slabs.append(map(vals.__getitem__, codes if position is None else map(position.__getitem__, codes)))
-    return SpectrumTable(params=table.params, pivots=pivots, weight_values=_exact_means(slabs, q, table.level))
+    out = SpectrumTable(params=table.params, pivots=pivots, weight_values=_exact_means(slabs, q, table.level))
+    vars(out)["types"] = types  # the cached layout, so it is built once per level
+    return out
 
 
 def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
@@ -317,7 +268,7 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
     minima: list[int] = []
     while True:
         t = table.level
-        if table.values is None and q * table.types.count + _CROSSOVER >= table.size:
+        if table.values is None and table.size <= _CROSSOVER:
             table = table.densify()
         if table.degree != degree:
             raise RuntimeError(

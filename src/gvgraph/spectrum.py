@@ -44,7 +44,11 @@ outer sum of short per-column or per-class lists.  Only histograms whose
 counts fit their class are types; ``weight_values`` lists the types in
 increasing code order, and for q > 2 a dict takes a code to its position.
 ``densify`` expands a typed table to the dense one through the code of
-every dense index.
+every dense index.  The smallest vector of a type fills each class's
+columns with the class's digits in increasing order, so the least dense
+index of every type is an outer sum of per-class lists as well, and the
+argmin of a typed table is its least (value, least index) pair over the
+nonzero types.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's argmin is computed on first use and kept.
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import accumulate, islice
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -130,9 +134,8 @@ class _Types:
         self.q, self.free_cols = q, tuple(free_cols)
         self.classes = sorted(groups.items())
         self.class_of = {col: j for j, (_, cols) in enumerate(self.classes) for col in cols}
-        # Per class: the slot (1-based; 0 for the zero digit) counting each
-        # digit, the slot radices, and the code one column adds per digit.
-        self.slot_of: list[list[int]] = []
+        # Per class: the slot radices and the code one column adds per digit;
+        # slot s (1-based) counts digit s, or every nonzero digit in the zero class.
         self.radices: list[list[int]] = []
         self.digit_codes: list[list[int]] = []
         radix, self.count = 1, 1
@@ -142,7 +145,6 @@ class _Types:
             slots = slot_of[-1]
             radices = [radix * (f + 1) ** s for s in range(slots)]
             radix *= (f + 1) ** slots
-            self.slot_of.append(slot_of)
             self.radices.append(radices)
             self.digit_codes.append([0] + [radices[s - 1] for s in slot_of[1:]])
             self.count *= comb(f + slots, slots)
@@ -176,15 +178,21 @@ class _Types:
             codes = [x + c for x in self.digit_codes[self.class_of[col]] for c in codes]
         return codes
 
-    def counts(self, position: int) -> list[list[int]]:
-        """Per class, the number of columns holding each digit: [zeros, slot counts...]."""
-        code = self.codes[position]
-        out = []
-        for (_, cols), radices in zip(self.classes, self.radices):
-            width = len(cols) + 1
-            slots = [code // radix % width for radix in radices]
-            out.append([len(cols) - sum(slots)] + slots)
-        return out
+    def least_indices(self) -> list[int]:
+        """Least dense index of every type, in type order.
+
+        The smallest vector of a type fills each class's columns with the
+        class's digits in increasing order, so its index is a sum of one
+        term per class: the sum over s >= 1 of the place values of the
+        class's last T_s columns, where T_s counts its digits >= s.
+        """
+        place = {col: self.q**e for e, col in enumerate(reversed(self.free_cols))}
+        parts = []
+        for j, (_, cols) in enumerate(self.classes):
+            suffix = list(accumulate((place[c] for c in reversed(cols)), initial=0))
+            # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
+            parts.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in self.histograms(j)])
+        return _outer_sum(parts[::-1])
 
 
 @dataclass(frozen=True)
@@ -286,25 +294,8 @@ class SpectrumTable:
         assert vals is not None
         if len(vals) == 1:
             return vals[0], FqVector.zero(q, n)
-        value = min(islice(vals, 1, None))
-        # The nonzero types attaining the minimum, as per-class digit counts.
-        types = self.types
-        tied = [types.counts(i) for i in compress(count(1), map(value.__eq__, islice(vals, 1, None)))]
-        # Smallest vector of a tied type: at each free column in turn, the
-        # least digit that some tied type still has a column left for.
-        used = [[0] * len(counts) for counts in tied[0]]
-        digits = [0] * n
-        for col in self.free_cols:
-            j = types.class_of[col]
-            for b in range(q):
-                slot = types.slot_of[j][b]
-                left = [t for t in tied if t[j][slot] > used[j][slot]]
-                if left:
-                    break
-            tied = left
-            used[j][slot] += 1
-            digits[col] = b
-        return value, FqVector(q, tuple(digits))
+        value, index = min(zip(islice(vals, 1, None), islice(self.types.least_indices(), 1, None)))
+        return value, self.vector_at(index)
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
         """(canonical representative, eigenvalue) pairs in index order."""
@@ -335,21 +326,14 @@ class SpectrumTable:
         return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
 
 
-def build_spectrum_level0(
-    params: GraphParams, dense: bool = False, budget: int | None = None
-) -> SpectrumTable:
-    """Level-0 spectrum, typed by weight unless ``dense`` is requested.
+def build_spectrum_level0(params: GraphParams) -> SpectrumTable:
+    """Level-0 spectrum, typed by weight; ``densify`` expands it.
 
     The row is K_{d-1}(w - 1; n - 1, q) - 1 for w >= 1 by the Krawtchouk
-    recurrence in x, after the regular degree at w = 0.  A dense request is
-    checked against the budget before the row is computed, so a refusal
-    costs nothing at any n.
+    recurrence in x, after the regular degree at w = 0.
     """
-    if dense:
-        _check_dense(params, 0, budget)
     row = krawtchouk_row(params.d - 1, params.n - 1, params.q)
-    table = SpectrumTable(params=params, weight_values=(params.degree, *(k - 1 for k in row)))
-    return table.densify(budget) if dense else table
+    return SpectrumTable(params=params, weight_values=(params.degree, *(k - 1 for k in row)))
 
 
 @dataclass(frozen=True)

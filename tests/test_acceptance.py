@@ -126,7 +126,7 @@ def test_criterion_05_descent_ground_truth():
             for d in range(1, n + 2):
                 params = GraphParams(q, n, d)
                 trace = run_algorithm1(params)
-                table = build_spectrum_level0(params, dense=True)
+                table = build_spectrum_level0(params).densify()
                 pivot_mat = np.zeros((0, n), dtype=np.int32)
                 for t in range(trace.s + 1):
                     if t > 0:

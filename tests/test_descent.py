@@ -63,7 +63,7 @@ class TestAnchors273:
 class TestSpectrumDescend:
     def test_first_descent_zero_class_reproduces_degree_recursion(self):
         p = GraphParams(2, 7, 3)
-        table = build_spectrum_level0(p, dense=True)
+        table = build_spectrum_level0(p).densify()
         level1 = spectrum_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
         assert level1.degree == 12  # (28 + (-4)) / 2
         assert level1.size == 64
@@ -74,7 +74,7 @@ class TestSpectrumDescend:
         # Independent route: explicit difference set of the level-1 graph.
         p = GraphParams(2, 7, 3)
         pivot = FqVector(2, (0, 0, 0, 1, 1, 1, 1))
-        level1 = spectrum_descend(build_spectrum_level0(p, dense=True), pivot)
+        level1 = spectrum_descend(build_spectrum_level0(p).densify(), pivot)
         S1 = [
             v
             for v in FqVector.enumerate_all(2, 7)
@@ -86,13 +86,13 @@ class TestSpectrumDescend:
 
     def test_edgeless_parent_descends_to_zeros(self):
         p = GraphParams(2, 3, 1)
-        table = build_spectrum_level0(p, dense=True)
+        table = build_spectrum_level0(p).densify()
         level1 = spectrum_descend(table, FqVector(2, (0, 0, 1)))
         assert level1.values == (0, 0, 0, 0)
 
     def test_rejects_non_canonical_and_non_argmin_pivots(self):
         p = GraphParams(2, 7, 3)
-        table = build_spectrum_level0(p, dense=True)
+        table = build_spectrum_level0(p).densify()
         with pytest.raises(ValueError, match="not the"):
             spectrum_descend(table, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
         with pytest.raises(ValueError, match="nonzero"):
@@ -104,7 +104,7 @@ class TestSpectrumDescend:
 
     def test_divisibility_violation_is_reported(self):
         p = GraphParams(2, 4, 2)
-        table = build_spectrum_level0(p, dense=True)
+        table = build_spectrum_level0(p).densify()
         doctored = dataclasses.replace(table, values=table.values[:-1] + (table.values[-1] + 1,))
         pivot = FqVector(2, (1, 1, 1, 1))
         with pytest.raises(DivisibilityError):
@@ -153,14 +153,14 @@ def averaging_cases(draw):
 
 
 class TestAveragingKernel:
-    """The slice kernel against the former entry-by-entry loops (helpers.reference_average)."""
+    """The gather kernel against the former entry-by-entry loops (helpers.reference_average)."""
 
     @settings(max_examples=150, deadline=None)
     @given(averaging_cases())
-    @example(divisible_case(2, 0, [1] * 11, 60, 0))  # one hi block, blocks shifted inside
-    @example(divisible_case(2, 5, [1, 0, 0, 0, 0, 0], 60, 0))  # blocks move whole
-    @example(divisible_case(2, 6, [0, 0, 0, 0, 1], 60, 0))  # many hi blocks: extended slices
-    @example(divisible_case(7, 2, [3], 60, 0))  # few lo values: extended slices
+    @example(divisible_case(2, 0, [1] * 11, 60, 0))  # one hi block, a long tail
+    @example(divisible_case(2, 5, [1, 0, 0, 0, 0, 0], 60, 0))  # the shift only in the leading tail digit
+    @example(divisible_case(2, 6, [0, 0, 0, 0, 1], 60, 0))  # many hi blocks, a short tail
+    @example(divisible_case(7, 2, [3], 60, 0))  # q > 2, one tail digit
     def test_divisible_tables_match_reference(self, case):
         q, tail, vals, parents, _ = case
         table = tuple(vals)
@@ -186,15 +186,15 @@ class TestAveragingKernel:
 
 class TestSelectPivot:
     def test_level0_anchor(self):
-        table = build_spectrum_level0(GraphParams(2, 7, 3), dense=True)
+        table = build_spectrum_level0(GraphParams(2, 7, 3)).densify()
         assert select_pivot(table).digits == (0, 0, 0, 1, 1, 1, 1)
 
     def test_complete_graph_all_nonzero_tie(self):
-        table = build_spectrum_level0(GraphParams(2, 3, 4), dense=True)
+        table = build_spectrum_level0(GraphParams(2, 3, 4)).densify()
         assert select_pivot(table).digits == (0, 0, 1)
 
     def test_terminated_level_rejected(self):
-        table = build_spectrum_level0(GraphParams(2, 3, 1), dense=True)
+        table = build_spectrum_level0(GraphParams(2, 3, 1)).densify()
         with pytest.raises(ValueError, match="requires a level with an edge"):
             select_pivot(table)
 
@@ -321,27 +321,30 @@ class TestDescend:
         assert tuple(rec for _, rec in levels[:-1]) == trace.levels
         assert levels[-1][1] is None
         # Reference route: re-descend level 0 along the trace's pivots.
-        expected = build_spectrum_level0(params, dense=True)
+        expected = build_spectrum_level0(params).densify()
         for (table, _), rec in zip(levels, trace.levels + (None,)):
-            assert table == expected
+            assert (table.values is not None) == (table.size <= descent_module._CROSSOVER)
+            assert table.densify() == expected
             if rec is not None:
                 expected = spectrum_descend(expected, rec.pivot)
 
     def test_stopping_early_descends_no_further(self, monkeypatch):
         import gvgraph.descent as descent_module
 
+        # Level 0 (1024 entries) is averaged typed, level 1 (512) dense.
         averaged = []
-        real = descent_module.spectrum_descend
+        for name in ("_descend_types", "spectrum_descend"):
+            real = getattr(descent_module, name)
 
-        def counting(table, pivot):
-            averaged.append(table.level)
-            return real(table, pivot)
+            def counting(table, pivot, real=real, name=name):
+                averaged.append((table.level, name))
+                return real(table, pivot)
 
-        monkeypatch.setattr(descent_module, "spectrum_descend", counting)
+            monkeypatch.setattr(descent_module, name, counting)
         for table, _ in descend(GraphParams(2, 10, 4)):
             if table.level == 2:
                 break
-        assert averaged == [0, 1]
+        assert averaged == [(0, "_descend_types"), (1, "spectrum_descend")]
 
 
 class TestCosetIndexing:
@@ -373,20 +376,28 @@ class TestCosetIndexing:
 def test_one_argmin_scan_per_level(monkeypatch, cell):
     # Counts real scans of a table's entries, not calls to min_eigenvalue:
     # run_algorithm1, select_pivot and spectrum_descend all ask for each
-    # level's minimum, and must share one scan of it.
-    import gvgraph.spectrum as spectrum_module
-
+    # level's minimum, and must share one scan of it.  A dense level scans
+    # its entries; a typed level scans its types with their least indices.
     scanned = []
-    real = spectrum_module._first_argmin
+    real_dense = spectrum_module._first_argmin
+    real_typed = spectrum_module._Types.least_indices
 
-    def counting(vals):
-        scanned.append(len(vals))
-        return real(vals)
+    def dense(vals):
+        scanned.append(("dense", len(vals)))
+        return real_dense(vals)
 
-    monkeypatch.setattr(spectrum_module, "_first_argmin", counting)
+    def typed(types):
+        scanned.append(("typed", q ** len(types.free_cols)))
+        return real_typed(types)
+
+    monkeypatch.setattr(spectrum_module, "_first_argmin", dense)
+    monkeypatch.setattr(spectrum_module._Types, "least_indices", typed)
     q, n, _ = cell
     trace = run_algorithm1(GraphParams(*cell))
-    assert scanned == [q ** (n - t) for t in range(trace.s + 1)]
+    assert [size for _, size in scanned] == [q ** (n - t) for t in range(trace.s + 1)]
+    assert [kind for kind, _ in scanned] == [
+        "dense" if size <= descent_module._CROSSOVER else "typed" for _, size in scanned
+    ]
 
 
 # Crossover settings that keep every level typed, or densify at level 0.
@@ -471,7 +482,8 @@ class TestTypedLevels:
             _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
 
     def test_large_dense_tables_are_never_built(self, monkeypatch):
-        # The dense route would build 2^22 entries at level 0.
+        # The dense route would build 2^22 entries at level 0; (2, 22, 5)
+        # ends at 2^12 entries, so it builds no dense table at all.
         built = []
         init = spectrum_module.SpectrumTable.__init__
 
@@ -481,11 +493,25 @@ class TestTypedLevels:
                 built.append((self.level, len(self.values)))
 
         monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
-        trace = run_algorithm1(GraphParams(2, 22, 5))
-        handoff = built[0][0]
-        assert handoff >= 6  # so no dense table exceeds 2^16 entries
-        assert [level for level, _ in built] == list(range(handoff, trace.s + 1))
-        assert max(size for _, size in built) == 2 ** (22 - handoff)
+        for q, n, d in [(2, 22, 5), (2, 14, 4)]:
+            built.clear()
+            trace = run_algorithm1(GraphParams(q, n, d))
+            # Dense tables exactly at the levels from the handoff on.
+            sizes = [(t, q ** (n - t)) for t in range(trace.s + 1)]
+            assert built == [(t, size) for t, size in sizes if size <= descent_module._CROSSOVER]
+            assert all(size <= 512 for _, size in built)
+        assert built == [(5, 512)]  # (2, 14, 4) ends on its handoff level
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_least_indices_match_a_scan_of_the_dense_codes(self, q):
+        for n in range(1, MAX_DIGITS[q] + 1):
+            for d in range(1, n + 2):
+                for table in typed_levels(GraphParams(q, n, d)):
+                    types = table.types
+                    first = {}
+                    for index, code in enumerate(types.dense_codes()):
+                        first.setdefault(code if types.position is None else types.position[code], index)
+                    assert types.least_indices() == [first[i] for i in range(types.count)]
 
     def test_one_debug_record_per_level_shows_the_handoff(self, caplog):
         caplog.set_level(logging.DEBUG, logger="gvgraph")

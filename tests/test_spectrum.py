@@ -9,6 +9,7 @@ from gvgraph import (
     build_spectrum_level0,
     eigenvalue_level0,
     real_eigenvector,
+    run_algorithm1,
 )
 from gvgraph import spectrum
 from helpers import all_vectors, char_sum, character_sum_oracle, gilbert_neighbor_lists, reference_dense_level0, weight
@@ -86,13 +87,13 @@ class TestSpectrumTable:
     def test_maximum_is_degree_at_zero_vector(self):
         for q, n, d in [(2, 6, 3), (2, 6, 4), (3, 4, 3), (5, 3, 2)]:
             p = GraphParams(q, n, d)
-            dense = build_spectrum_level0(p, dense=True)
+            dense = build_spectrum_level0(p).densify()
             assert dense.values[0] == max(dense.values) == p.degree
 
     def test_densify_matches_compressed(self):
         for q, n, d in [(2, 5, 3), (3, 3, 2), (5, 2, 2)]:
             p = GraphParams(q, n, d)
-            dense = build_spectrum_level0(p, dense=True)
+            dense = build_spectrum_level0(p).densify()
             assert len(dense.values) == q**n
             for v, lam in dense.entries():
                 assert lam == eigenvalue_level0(p, v.weight)
@@ -119,20 +120,20 @@ class TestSpectrumTable:
         for q, n, d in [(2, 6, 3), (2, 6, 4), (3, 4, 3), (5, 2, 2)]:
             p = GraphParams(q, n, d)
             assert build_spectrum_level0(p).min_eigenvalue() == \
-                build_spectrum_level0(p, dense=True).min_eigenvalue()
+                build_spectrum_level0(p).densify().min_eigenvalue()
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
-            build_spectrum_level0(GraphParams(2, 10, 3), dense=True, budget=512)
+            build_spectrum_level0(GraphParams(2, 10, 3)).densify(512)
 
     def test_dense_budget_checked_before_the_closed_form(self, monkeypatch):
         # A refusal must not pay for the n + 1 Krawtchouk values first.
-        def closed_form(params, weight):
+        def closed_form(k, n, q):
             raise AssertionError("closed form computed before the budget check")
 
-        monkeypatch.setattr(spectrum, "eigenvalue_level0", closed_form)
+        monkeypatch.setattr(spectrum, "krawtchouk_row", closed_form)
         with pytest.raises(BudgetError, match=r"needs 2\^3000 table entries"):
-            build_spectrum_level0(GraphParams(2, 3000, 1500), dense=True)
+            run_algorithm1(GraphParams(2, 3000, 1500))
 
     def test_trace_identities_level0(self):
         for q, n, d in SMALL_GRID:
