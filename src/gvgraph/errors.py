@@ -16,11 +16,15 @@ class PchkFormatError(ValueError):
 
 
 class DivisibilityError(ArithmeticError):
-    """An eigenvalue average failed exact divisibility.
+    """An exact count or average failed exact divisibility.
 
-    This cannot happen for tables produced by the library (the averaged
-    character sums are integer eigenvalue sums of a genuine Cayley graph);
-    it signals a corrupted table or an implementation bug.
+    Raised when an eigenvalue average, a degree recursion value or a
+    MacWilliams sum (a weight count of a code, computed from its dual) is
+    not an exact nonnegative integer where one must be.  This cannot happen
+    for tables and codes produced by the library (the averaged character
+    sums are integer eigenvalue sums of a genuine Cayley graph, and the
+    MacWilliams sums count codewords); it signals corrupted data or an
+    implementation bug.
     """
 
 

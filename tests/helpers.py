@@ -388,3 +388,51 @@ def reference_codewords(code, budget=None):
         multiples = [b.scale(c) for c in range(1, q)]
         words += [w.add(m) for m in multiples for w in words]
     return words
+
+
+def _poly_divmod(num, den, q):
+    """Quotient and remainder of polynomials over F_q, coefficients lowest degree first."""
+    num = list(num)
+    inv = pow(den[-1], -1, q)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = num[i + len(den) - 1] * inv % q
+        quot[i] = c
+        for j, b in enumerate(den):
+            num[i + j] = (num[i + j] - c * b) % q
+    return quot, num[: len(den) - 1]
+
+
+def cyclic_parity_rows(q, n, generator):
+    """Parity rows of the length-n cyclic code generated by ``generator`` (lowest degree first).
+
+    With h = (x^n - 1)/g, the dual code is cyclic with generator the
+    reciprocal of h, so its s = deg g shifts are independent parity rows.
+    """
+    h, rem = _poly_divmod([q - 1] + [0] * (n - 1) + [1], generator, q)
+    assert not any(rem), "generator does not divide x^n - 1"
+    recip = h[::-1]
+    s = len(generator) - 1
+    return [tuple([0] * i + recip + [0] * (s - 1 - i)) for i in range(s)]
+
+
+def extended_parity_rows(rows):
+    """Parity rows of the code extended by one digit making every codeword's digit sum 0."""
+    return [row + (0,) for row in rows] + [(1,) * (len(rows[0]) + 1)]
+
+
+def hamming_parity_rows(m):
+    """Parity rows of the binary [2^m - 1, 2^m - 1 - m, 3] Hamming code: column j is j + 1 in binary."""
+    return [tuple(((j + 1) >> i) & 1 for j in range(2**m - 1)) for i in range(m)]
+
+
+_GOLAY23 = cyclic_parity_rows(2, 23, [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1])
+
+# name -> (q, n, k, d, parity rows), built from each code's generator polynomial.
+CLASSICAL_CODES = {
+    "hamming_7_4_3": (2, 7, 4, 3, cyclic_parity_rows(2, 7, [1, 1, 0, 1])),
+    "hamming_15_11_3": (2, 15, 11, 3, cyclic_parity_rows(2, 15, [1, 1, 0, 0, 1])),
+    "golay_23_12_7": (2, 23, 12, 7, _GOLAY23),
+    "golay_24_12_8": (2, 24, 12, 8, extended_parity_rows(_GOLAY23)),
+    "ternary_golay_11_6_5": (3, 11, 6, 5, cyclic_parity_rows(3, 11, [2, 0, 1, 2, 1, 1])),
+}

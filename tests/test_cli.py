@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, min_distance, read_pchk, run_algorithm1
+from helpers import hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -228,6 +229,47 @@ class TestBudgetRefusalsAtAnySize:
         assert code == 3, err
         assert f"needs 3^{n} table entries" in err
         assert elapsed < 5.0
+
+
+class TestVerifyHighRate:
+    """High-rate codes verify from their q^s dual words; the budget still caps q^k."""
+
+    @staticmethod
+    def write_hamming(tmp_path, m):
+        rows = hamming_parity_rows(m)
+        path = tmp_path / f"h{len(rows[0])}.pchk"
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        path.write_text(f"# gvpchk v1\nq 2\nn {len(rows[0])}\ns {m}\n{body}")
+        return path
+
+    def test_hamming_31_26_verifies_at_the_default_budget(self, tmp_path):
+        path = self.write_hamming(tmp_path, 5)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", str(path), "-d", "3"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert out.getvalue() == "q: 2\nn: 31\ndimension: 26\ncodewords: 67108864\nmin_distance: 3\n"
+
+    def test_hamming_63_57_exits_3_at_once(self, tmp_path):
+        path = self.write_hamming(tmp_path, 6)
+        code, elapsed, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3"])
+        assert code == 3
+        assert err == (
+            "error: codeword enumeration of a [63, 57] code needs 2^57 table entries, "
+            "exceeding the budget of 67108864; raise the budget to proceed\n"
+        )
+        assert elapsed < 5.0
+
+    def test_budget_between_dual_and_code_size_exits_3(self, tmp_path):
+        path = self.write_hamming(tmp_path, 4)
+        code, _, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3", "--budget", "100"])
+        assert code == 3
+        assert err == (
+            "error: codeword enumeration of a [15, 11] code needs 2^11 table entries, "
+            "exceeding the budget of 100; raise the budget to proceed\n"
+        )
 
 
 class TestBudgetCoversTheWholeSpace:

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import itertools
+import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gvgraph import (
     INFINITE_DISTANCE,
     BudgetError,
+    DivisibilityError,
     FqVector,
     GraphParams,
     LinearCode,
@@ -23,8 +26,9 @@ from gvgraph import (
     write_pchk,
 )
 from gvgraph import cli, codes, modq
-from gvgraph.codes import parse_pchk
+from gvgraph.codes import PCHK_MAGIC, parse_pchk
 from helpers import (
+    CLASSICAL_CODES,
     alpha_bruteforce,
     gilbert_adjacency,
     hamming,
@@ -39,6 +43,29 @@ HAMMING_ROWS = ("0001111", "0110011", "1010101")
 
 def make_code(q, rows):
     return LinearCode(q, len(rows[0]), tuple(FqVector(q, tuple(int(c) for c in r)) for r in rows))
+
+
+def least_nonzero_weight(code):
+    return min((w.weight for w in codewords(code) if w.weight), default=INFINITE_DISTANCE)
+
+
+@contextlib.contextmanager
+def only_expected_route(code):
+    """Fail if ``min_distance`` takes the other route: the dual one needs no
+    kernel basis, the codeword one no Krawtchouk row."""
+
+    def refuse(*args):
+        raise AssertionError(f"min_distance took the wrong route for s = {code.s}, k = {code.dimension}")
+
+    with mock.patch.object(codes, "kernel_basis" if code.s < code.dimension else "krawtchouk_row", refuse):
+        yield
+
+
+def dual_weights(code):
+    """Weight counts of the q^s dual words, as the codewords of the code whose parity rows span ``code``."""
+    q, n = code.q, code.n
+    generators = tuple(FqVector(q, v) for v in modq.kernel_basis(*code._rref, q, n))
+    return Counter(w.weight for w in codewords(LinearCode(q, n, generators)))
 
 
 class TestLinearCode:
@@ -144,6 +171,8 @@ class TestPackedEnumeration:
     to exactly 2^(w-1), the guard bit.  The explicit examples with parity
     rows reach that sum in a pivot slot; every explicit example holds the
     all-(q-1) word, whose every slot sets the guard bit in the weight sum.
+    The last two examples have s >= k and take the codeword route; the
+    others take the dual route.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -154,13 +183,18 @@ class TestPackedEnumeration:
     @example(make_code(2, ("1111111111",)))
     @example(LinearCode(17, 3, ()))
     @example(LinearCode(3, 7, ()))
+    @example(make_code(5, ("1400", "0014")))
+    @example(make_code(2, ("110", "011")))
     def test_matches_bruteforce_kernel(self, code):
         q, n = code.q, code.n
         oracle = kernel_bruteforce(q, n, [row.digits for row in code.parity_rows])
         words = codewords(code)
         assert sorted(w.digits for w in words) == oracle
         assert Counter(w.weight for w in words) == Counter(weight(v) for v in oracle)
-        assert min_distance(code) == min((weight(v) for v in oracle if any(v)), default=INFINITE_DISTANCE)
+        with only_expected_route(code):
+            distance = min_distance(code)
+        assert distance == min((weight(v) for v in oracle if any(v)), default=INFINITE_DISTANCE)
+        assert distance == least_nonzero_weight(code)
         assert words == reference_codewords(code)
 
     @pytest.mark.parametrize(
@@ -170,7 +204,10 @@ class TestPackedEnumeration:
         params = GraphParams(*cell)
         code = LinearCode(params.q, params.n, run_algorithm1(params).parity_rows)
         assert codewords(code) == reference_codewords(code)
-        assert min_distance(code) >= params.d
+        with only_expected_route(code):
+            distance = min_distance(code)
+        assert distance == least_nonzero_weight(code)
+        assert distance >= params.d
 
     def test_verify_computes_one_rref(self, monkeypatch, tmp_path):
         calls = []
@@ -188,6 +225,64 @@ class TestPackedEnumeration:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", str(path), "-d", "3"]) == 0
         assert calls == [3]
+
+
+def classical_code(name):
+    q, n, k, d, rows = CLASSICAL_CODES[name]
+    code = LinearCode(q, n, tuple(FqVector(q, row) for row in rows))
+    assert code.dimension == k
+    return code, d
+
+
+class TestDualRoute:
+    """``min_distance`` by the MacWilliams transform of the dual words when s < k."""
+
+    @pytest.mark.parametrize("name", sorted(CLASSICAL_CODES))
+    def test_classical_codes(self, name):
+        code, d = classical_code(name)
+        with only_expected_route(code):
+            assert min_distance(code) == d
+        assert least_nonzero_weight(code) == d
+
+    @pytest.mark.parametrize("name", ["hamming_7_4_3", "hamming_15_11_3", "golay_23_12_7", "ternary_golay_11_6_5"])
+    def test_krawtchouk_entry_off_by_one_raises(self, name):
+        code, _ = classical_code(name)
+        real = codes.krawtchouk_row
+        for x in dual_weights(code):
+            for delta in (1, -1):
+
+                def off_by_one(j, n, q, x=x, delta=delta):
+                    row = real(j, n, q)
+                    row[x] += delta
+                    return row
+
+                with mock.patch.object(codes, "krawtchouk_row", off_by_one), pytest.raises(DivisibilityError):
+                    min_distance(code)
+
+    @pytest.mark.parametrize("name", ["hamming_7_4_3", "hamming_15_11_3", "golay_23_12_7", "ternary_golay_11_6_5"])
+    def test_corrupted_dual_count_raises(self, name):
+        code, d = classical_code(name)
+        weights = dual_weights(code)
+        assert sum(weights.values()) == code.q**code.s
+        assert codes._distance_from_dual(weights, code.q, code.n, code.s) == d
+        for x in range(code.n + 1):
+            for delta in (1, -1):
+                mutated = weights.copy()
+                mutated[x] += delta
+                with pytest.raises(DivisibilityError):
+                    codes._distance_from_dual(mutated, code.q, code.n, code.s)
+        # q^s more words of weight n keep every sum divisible and add K_1(n) = -n to A_1 = 0.
+        mutated = weights.copy()
+        mutated[code.n] += code.q**code.s
+        with pytest.raises(DivisibilityError, match="weight 1 "):
+            codes._distance_from_dual(mutated, code.q, code.n, code.s)
+
+    def test_whole_space_counts_raise(self):
+        # Counts proportional to the whole space's make every A_j with j >= 1 zero,
+        # which no code of dimension n - s >= 1 has.
+        weights = Counter({x: math.comb(7, x) for x in range(8)})
+        with pytest.raises(DivisibilityError, match="no nonzero weight"):
+            codes._distance_from_dual(weights, 2, 7, 3)
 
 
 def test_public_api_holds_no_test_oracles():
@@ -262,6 +357,21 @@ class TestAlphaOracle:
             max_independent_set_oracle(GraphParams(2, 7, 3))
 
 
+def _garbage_line():
+    return st.text(alphabet="0123456789 -\t\rqnsx", max_size=24)
+
+
+@st.composite
+def pchk_like_texts(draw):
+    """The magic line, then q, n and s lines and digit rows, each possibly replaced by garbage."""
+    lines = [PCHK_MAGIC]
+    for key, top in (("q", 12), ("n", 8), ("s", 4)):
+        lines.append(draw(st.one_of(st.integers(-1, top).map(lambda v, key=key: f"{key} {v}"), _garbage_line())))
+    digit_rows = st.lists(st.integers(-1, 12), max_size=8).map(lambda row: " ".join(map(str, row)))
+    lines += draw(st.lists(st.one_of(digit_rows, _garbage_line()), max_size=5))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
 class TestPchkFormat:
     def test_round_trip(self, tmp_path):
         code = make_code(2, HAMMING_ROWS)
@@ -302,6 +412,23 @@ class TestPchkFormat:
     def test_rejections(self, text, message):
         with pytest.raises(PchkFormatError, match=message):
             parse_pchk(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_format_parse_round_trip(self, code):
+        text = format_pchk(code)
+        parsed = parse_pchk(text)
+        assert (parsed.q, parsed.n, parsed.parity_rows) == (code.q, code.n, code.parity_rows)
+        assert format_pchk(parsed) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), pchk_like_texts()))
+    @example("# gvpchk v1\nq 2\nn 3\ns 1\n1 1 1\n")
+    def test_parse_raises_only_format_or_value_errors(self, text):
+        try:
+            parse_pchk(text)
+        except (PchkFormatError, ValueError):
+            pass
 
     def test_write_is_atomic_no_temp_left(self, tmp_path):
         code = make_code(2, HAMMING_ROWS)
