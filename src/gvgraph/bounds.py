@@ -143,7 +143,7 @@ def build_bound_report(params: GraphParams, trace: DescentTrace | None = None) -
     are None without one; no descent is run here.
     """
     q, n, d = params.q, params.n, params.d
-    lam_min, _ = build_spectrum_level0(params).min_eigenvalue()
+    lam_min = build_spectrum_level0(params).min_value
     gv = gv_bound(params)
     wilf = wilf_cor27_bound(params, lam_min)
     if lam_min < 0:

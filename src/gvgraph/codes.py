@@ -17,11 +17,13 @@ MacWilliams transform (MacWilliams & Sloane, ch. 5):
 
     A_j = q^-s * sum_x B_x * K_j(x; n, q),
 
-with K_j the Krawtchouk polynomial (``combinat.krawtchouk_row``).  The
-distance is the least j >= 1 with A_j > 0.  Every A_j is an exact count, so
-a nonzero remainder or a negative A_j raises ``DivisibilityError``.  Either
-way the budget is checked against q^k first, so the refusals do not depend
-on the side taken.
+with K_j the Krawtchouk polynomial.  The distance is the least j >= 1 with
+A_j > 0.  A_1, A_2, ... are taken in turn, each from the next entry of one
+Krawtchouk column K_0(x), K_1(x), ... per distinct dual weight x
+(``combinat.krawtchouk_column``), so distance d costs O(d) steps per dual
+weight.  Every A_j is an exact count, so a nonzero remainder or a negative
+A_j raises ``DivisibilityError``.  Either way the budget is checked against
+q^k first, so the refusals do not depend on the side taken.
 
 Both sides are enumerated as packed integers, one Python int per word.  Digit
 i sits in bits [w*i, w*i + w) with w = (q-1).bit_length() + 1: the low w - 1
@@ -60,9 +62,10 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
-from .combinat import GraphParams, is_prime, krawtchouk_row
+from .combinat import GraphParams, is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
 from .modq import kernel_basis, rank, rref  # noqa: F401
@@ -173,9 +176,9 @@ def _distance_from_dual(dual_weights: Counter, q: int, n: int, s: int) -> int:
     words' weight counts ``dual_weights`` (module docstring).  The code must
     have dimension n - s >= 1, so finding no such j is an error too."""
     size = q**s
+    columns = [(b, islice(krawtchouk_column(x, n, q), 1, None)) for x, b in dual_weights.items()]
     for j in range(1, n + 1):
-        row = krawtchouk_row(j, n, q)
-        count, rem = divmod(sum(b * row[x] for x, b in dual_weights.items()), size)
+        count, rem = divmod(sum(b * next(column) for b, column in columns), size)
         if rem or count < 0:
             raise DivisibilityError(f"MacWilliams sum for weight {j} is not a nonnegative multiple of {q}^{s}")
         if count:

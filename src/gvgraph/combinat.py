@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 __all__ = [
     "GraphParams",
@@ -23,6 +25,7 @@ __all__ = [
     "entropy_q",
     "is_prime",
     "krawtchouk",
+    "krawtchouk_column",
     "krawtchouk_row",
 ]
 
@@ -153,6 +156,27 @@ def krawtchouk_row(k: int, n: int, q: int) -> list[int]:
     return row
 
 
+def krawtchouk_column(x: int, n: int, q: int) -> Iterator[int]:
+    """K_0(x; n, q), K_1(x; n, q), ..., K_n(x; n, q), lazily, by the
+    three-term recurrence in k,
+
+        (k+1) K_{k+1}(x) = ((n-k)(q-1) + k - qx) K_k(x) - (q-1)(n-k+1) K_{k-1}(x),
+
+    from K_0(x) = 1.  Every division is checked to be exact.  Being a
+    generator, it checks x on the first ``next``.
+    """
+    if not 0 <= x <= n:
+        raise ValueError(f"x must lie in [0, n], got x={x}, n={n}")
+    prev, value = 0, 1
+    for k in range(n):
+        yield value
+        total = ((n - k) * (q - 1) + k - q * x) * value - (q - 1) * (n - k + 1) * prev
+        prev, (value, rem) = value, divmod(total, k + 1)
+        if rem:
+            raise ArithmeticError(f"Krawtchouk recurrence: {total} is not divisible by {k + 1}")
+    yield value
+
+
 def ball_volume(params: GraphParams, radius: int) -> int:
     """Number of vectors of Hamming weight <= radius: sum of C(n,i)(q-1)^i."""
     if not 0 <= radius <= params.n:
@@ -176,6 +200,16 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational (Fraction/int/Decimal/str), got {type(x).__name__}")
 
 
+@lru_cache(maxsize=32)
+def _logs(q: int, prec: int) -> tuple[Decimal, Decimal]:
+    """ln q and ln(q - 1) at ``prec`` significant digits.  Decimal ``ln`` is
+    correctly rounded (half-even, whatever the context's rounding), so a
+    cached value equals a fresh one."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(q).ln(), Decimal(q - 1).ln()
+
+
 def entropy_q(q: int, x, digits: int = 50) -> Decimal:
     """q-ary entropy h_q(x) = x log_q(q-1) - x log_q(x) - (1-x) log_q(1-x).
 
@@ -195,11 +229,11 @@ def entropy_q(q: int, x, digits: int = 50) -> Decimal:
         return Decimal(0)
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        ln_q = Decimal(q).ln()
+        ln_q, ln_q1 = _logs(q, ctx.prec)
         xd = Decimal(xf.numerator) / Decimal(xf.denominator)
         yf = 1 - xf
         yd = Decimal(yf.numerator) / Decimal(yf.denominator)
-        h = xd * (Decimal(q - 1).ln() / ln_q) - xd * (xd.ln() / ln_q) - yd * (yd.ln() / ln_q)
+        h = xd * (ln_q1 / ln_q) - xd * (xd.ln() / ln_q) - yd * (yd.ln() / ln_q)
     with localcontext() as ctx:
         ctx.prec = digits
         return +h

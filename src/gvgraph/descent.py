@@ -23,18 +23,23 @@ each next-level class sits inside one previous class, shifted by r times
 the pivot's digit there, while the pivot column itself holds r times the
 pivot's leading digit.  So the parent code of every next-level type is an
 outer sum of short per-class lists, one list of codes per r, and the mean
-is taken as below, through a dict from code to position for q > 2.  The
-argmin of a typed level is the least (value, least dense index) pair over
-the nonzero types, the least dense index of every type being itself an
-outer sum.  A level is densified once its dense table has at most
-``_CROSSOVER`` entries, and every later level is dense.  Budgets are
-checked against q^n before level 0, as if the run were dense throughout.
+is taken as below, each code read through the level's one code -> value
+lookup.  Every level scans its values once for the minimum; only a level
+that picks a pivot derives the argmin from it, on a typed level the least
+dense index among the nonzero types holding the minimum (the least dense
+index of every type being itself an outer sum).  The edgeless last level,
+often the largest typed one, computes no argmin.  A level is densified
+once its dense table has at most ``_CROSSOVER`` entries, and every later
+level is dense.  Budgets are checked against q^n before level 0, as if the
+run were dense throughout.
 
 Exact means
 -----------
 Typed or dense, a level gathers the q parents of every new entry into q
-lazy slabs, sums them entry by entry with ``map(operator.add, ...)`` and
-looks each sum up in a dict of exact quotients.  A sum is divided, with
+lazy slabs, each a lookup mapped over one index map (parent codes or
+parent positions, outer sums that cost about one list element per entry),
+sums them entry by entry with ``map(operator.add, ...)`` and looks each
+sum up in a dict of exact quotients.  A sum is divided, with
 ``divmod``, the first time it occurs; a nonzero remainder raises
 DivisibilityError naming that sum, the first offending one in index order
 (in type order on a typed level).  Every later occurrence reuses the stored
@@ -211,9 +216,8 @@ def _check_pivot(table: SpectrumTable, v_chosen: FqVector) -> None:
     if v_chosen.is_zero:
         raise ValueError("pivot must be nonzero")
     value = table.value_of(v_chosen)  # refuses a non-canonical pivot
-    min_val, _ = table.min_eigenvalue()
-    if value != min_val:
-        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {min_val}")
+    if value != table.min_value:
+        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
 
 
 def _descend_types(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
@@ -226,10 +230,7 @@ def _descend_types(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     q, lead = table.params.q, _lead_col(v_chosen)
     pivots = table.pivots + (v_chosen,)
     types = _Types(q, pivots, [c for c in table.free_cols if c != lead])
-    vals, position = list(table.weight_values), table.types.position
-    slabs: list[Iterable[int]] = []
-    for codes in _parent_codes(table.types, types, v_chosen):
-        slabs.append(map(vals.__getitem__, codes if position is None else map(position.__getitem__, codes)))
+    slabs: list[Iterable[int]] = [map(table._by_code.__getitem__, codes) for codes in _parent_codes(table.types, types, v_chosen)]
     out = SpectrumTable(params=table.params, pivots=pivots, weight_values=_exact_means(slabs, q, table.level))
     vars(out)["types"] = types  # the cached layout, so it is built once per level
     return out
@@ -275,7 +276,7 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
                 f"level {t}: averaged zero-character eigenvalue {table.degree} "
                 f"disagrees with the degree recursion value {degree}"
             )
-        value, _ = table.min_eigenvalue()
+        value = table.min_value
         typed = table.values is None
         log.debug(
             "level %d: %s, %d entries, lambda_min %d, degree %d, %.6f s",

@@ -42,23 +42,29 @@ slot counts times their radices.  A column with digit b therefore adds a
 fixed amount to the code, so every map between indices and codes is an
 outer sum of short per-column or per-class lists.  Only histograms whose
 counts fit their class are types; ``weight_values`` lists the types in
-increasing code order, and for q > 2 a dict takes a code to its position.
-``densify`` expands a typed table to the dense one through the code of
-every dense index.  The smallest vector of a type fills each class's
-columns with the class's digits in increasing order, so the least dense
-index of every type is an outer sum of per-class lists as well, and the
-argmin of a typed table is its least (value, least index) pair over the
-nonzero types.
+increasing code order.  A typed table keeps one code -> value lookup: the
+values themselves when every code below the type count is a type, else a
+dict (the codes are gapped, which happens only for q > 2).  ``densify``
+indexes it with the code of every dense index, the descent with the
+parent code of every next-level type.  The smallest vector of a type fills
+each class's columns with the class's digits in increasing order, so the
+least dense index of every type is an outer sum of per-class lists as well.
+
+The minimum comes first: ``min_value`` is one C-level ``min`` over the
+entries after the zero index.  The argmin (``min_eigenvalue``) is derived
+from that value only when asked for: the first dense index holding it, or
+the least dense index among the nonzero types holding it.
 
 All tables are logically immutable and safe to share across threads; every
-function here is pure.  A table's argmin is computed on first use and kept.
+function here is pure.  A table's minimum and argmin are computed on first
+use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -74,11 +80,6 @@ __all__ = [
     "eigenvalue_level0",
     "real_eigenvector",
 ]
-
-
-def _first_argmin(vals: Sequence[int]) -> int:
-    """First position of the least entry of ``vals`` after position 0."""
-    return vals.index(min(islice(vals, 1, None)), 1)
 
 
 def eigenvalue_level0(params: GraphParams, weight: int) -> int:
@@ -101,12 +102,28 @@ def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
     check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{params.d})")
 
 
+# Least size of _outer_sum's inner list: 16 to 256 timed the same on the
+# descent's index maps, 1024 was slower.
+_INNER = 64
+
+
 def _outer_sum(parts: Sequence[Sequence[int]], start: int = 0) -> list[int]:
-    """``start + x_0 + ... + x_k`` for every choice of x_i in parts[i], parts[0] varying slowest."""
-    out = [start]
-    for part in parts:
-        out = [o + x for o in out for x in part]
-    return out
+    """``start + x_0 + ... + x_k`` for every choice of x_i in parts[i], parts[0] varying slowest.
+
+    The last parts are summed first into an inner list of at least
+    ``_INNER`` entries (or all of them), the rest into an outer list, and one
+    pass pairs the two, so each output entry costs one addition.
+    """
+    inner, k = [start], len(parts)
+    while k and len(inner) < _INNER:
+        k -= 1
+        inner = [x + t for x in parts[k] for t in inner]
+    if not k:
+        return inner
+    outer = parts[0]
+    for part in parts[1:k]:
+        outer = [o + x for o in outer for x in part]
+    return [o + t for o in outer for t in inner]
 
 
 def _histograms(f: int, slots: int) -> list[tuple[int, ...]]:
@@ -155,28 +172,17 @@ class _Types:
     def histograms(self, j: int) -> list[tuple[int, ...]]:
         return _histograms(len(self.classes[j][1]), len(self.radices[j]))
 
-    @cached_property
-    def codes(self) -> Sequence[int]:
-        """Every type's code, in increasing order."""
-        if not self.gapped:
-            return range(self.count)
+    def codes(self) -> list[int]:
+        """Every type's code, in increasing order (for a gapped layout)."""
         parts = [
             [sum(map(mul, h, self.radices[j])) for h in self.histograms(j)]
             for j in range(len(self.classes))
         ]
         return _outer_sum(parts[::-1])
 
-    @cached_property
-    def position(self) -> dict[int, int] | None:
-        """Code -> position in type order; None when every code below ``count`` is a type."""
-        return dict(zip(self.codes, range(self.count))) if self.gapped else None
-
     def dense_codes(self) -> list[int]:
-        """Type code of every dense index, one leading free digit at a time."""
-        codes = [0]
-        for col in reversed(self.free_cols):
-            codes = [x + c for x in self.digit_codes[self.class_of[col]] for c in codes]
-        return codes
+        """Type code of every dense index: an outer sum of one list per free column."""
+        return _outer_sum([self.digit_codes[self.class_of[col]] for col in self.free_cols])
 
     def least_indices(self) -> list[int]:
         """Least dense index of every type, in type order.
@@ -270,8 +276,21 @@ class SpectrumTable:
             return self.values[idx]
         assert self.weight_values is not None
         types = self.types
-        code = sum(types.digit_codes[types.class_of[c]][v.digits[c]] for c in self.free_cols)
-        return self.weight_values[code if types.position is None else types.position[code]]
+        return self._by_code[sum(types.digit_codes[types.class_of[c]][v.digits[c]] for c in self.free_cols)]
+
+    @cached_property
+    def _by_code(self) -> list[int] | dict[int, int]:
+        """Type code -> value of a typed table: a dict if the codes are gapped,
+        else the values as a list (its ``__getitem__`` beats a tuple's)."""
+        assert self.weight_values is not None
+        return dict(zip(self.types.codes(), self.weight_values)) if self.types.gapped else list(self.weight_values)
+
+    @cached_property
+    def min_value(self) -> int:
+        """Least eigenvalue over the nonzero indices (the degree if none): one scan, no argmin."""
+        vals = self.weight_values if self.values is None else self.values
+        assert vals is not None
+        return min(islice(vals, 1, None), default=vals[0])
 
     def min_eigenvalue(self) -> tuple[int, FqVector]:
         """Minimum eigenvalue and its smallest attaining index.
@@ -284,17 +303,12 @@ class SpectrumTable:
 
     @cached_property
     def _minimum(self) -> tuple[int, FqVector]:
-        q, n = self.params.q, self.params.n
+        value = self.min_value
         if self.values is not None:
-            if self.size == 1:
-                return self.values[0], FqVector.zero(q, n)
-            arg = _first_argmin(self.values)
-            return self.values[arg], self.vector_at(arg)
-        vals = self.weight_values
-        assert vals is not None
-        if len(vals) == 1:
-            return vals[0], FqVector.zero(q, n)
-        value, index = min(zip(islice(vals, 1, None), islice(self.types.least_indices(), 1, None)))
+            index = self.values.index(value, 1) if self.size > 1 else 0
+        else:
+            hits = map(value.__eq__, islice(self.weight_values, 1, None))
+            index = min(compress(islice(self.types.least_indices(), 1, None), hits), default=0)
         return value, self.vector_at(index)
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
@@ -317,12 +331,7 @@ class SpectrumTable:
             return self
         assert self.weight_values is not None
         _check_dense(self.params, self.level, budget)
-        types = self.types
-        codes: Iterable[int] = types.dense_codes()
-        if types.position is not None:
-            codes = map(types.position.__getitem__, codes)
-        # list.__getitem__ is a direct method, tuple's a slower slot wrapper.
-        values = tuple(map(list(self.weight_values).__getitem__, codes))
+        values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
         return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
 
 

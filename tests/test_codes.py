@@ -52,12 +52,12 @@ def least_nonzero_weight(code):
 @contextlib.contextmanager
 def only_expected_route(code):
     """Fail if ``min_distance`` takes the other route: the dual one needs no
-    kernel basis, the codeword one no Krawtchouk row."""
+    kernel basis, the codeword one no Krawtchouk column."""
 
     def refuse(*args):
         raise AssertionError(f"min_distance took the wrong route for s = {code.s}, k = {code.dimension}")
 
-    with mock.patch.object(codes, "kernel_basis" if code.s < code.dimension else "krawtchouk_row", refuse):
+    with mock.patch.object(codes, "kernel_basis" if code.s < code.dimension else "krawtchouk_column", refuse):
         yield
 
 
@@ -247,16 +247,15 @@ class TestDualRoute:
     @pytest.mark.parametrize("name", ["hamming_7_4_3", "hamming_15_11_3", "golay_23_12_7", "ternary_golay_11_6_5"])
     def test_krawtchouk_entry_off_by_one_raises(self, name):
         code, _ = classical_code(name)
-        real = codes.krawtchouk_row
+        real = codes.krawtchouk_column
         for x in dual_weights(code):
             for delta in (1, -1):
 
-                def off_by_one(j, n, q, x=x, delta=delta):
-                    row = real(j, n, q)
-                    row[x] += delta
-                    return row
+                def off_by_one(y, n, q, x=x, delta=delta):
+                    # K_j(x) off by delta for every j >= 1, the other columns exact.
+                    return (k + delta * (y == x and j > 0) for j, k in enumerate(real(y, n, q)))
 
-                with mock.patch.object(codes, "krawtchouk_row", off_by_one), pytest.raises(DivisibilityError):
+                with mock.patch.object(codes, "krawtchouk_column", off_by_one), pytest.raises(DivisibilityError):
                     min_distance(code)
 
     @pytest.mark.parametrize("name", ["hamming_7_4_3", "hamming_15_11_3", "golay_23_12_7", "ternary_golay_11_6_5"])

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from gvgraph import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
-from gvgraph.combinat import krawtchouk_row
+from gvgraph.combinat import _logs, krawtchouk_column, krawtchouk_row
 from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, weight
 
 # 50 significant digits, frozen from an independent mpmath evaluation.
@@ -166,6 +166,21 @@ class TestKrawtchoukRow:
             krawtchouk_row(1, -1, 2)
 
 
+class TestKrawtchoukColumn:
+    """The recurrence in k against the explicit sum."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_matches_explicit_sum(self, q):
+        for n in range(14):
+            for x in range(n + 1):
+                assert list(krawtchouk_column(x, n, q)) == [krawtchouk(k, x, n, q) for k in range(n + 1)]
+
+    def test_rejects_x_outside_0_to_n(self):
+        for x in (-1, 5):
+            with pytest.raises(ValueError):
+                next(krawtchouk_column(x, 4, 2))
+
+
 class TestBallVolume:
     def test_anchors(self):
         assert ball_volume(GraphParams(2, 7, 3), 2) == 29
@@ -220,6 +235,18 @@ class TestEntropy:
         with localcontext() as ctx:
             ctx.prec = 15
             assert short == +H2_QUARTER
+
+    def test_cached_logarithms_equal_fresh_ones(self):
+        from decimal import ROUND_DOWN, localcontext
+
+        for q in (2, 3, 5, 7, 101):
+            for prec in (11, 60, 65):
+                with localcontext() as ctx:
+                    ctx.prec = prec
+                    fresh = Decimal(q).ln(), Decimal(q - 1).ln()
+                    ctx.rounding = ROUND_DOWN  # ln ignores the rounding mode
+                    assert _logs(q, prec) == fresh
+                    assert [str(x) for x in _logs(q, prec)] == [str(x) for x in fresh]
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

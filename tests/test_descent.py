@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import random
 from fractions import Fraction
@@ -372,32 +373,44 @@ class TestCosetIndexing:
                             table.index_of(pivot)
 
 
-@pytest.mark.parametrize("cell", [(2, 10, 4), (2, 9, 3), (3, 5, 3), (5, 4, 3)])
+@pytest.mark.parametrize("cell", [(2, 10, 4), (2, 9, 3), (3, 5, 3), (5, 4, 3), (2, 18, 4), (3, 11, 4)])
 def test_one_argmin_scan_per_level(monkeypatch, cell):
-    # Counts real scans of a table's entries, not calls to min_eigenvalue:
-    # run_algorithm1, select_pivot and spectrum_descend all ask for each
-    # level's minimum, and must share one scan of it.  A dense level scans
-    # its entries; a typed level scans its types with their least indices.
-    scanned = []
-    real_dense = spectrum_module._first_argmin
-    real_typed = spectrum_module._Types.least_indices
-
-    def dense(vals):
-        scanned.append(("dense", len(vals)))
-        return real_dense(vals)
-
-    def typed(types):
-        scanned.append(("typed", q ** len(types.free_cols)))
-        return real_typed(types)
-
-    monkeypatch.setattr(spectrum_module, "_first_argmin", dense)
-    monkeypatch.setattr(spectrum_module._Types, "least_indices", typed)
+    # Counts real scans of a table's entries, not calls to min_value or
+    # min_eigenvalue: descend, select_pivot and the pivot check all ask for
+    # each level's minimum, and must share one value scan of it.  Only a
+    # level that picks a pivot derives the argmin from that value (a typed
+    # one through its types' least indices), so the edgeless level s, the
+    # largest typed level on (2, 18, 4) and (3, 11, 4), pays for no argmin.
     q, n, _ = cell
+    table_cls = spectrum_module.SpectrumTable
+    real_least = spectrum_module._Types.least_indices
+    events = []
+
+    def counted(name, kind):
+        real = vars(table_cls)[name].func
+
+        def scan(table):
+            events.append((kind, table.level, "dense" if table.values is not None else "typed"))
+            return real(table)
+
+        prop = functools.cached_property(scan)
+        prop.__set_name__(table_cls, name)
+        monkeypatch.setattr(table_cls, name, prop)
+
+    def least(types):
+        events.append(("least", n - len(types.free_cols), "typed"))
+        return real_least(types)
+
+    counted("min_value", "value")
+    counted("_minimum", "argmin")
+    monkeypatch.setattr(spectrum_module._Types, "least_indices", least)
     trace = run_algorithm1(GraphParams(*cell))
-    assert [size for _, size in scanned] == [q ** (n - t) for t in range(trace.s + 1)]
-    assert [kind for kind, _ in scanned] == [
-        "dense" if size <= descent_module._CROSSOVER else "typed" for _, size in scanned
-    ]
+    kinds = ["dense" if q ** (n - t) <= descent_module._CROSSOVER else "typed" for t in range(trace.s + 1)]
+    assert [e for e in events if e[0] == "value"] == [("value", t, kinds[t]) for t in range(trace.s + 1)]
+    assert [e for e in events if e[0] == "argmin"] == [("argmin", t, kinds[t]) for t in range(trace.s)]
+    assert [e for e in events if e[0] == "least"] == [("least", t, "typed") for t in range(trace.s) if kinds[t] == "typed"]
+    if cell in [(2, 18, 4), (3, 11, 4)]:
+        assert kinds[trace.s] == "typed"
 
 
 # Crossover settings that keep every level typed, or densify at level 0.
@@ -508,9 +521,13 @@ class TestTypedLevels:
             for d in range(1, n + 2):
                 for table in typed_levels(GraphParams(q, n, d)):
                     types = table.types
+                    codes = types.dense_codes()
+                    # A type's position is the rank of its code among the codes that occur.
+                    position = {code: i for i, code in enumerate(sorted(set(codes)))}
+                    assert len(position) == types.count
                     first = {}
-                    for index, code in enumerate(types.dense_codes()):
-                        first.setdefault(code if types.position is None else types.position[code], index)
+                    for index, code in enumerate(codes):
+                        first.setdefault(position[code], index)
                     assert types.least_indices() == [first[i] for i in range(types.count)]
 
     def test_one_debug_record_per_level_shows_the_handoff(self, caplog):

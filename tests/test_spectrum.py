@@ -1,5 +1,8 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvgraph import (
@@ -257,3 +260,34 @@ def test_oracle_residue_equality_holds_on_shells():
         S = [t for t in all_vectors(q, n) if 1 <= weight(t) <= d - 1]
         for v in all_vectors(q, n):
             char_sum(S, v, q)
+
+
+class TestOuterSum:
+    """``_outer_sum`` against the sums over ``itertools.product``."""
+
+    @staticmethod
+    def product_sums(parts, start):
+        return [start + sum(choice) for choice in itertools.product(*parts)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(-10**6, 10**6), max_size=9), max_size=5), st.integers(-100, 100))
+    @example([], 0)
+    @example([], 7)
+    @example([[5]], 3)
+    @example([[1], [2, 3], [4]], 0)
+    @example([[0, 1]] * 6, 0)
+    def test_matches_the_product(self, parts, start):
+        assert spectrum._outer_sum(parts, start) == self.product_sums(parts, start)
+
+    # Trailing part sizes that fill the inner list just below, at and just
+    # above the threshold, with one part, with two, or never.
+    @pytest.mark.parametrize("sizes", [
+        (3, spectrum._INNER - 1), (3, spectrum._INNER), (3, spectrum._INNER + 1),
+        (2, 3, 8, spectrum._INNER // 8), (2, 3, 7, 9), (2, 1, spectrum._INNER + 1, 1),
+        (spectrum._INNER - 1,), (1, 1, 1),
+    ])
+    def test_inner_list_threshold(self, sizes):
+        rng = random.Random(sum(sizes))
+        parts = [rng.sample(range(-10**6, 10**6), k) for k in sizes]
+        parts[0] = range(0, 7 * sizes[0], 7)  # a range as the slowest part, as in the dense averaging
+        assert spectrum._outer_sum(parts, 11) == self.product_sums(parts, 11)
