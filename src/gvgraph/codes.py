@@ -22,8 +22,13 @@ A_j > 0.  A_1, A_2, ... are taken in turn, each from the next entry of one
 Krawtchouk column K_0(x), K_1(x), ... per distinct dual weight x
 (``combinat.krawtchouk_column``), so distance d costs O(d) steps per dual
 weight.  Every A_j is an exact count, so a nonzero remainder or a negative
-A_j raises ``DivisibilityError``.  Either way the budget is checked against
-q^k first, so the refusals do not depend on the side taken.
+A_j raises ``DivisibilityError``.  The side weighed is checked against the
+budget first: q^s when 0 < s < k, else q^k, so a code with s >= 1 is
+refused only when its smaller side is over the budget, and the message
+names that side.  The whole space (s = 0) is checked at q^n although it has
+one dual word: a pchk file of s >= 1 rows holds s * n digits, so its size
+bounds n, but one with s = 0 states n only in its header, and each packed
+word has n slots.
 
 Both sides are enumerated as packed integers, one Python int per word.  Digit
 i sits in bits [w*i, w*i + w) with w = (q-1).bit_length() + 1: the low w - 1
@@ -142,15 +147,16 @@ class _Slots:
         return tuple((word >> (w * i)) & mask for i in range(self.n))
 
 
-def _span(slots: _Slots, basis: Iterable[tuple[int, ...]]) -> list[int]:
+def _span(slots: _Slots, basis: Iterable[tuple[int, ...]], start: Iterable[int] = (0,)) -> list[int]:
     """Every combination of ``basis`` as packed ints, zero first: for each basis
-    vector b, the words so far plus b, then plus 2b, ..., plus (q-1)b."""
+    vector b, the words so far plus b, then plus 2b, ..., plus (q-1)b.  From
+    ``start``, the words of a span built so far, it extends that span."""
     q, high, shift = slots.q, slots.high, slots.w - 1
-    words = [0]
+    words = list(start)
     for vec in basis:
         added = []
         for c in range(1, q):
-            m = slots.pack(c * x % q for x in vec)
+            m = slots.pack(vec if c == 1 else (c * x % q for x in vec))
             if q == 2:
                 added += [x ^ m for x in words]
             else:
@@ -160,13 +166,9 @@ def _span(slots: _Slots, basis: Iterable[tuple[int, ...]]) -> list[int]:
     return words
 
 
-def _check_enumeration_budget(code: LinearCode, budget: int | None) -> None:
-    check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
-
-
 def codewords(code: LinearCode, budget: int | None = None) -> list[FqVector]:
     """All q^(n-s) vectors orthogonal to every parity row, zero included."""
-    _check_enumeration_budget(code, budget)
+    check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
     slots = _Slots(code.q, code.n)
     return [FqVector(code.q, slots.unpack(x)) for x in _span(slots, kernel_basis(*code._rref, code.q, code.n))]
 
@@ -190,13 +192,16 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
     """Exact minimum distance: the least nonzero codeword weight, {0} included.
 
     Enumerates the codewords, or the dual words when they are fewer (module
-    docstring); either way q^k is checked against the budget first.
+    docstring); the side it weighs is checked against the budget first.
     """
-    _check_enumeration_budget(code, budget)
-    q, n, s = code.q, code.n, code.s
+    q, n, s, k = code.q, code.n, code.s, code.dimension
+    if 0 < s < k:
+        check_budget(q, s, budget, f"dual-word enumeration of a [{n}, {k}] code")
+    else:
+        check_budget(q, k, budget, f"codeword enumeration of a [{n}, {k}] code")
     slots = _Slots(q, n)
     nz, high = slots.nz, slots.high
-    if s < code.dimension:
+    if s < k:
         dual = _span(slots, code._rref[0])
         return _distance_from_dual(Counter(((x + nz) & high).bit_count() for x in dual), q, n, s)
     words = _span(slots, kernel_basis(*code._rref, q, n))

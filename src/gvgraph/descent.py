@@ -21,17 +21,41 @@ Levels start typed (one value per type, see ``spectrum``).  The q parents
 v + r * pivot of a next-level type v are types of the previous level, and
 each next-level class sits inside one previous class, shifted by r times
 the pivot's digit there, while the pivot column itself holds r times the
-pivot's leading digit.  So the parent code of every next-level type is an
-outer sum of short per-class lists, one list of codes per r, and the mean
-is taken as below, each code read through the level's one code -> value
-lookup.  Every level scans its values once for the minimum; only a level
-that picks a pivot derives the argmin from it, on a typed level the least
-dense index among the nonzero types holding the minimum (the least dense
-index of every type being itself an outer sum).  The edgeless last level,
-often the largest typed one, computes no argmin.  A level is densified
+pivot's leading digit.  So the next level's classes are the previous
+ones split by the pivot's digit (``_Types.split``), the parent code of
+every next-level type is an outer sum of short per-class lists, one list of
+codes per r, and the mean is taken as below, each code read through the
+level's one code -> value lookup.  Every level scans its values once for
+the minimum; only a level that picks a pivot derives the argmin from it,
+on a typed level the least dense index among the nonzero types holding the
+minimum (the least dense index of every type being itself an outer sum).
+The edgeless last level computes no argmin.  A typed level is densified
 once its dense table has at most ``_CROSSOVER`` entries, and every later
-level is dense.  Budgets are checked against q^n before level 0, as if the
-run were dense throughout.
+level is dense; or it hands off to edge levels, below.  Budgets are checked
+against q^n before level 0, as if the run were dense throughout.
+
+Edge levels
+-----------
+Level t is the Cayley graph on C_t = {x : <x, p_i> = 0 for every pivot},
+with connection set S_t, the words of C_t of weight 1..d-1, so
+|S_t| = D_t.  Let E_t be its m = D_t / (q-1) monic words.  Since the sum of
+z^(a x) over a in F_q^* is q - 1 for x = 0 and -1 otherwise,
+
+    lam_t(v) = q * Z(v) - m,    Z(v) = #{c in E_t : <c, v> = 0},
+
+so a level with few edges is known from E_t alone (``spectrum``, "Edge
+levels"), and the next one keeps the words orthogonal to the pivot:
+E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
+q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
+level t+1 and m from its recursion degree (``_edge_route``): then level
+t+1's edges are found among the V_q(n-t-1, d-1) free-digit patterns of
+weight below d (``_low_weight_words``), and its q^r <= q^m patterns replace
+an average over count types.  Dense levels never hand off, and every later
+level is an edge level.  Checks: (q-1) * |E_t| must equal the recursion
+degree (the same RuntimeError as a typed or dense level whose
+zero-character value disagrees), and the pivot's Z, counted word by word
+by ``value_of``, must give the pattern minimum; ``select_pivot`` checks
+the argmin as on any level.
 
 Exact means
 -----------
@@ -52,14 +76,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add, mul
 from time import perf_counter
 from typing import Iterable, Iterator
 
 from .bounds import descent_bound
+from .codes import _Slots
 from .combinat import GraphParams
 from .errors import DivisibilityError
-from .spectrum import SpectrumTable, _check_dense, _lead_col, _outer_sum, _Types, build_spectrum_level0
+from .modq import kernel_basis, rref
+from .spectrum import SpectrumTable, _check_dense, _lead_col, _outer_sum, _Types, build_spectrum_level0, edge_level
 from .vectors import FqVector
 
 __all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot", "spectrum_descend"]
@@ -197,14 +224,17 @@ def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[i
         codes = parent.digit_codes[parent_class[key[:-1]]]
         a = key[-1]
         hists = types.histograms(j)
+        # Slot s counts digit s (any nonzero digit in the zero class, where
+        # a = 0 and every nonzero digit adds the same code); in the parent
+        # such a column holds s + r*a, a zero column r*a.  A class with a = 0
+        # gives every r the same list.
         for r in range(q):
-            # Slot s counts digit s (any nonzero digit in the zero class,
-            # where a = 0 and every nonzero digit adds the same code); in the
-            # parent such a column holds s + r*a, a zero column r*a.
             base = codes[r * a % q]
             starts[r] += len(cols) * base
-            steps = [codes[(s + r * a) % q] - base for s in range(1, len(types.radices[j]) + 1)]
-            parts[r].append([sum(map(mul, h, steps)) for h in hists])
+            if r == 0 or a:
+                steps = [codes[(s + r * a) % q] - base for s in range(1, len(types.radices[j]) + 1)]
+                shared = [sum(map(mul, h, steps)) for h in hists]
+            parts[r].append(shared)
     return [_outer_sum(part, start) for part, start in zip(parts, starts)]
 
 
@@ -220,20 +250,81 @@ def _check_pivot(table: SpectrumTable, v_chosen: FqVector) -> None:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
 
 
-def _descend_types(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
+def _descend_types(table: SpectrumTable, v_chosen: FqVector, types: _Types) -> SpectrumTable:
     """``spectrum_descend`` on a typed table, one exact mean per next-level type.
 
-    A nonzero remainder raises DivisibilityError naming the first offending
-    sum in type order.
+    ``types`` is the next level's layout, ``table.types.split(v_chosen)``.  A
+    nonzero remainder raises DivisibilityError naming the first offending sum
+    in type order.
     """
     _check_pivot(table, v_chosen)
-    q, lead = table.params.q, _lead_col(v_chosen)
-    pivots = table.pivots + (v_chosen,)
-    types = _Types(q, pivots, [c for c in table.free_cols if c != lead])
+    q = table.params.q
     slabs: list[Iterable[int]] = [map(table._by_code.__getitem__, codes) for codes in _parent_codes(table.types, types, v_chosen)]
-    out = SpectrumTable(params=table.params, pivots=pivots, weight_values=_exact_means(slabs, q, table.level))
+    out = SpectrumTable(params=table.params, pivots=table.pivots + (v_chosen,), weight_values=_exact_means(slabs, q, table.level))
     vars(out)["types"] = types  # the cached layout, so it is built once per level
     return out
+
+
+def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> bool:
+    """Whether level ``level`` of degree ``degree``, ``count`` types if typed,
+    is built from its edges: both q^m and V_q(n - level, d - 1) at most
+    ``count``, m = degree / (q - 1).  Bit lengths are compared first, so q^m
+    is formed only when it is small."""
+    q, free, radius = params.q, params.n - level, params.d - 1
+    m = degree // (q - 1)
+    if m * (q.bit_length() - 1) >= count.bit_length() or q**m > count:
+        return False
+    return sum(comb(free, i) * (q - 1) ** i for i in range(min(radius, free) + 1)) <= count
+
+
+def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tuple[tuple[int, ...], ...]:
+    """The monic words of weight 1..d-1 orthogonal to every pivot, sorted.
+
+    A word is fixed by its free digits (its pivot-column digits are a linear
+    image of them, the kernel basis of the pivots' RREF), and its free
+    weight is at most its weight.  So the free digit patterns of weight
+    1..d-1 whose first nonzero digit is 1, one per class of nonzero
+    multiples, are summed as packed words (``codes._Slots``), and the words
+    of weight at most d-1 are kept, each scaled to be monic.
+    """
+    q, n, d = params.q, params.n, params.d
+    basis = kernel_basis(*rref([p.digits for p in pivots], q), q, n)
+    slots = _Slots(q, n)
+    nz, high, bias, shift = slots.nz, slots.high, slots.bias, slots.w - 1
+    # Per free column, its multiples 1..q-1 as (m, m + bias): x + m reduces
+    # to x + m - (((x + m + bias) & high) >> shift) * q.
+    multiples = [[(m, m + bias) for m in (slots.pack(c * x % q for x in vec) for c in range(1, q))] for vec in basis]
+    # (word, index of the next free column it may extend by), by free weight.
+    frontier = [(mult[0][0], j + 1) for j, mult in enumerate(multiples)]
+    found: list[int] = []
+    for weight in range(1, d):
+        found += [word for word, _ in frontier]
+        if weight < d - 1:
+            frontier = [
+                (word + m - (((word + mb) & high) >> shift) * q, j + 1)
+                for word, start in frontier
+                for j in range(start, len(multiples))
+                for m, mb in multiples[j]
+            ]
+    words = []
+    for word in found:
+        if ((word + nz) & high).bit_count() < d:
+            digits = slots.unpack(word)
+            inv = pow(next(x for x in digits if x), -1, q)
+            words.append(tuple(inv * x % q for x in digits))
+    return tuple(sorted(words))
+
+
+def _descend_edges(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
+    """The next level from its edges: the words of ``table`` orthogonal to
+    the pivot, or, from a typed table, every low-weight word."""
+    _check_pivot(table, v_chosen)
+    pivots, q = table.pivots + (v_chosen,), table.params.q
+    if table.edges is None:
+        edges = _low_weight_words(table.params, pivots)
+    else:
+        edges = tuple(c for c in table.edges if sum(map(mul, c, v_chosen.digits)) % q == 0)
+    return edge_level(table.params, pivots, edges)
 
 
 def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
@@ -269,19 +360,18 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
     minima: list[int] = []
     while True:
         t = table.level
-        if table.values is None and table.size <= _CROSSOVER:
+        if table.kind == "typed" and table.size <= _CROSSOVER:
             table = table.densify()
         if table.degree != degree:
             raise RuntimeError(
-                f"level {t}: averaged zero-character eigenvalue {table.degree} "
+                f"level {t}: zero-character eigenvalue {table.degree} "
                 f"disagrees with the degree recursion value {degree}"
             )
-        value = table.min_value
-        typed = table.values is None
+        value, kind = table.min_value, table.kind
+        held = {"dense": table.values, "typed": table.weight_values, "edges": table.edges}[kind]
         log.debug(
-            "level %d: %s, %d entries, lambda_min %d, degree %d, %.6f s",
-            t, "typed" if typed else "dense", len(table.weight_values if typed else table.values),
-            value, degree, perf_counter() - start,
+            "level %d: %s, %d %s, lambda_min %d, degree %d, %.6f s",
+            t, kind, len(held), "monic edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
         )
         if value == 0:
             if degree != 0:
@@ -300,11 +390,20 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
             pivot_orthogonal=orthogonal,
         )
         start = perf_counter()
-        table = spectrum_descend(table, pivot) if table.values is not None else _descend_types(table, pivot)
         total = degree + (q - 1) * value
         degree, rem = divmod(total, q)
         if rem:
             raise DivisibilityError(f"level {t}: degree recursion value {total} not divisible by {q}")
+        if kind == "dense":
+            table = spectrum_descend(table, pivot)
+        elif kind == "typed":
+            types = table.types.split(pivot)
+            if _edge_route(params, t + 1, degree, types.count):
+                table = _descend_edges(table, pivot)
+            else:
+                table = _descend_types(table, pivot, types)
+        else:
+            table = _descend_edges(table, pivot)
         if table.level > n:
             raise RuntimeError("descent failed to terminate within n levels")
 

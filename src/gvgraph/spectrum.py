@@ -50,10 +50,32 @@ parent code of every next-level type.  The smallest vector of a type fills
 each class's columns with the class's digits in increasing order, so the
 least dense index of every type is an outer sum of per-class lists as well.
 
+Edge levels
+-----------
+An edge table (``edges``) keeps the m monic words E of the level's
+connection set, sorted, and lam(v) = q * Z(v) - m with Z(v) the number of
+words c with <c, v> = 0 (see ``descent``, "Edge levels").  Z depends on v
+only through its pattern y = (<c, v>)_c, the combination of the columns of
+E weighted by v's digits.  The free columns whose column of E is not in
+the span of the free columns to their right are the pattern columns; there are r = rank E of them, and each of the q^r
+patterns is the combination of exactly one digit choice on them.  The
+vectors zero off the pattern columns are then the least members of their
+classes {v : E v = y}: a column outside them is a combination of columns to
+its right, so the least vector of a class is zero there.  They are ordered
+as their digits on the pattern columns, so with the patterns listed in
+that order (first pattern column most significant), the first pattern
+attaining the minimum gives the least dense index attaining it.  An edge
+table's ``weight_values`` holds the q^r pattern values in that order, one
+value object per weight of y: the degree (q-1) * m first, at y = 0.  Each
+y is a packed m-digit word (``codes._Slots``), so Z is m less the weight of
+y.  ``densify`` forms the pattern of every dense index the same way, and
+``value_of`` counts Z word by word.
+
 The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
-from that value only when asked for: the first dense index holding it, or
-the least dense index among the nonzero types holding it.
+from that value only when asked for: the first dense index holding it, the
+least dense index among the nonzero types holding it, or the vector of
+the first pattern holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
@@ -69,6 +91,7 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from .codes import _Slots, _span
 from .combinat import GraphParams, ball_volume, binomial, krawtchouk, krawtchouk_row
 from .errors import check_budget
 from .vectors import FqVector
@@ -141,22 +164,20 @@ class _Types:
     ``classes`` holds (column vector over the pivots, columns) pairs sorted
     by column vector, so the zero class comes first; class j's slots are
     less significant than class j+1's.  ``digit_codes[j][b]`` is what one
-    column of class j holding digit b adds to a type code.
+    column of class j holding digit b adds to a type code.  Level 0 has the
+    one class ``((), every column)``; ``split`` gives each next level's.
     """
 
-    def __init__(self, q: int, pivots: Sequence[FqVector], free_cols: Sequence[int]) -> None:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for col in free_cols:
-            groups.setdefault(tuple(p.digits[col] for p in pivots), []).append(col)
-        self.q, self.free_cols = q, tuple(free_cols)
-        self.classes = sorted(groups.items())
-        self.class_of = {col: j for j, (_, cols) in enumerate(self.classes) for col in cols}
+    def __init__(self, q: int, classes: list[tuple[tuple[int, ...], list[int]]]) -> None:
+        self.q, self.classes = q, classes
+        self.class_of = {col: j for j, (_, cols) in enumerate(classes) for col in cols}
+        self.free_cols = tuple(sorted(self.class_of))
         # Per class: the slot radices and the code one column adds per digit;
         # slot s (1-based) counts digit s, or every nonzero digit in the zero class.
         self.radices: list[list[int]] = []
         self.digit_codes: list[list[int]] = []
         radix, self.count = 1, 1
-        for key, cols in self.classes:
+        for key, cols in classes:
             f = len(cols)
             slot_of = list(range(q)) if any(key) else [0] + [1] * (q - 1)
             slots = slot_of[-1]
@@ -168,6 +189,20 @@ class _Types:
         # Codes skip the histograms that overfill a class exactly when the
         # code space is larger than the type count.
         self.gapped = radix != self.count
+
+    def split(self, pivot: FqVector) -> "_Types":
+        """The next level's layout: each class split by the pivot's digit on it,
+        less the pivot column.  Keys extend the parent keys, so the split
+        classes come out in key order."""
+        lead, digits = _lead_col(pivot), pivot.digits
+        classes = []
+        for key, cols in self.classes:
+            parts: dict[int, list[int]] = {}
+            for col in cols:
+                if col != lead:
+                    parts.setdefault(digits[col], []).append(col)
+            classes += [(key + (a,), parts[a]) for a in sorted(parts)]
+        return _Types(self.q, classes)
 
     def histograms(self, j: int) -> list[tuple[int, ...]]:
         return _histograms(len(self.classes[j][1]), len(self.radices[j]))
@@ -208,17 +243,26 @@ class SpectrumTable:
     The level is named by its ``pivots``.  Either ``weight_values`` (typed:
     one entry per type in code order, which at level 0 is one per weight)
     or ``values`` (dense: one entry per canonical coset representative) is
-    set.
+    set; an edge level sets ``edges`` too, and its ``weight_values`` hold
+    one entry per pattern (see "Edge levels" above).
     """
 
     params: GraphParams
     pivots: tuple[FqVector, ...] = ()
     values: tuple[int, ...] | None = None
     weight_values: tuple[int, ...] | None = None
+    edges: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def level(self) -> int:
         return len(self.pivots)
+
+    @property
+    def kind(self) -> str:
+        """The representation: "dense", "typed" or "edges"."""
+        if self.values is not None:
+            return "dense"
+        return "typed" if self.edges is None else "edges"
 
     @cached_property
     def free_cols(self) -> tuple[int, ...]:
@@ -228,7 +272,10 @@ class SpectrumTable:
 
     @cached_property
     def types(self) -> _Types:
-        return _Types(self.params.q, self.pivots, self.free_cols)
+        types = _Types(self.params.q, [((), list(range(self.params.n)))])
+        for pivot in self.pivots:
+            types = types.split(pivot)
+        return types
 
     @property
     def size(self) -> int:
@@ -270,10 +317,17 @@ class SpectrumTable:
         return idx
 
     def value_of(self, v: FqVector) -> int:
-        """Eigenvalue at a canonical representative, dense or typed."""
+        """Eigenvalue at a canonical representative, in any representation.
+
+        On an edge level it is q * Z - m, with Z counted word by word.
+        """
         idx = self.index_of(v)  # refuses a non-canonical vector
         if self.values is not None:
             return self.values[idx]
+        if self.edges is not None:
+            q = self.params.q
+            zeros = sum(1 for c in self.edges if sum(map(mul, c, v.digits)) % q == 0)
+            return q * zeros - len(self.edges)
         assert self.weight_values is not None
         types = self.types
         return self._by_code[sum(types.digit_codes[types.class_of[c]][v.digits[c]] for c in self.free_cols)]
@@ -306,6 +360,10 @@ class SpectrumTable:
         value = self.min_value
         if self.values is not None:
             index = self.values.index(value, 1) if self.size > 1 else 0
+        elif self.edges is not None:
+            if len(self.weight_values) == 1:  # no edge: every value is 0
+                return value, self.vector_at(1 if self.size > 1 else 0)
+            return value, self._pattern_vector(self.weight_values.index(value, 1))
         else:
             hits = map(value.__eq__, islice(self.weight_values, 1, None))
             index = min(compress(islice(self.types.least_indices(), 1, None), hits), default=0)
@@ -331,8 +389,64 @@ class SpectrumTable:
             return self
         assert self.weight_values is not None
         _check_dense(self.params, self.level, budget)
-        values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
+        if self.edges is not None:
+            slots, columns = _Slots(self.params.q, len(self.edges)), _edge_columns(self.edges, self.params.n)
+            values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
+        else:
+            values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
         return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
+
+    @cached_property
+    def pattern_cols(self) -> tuple[int, ...]:
+        """An edge level's pattern columns (see "Edge levels" above)."""
+        assert self.edges is not None
+        return _patterns(self.params, self.edges, self.free_cols)[0]
+
+    def _pattern_vector(self, index: int) -> FqVector:
+        """The vector holding the digits of pattern ``index`` at the pattern columns, 0 elsewhere."""
+        q, digits = self.params.q, [0] * self.params.n
+        for col in reversed(self.pattern_cols):
+            index, digits[col] = divmod(index, q)
+        return FqVector(q, tuple(digits))
+
+
+def _edge_columns(edges: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The n columns of the words ``edges``."""
+    return list(zip(*edges)) if edges else [()] * n
+
+
+def _edge_values(slots: _Slots, words: Iterable[int]) -> tuple[int, ...]:
+    """q * Z - m for every packed m-digit word y, Z the number of zero digits
+    of y, read from the weight of y: m + 1 value objects in all."""
+    q, m, nz, high = slots.q, slots.n, slots.nz, slots.high
+    by_weight = [(q - 1) * m - q * w for w in range(m + 1)]
+    return tuple([by_weight[((y + nz) & high).bit_count()] for y in words])
+
+
+def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An edge level's pattern columns, and its value at every pattern in pattern order.
+
+    Right to left, a free column whose column of the words is not yet in
+    the span of the columns kept so far is kept, and the span grows by it
+    (``codes._span``), so the span's words come out in pattern order.
+    """
+    slots, columns = _Slots(params.q, len(edges)), _edge_columns(edges, params.n)
+    words, seen, cols = [0], {0}, []
+    for col in reversed(free_cols):
+        if slots.pack(columns[col]) not in seen:
+            cols.append(col)
+            size, words = len(words), _span(slots, [columns[col]], words)
+            seen.update(islice(words, size, None))
+    return tuple(reversed(cols)), _edge_values(slots, words)
+
+
+def edge_level(params: GraphParams, pivots: tuple[FqVector, ...], edges: tuple[tuple[int, ...], ...]) -> SpectrumTable:
+    """The level named by ``pivots`` from its monic edge words, one value per pattern."""
+    free_cols = SpectrumTable(params=params, pivots=pivots).free_cols
+    cols, values = _patterns(params, edges, free_cols)
+    table = SpectrumTable(params=params, pivots=pivots, weight_values=values, edges=edges)
+    vars(table).update(free_cols=free_cols, pattern_cols=cols)  # the cached layout, built once
+    return table
 
 
 def build_spectrum_level0(params: GraphParams) -> SpectrumTable:

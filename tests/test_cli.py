@@ -252,23 +252,35 @@ class TestVerifyHighRate:
         assert code == 0
         assert out.getvalue() == "q: 2\nn: 31\ndimension: 26\ncodewords: 67108864\nmin_distance: 3\n"
 
-    def test_hamming_63_57_exits_3_at_once(self, tmp_path):
+    def test_hamming_63_57_verifies_from_its_64_dual_words(self, tmp_path):
         path = self.write_hamming(tmp_path, 6)
-        code, elapsed, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3"])
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", str(path), "-d", "3"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert out.getvalue() == f"q: 2\nn: 63\ndimension: 57\ncodewords: {2**57}\nmin_distance: 3\n"
+
+    def test_hamming_63_57_exits_3_at_once(self, tmp_path):
+        # Both sides over the budget: the message names the smaller, the 2^6 dual words.
+        path = self.write_hamming(tmp_path, 6)
+        code, elapsed, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3", "--budget", "32"])
         assert code == 3
         assert err == (
-            "error: codeword enumeration of a [63, 57] code needs 2^57 table entries, "
-            "exceeding the budget of 67108864; raise the budget to proceed\n"
+            "error: dual-word enumeration of a [63, 57] code needs 2^6 table entries, "
+            "exceeding the budget of 32; raise the budget to proceed\n"
         )
         assert elapsed < 5.0
 
-    def test_budget_between_dual_and_code_size_exits_3(self, tmp_path):
+    def test_budget_between_dual_and_code_size_verifies(self, tmp_path):
         path = self.write_hamming(tmp_path, 4)
-        code, _, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3", "--budget", "100"])
-        assert code == 3
+        for budget, want in [("16", 0), ("15", 3)]:
+            code, _, err = TestBudgetRefusalsAtAnySize.main_timed(["verify", str(path), "-d", "3", "--budget", budget])
+            assert code == want
         assert err == (
-            "error: codeword enumeration of a [15, 11] code needs 2^11 table entries, "
-            "exceeding the budget of 100; raise the budget to proceed\n"
+            "error: dual-word enumeration of a [15, 11] code needs 2^4 table entries, "
+            "exceeding the budget of 15; raise the budget to proceed\n"
         )
 
 
@@ -320,7 +332,8 @@ class TestVerifyCommand:
         assert r.returncode == 2
 
     def test_budget_exits_3(self, hamming_file):
-        r = run_cli("verify", str(hamming_file), "-d", "3", "--budget", "8")
+        # Both sides of [7, 4] over the budget: 2^3 dual words, 2^4 codewords.
+        r = run_cli("verify", str(hamming_file), "-d", "3", "--budget", "4")
         assert r.returncode == 3
 
     def test_huge_prime_q_decided_fast(self, tmp_path):

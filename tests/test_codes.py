@@ -276,6 +276,22 @@ class TestDualRoute:
         with pytest.raises(DivisibilityError, match="weight 1 "):
             codes._distance_from_dual(mutated, code.q, code.n, code.s)
 
+    def test_budget_is_checked_on_the_side_weighed(self):
+        code, d = classical_code("hamming_15_11_3")
+        assert min_distance(code, budget=16) == d
+        with pytest.raises(BudgetError, match=r"^dual-word enumeration of a \[15, 11\] code needs 2\^4 table entries"):
+            min_distance(code, budget=15)
+        with pytest.raises(BudgetError, match=r"^codeword enumeration of a \[15, 11\] code needs 2\^11 "):
+            codewords(code, budget=16)
+        # k <= s: the codewords are the smaller side.
+        short = make_code(2, ("1100", "0110", "0011"))
+        assert min_distance(short, budget=2) == 4
+        with pytest.raises(BudgetError, match=r"needs 2\^1 "):
+            min_distance(short, budget=1)
+        # The whole space (s = 0) is checked at q^n, though it has one dual word.
+        with pytest.raises(BudgetError, match=r"^codeword enumeration of a \[5, 5\] code needs 2\^5 "):
+            min_distance(LinearCode(2, 5, ()), budget=31)
+
     def test_whole_space_counts_raise(self):
         # Counts proportional to the whole space's make every A_j with j >= 1 zero,
         # which no code of dimension n - s >= 1 has.

@@ -23,9 +23,10 @@ from gvgraph import (
 )
 from gvgraph import descent as descent_module
 from gvgraph import spectrum as spectrum_module
-from gvgraph.descent import _average, _descend_types
-from gvgraph.modq import rref
-from helpers import character_sum_oracle, reference_average, reference_descent
+from gvgraph.descent import _average, _descend_edges, _descend_types
+from gvgraph.modq import kernel_basis, rref
+from gvgraph.spectrum import edge_level
+from helpers import all_vectors, character_sum_oracle, dot, reference_average, reference_descent, weight
 
 
 def digits(*rows):
@@ -337,9 +338,9 @@ class TestDescend:
         for name in ("_descend_types", "spectrum_descend"):
             real = getattr(descent_module, name)
 
-            def counting(table, pivot, real=real, name=name):
+            def counting(table, pivot, *layout, real=real, name=name):
                 averaged.append((table.level, name))
-                return real(table, pivot)
+                return real(table, pivot, *layout)
 
             monkeypatch.setattr(descent_module, name, counting)
         for table, _ in descend(GraphParams(2, 10, 4)):
@@ -379,9 +380,11 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     # min_eigenvalue: descend, select_pivot and the pivot check all ask for
     # each level's minimum, and must share one value scan of it.  Only a
     # level that picks a pivot derives the argmin from that value (a typed
-    # one through its types' least indices), so the edgeless level s, the
-    # largest typed level on (2, 18, 4) and (3, 11, 4), pays for no argmin.
+    # one through its types' least indices, an edge level from its pattern
+    # values), so the edgeless level s pays for no argmin.  (2, 18, 4) and
+    # (3, 11, 4) end on edge levels.
     q, n, _ = cell
+    kinds = [table.kind for table, _ in descend(GraphParams(*cell))]
     table_cls = spectrum_module.SpectrumTable
     real_least = spectrum_module._Types.least_indices
     events = []
@@ -390,7 +393,7 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
         real = vars(table_cls)[name].func
 
         def scan(table):
-            events.append((kind, table.level, "dense" if table.values is not None else "typed"))
+            events.append((kind, table.level, table.kind))
             return real(table)
 
         prop = functools.cached_property(scan)
@@ -405,12 +408,15 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     counted("_minimum", "argmin")
     monkeypatch.setattr(spectrum_module._Types, "least_indices", least)
     trace = run_algorithm1(GraphParams(*cell))
-    kinds = ["dense" if q ** (n - t) <= descent_module._CROSSOVER else "typed" for t in range(trace.s + 1)]
+    assert len(kinds) == trace.s + 1
+    for t, kind in enumerate(kinds):
+        if kind != "edges":
+            assert kind == ("dense" if q ** (n - t) <= descent_module._CROSSOVER else "typed")
     assert [e for e in events if e[0] == "value"] == [("value", t, kinds[t]) for t in range(trace.s + 1)]
     assert [e for e in events if e[0] == "argmin"] == [("argmin", t, kinds[t]) for t in range(trace.s)]
     assert [e for e in events if e[0] == "least"] == [("least", t, "typed") for t in range(trace.s) if kinds[t] == "typed"]
     if cell in [(2, 18, 4), (3, 11, 4)]:
-        assert kinds[trace.s] == "typed"
+        assert kinds[trace.s] == "edges"
 
 
 # Crossover settings that keep every level typed, or densify at level 0.
@@ -418,14 +424,19 @@ ALWAYS_TYPED = -(10**30)
 ALWAYS_DENSE = 10**30
 
 
+def no_edges(*args):
+    """An edge-route rule that never switches."""
+    return False
+
+
 def typed_levels(params):
     """Every level of the descent, kept typed to the end."""
-    old = descent_module._CROSSOVER
-    descent_module._CROSSOVER = ALWAYS_TYPED
+    old = descent_module._CROSSOVER, descent_module._edge_route
+    descent_module._CROSSOVER, descent_module._edge_route = ALWAYS_TYPED, no_edges
     try:
         return [table for table, _ in descend(params)]
     finally:
-        descent_module._CROSSOVER = old
+        descent_module._CROSSOVER, descent_module._edge_route = old
 
 
 def trace_key(trace):
@@ -483,20 +494,23 @@ class TestTypedLevels:
         vals[bumped] += 1
         doctored = dataclasses.replace(level1, weight_values=tuple(vals))
         with pytest.raises(DivisibilityError, match="level 1: eigenvalue sum -?[0-9]+ is not divisible by 2"):
-            _descend_types(doctored, pivot)
+            _descend_types(doctored, pivot, level1.types.split(pivot))
 
     def test_typed_pivot_checks(self):
         level1 = typed_levels(GraphParams(2, 7, 3))[1]
+        # The checks refuse the pivot before the layout is read.
+        layout = level1.types.split(select_pivot(level1))
         with pytest.raises(ValueError, match="nonzero"):
-            _descend_types(level1, FqVector.zero(2, 7))
+            _descend_types(level1, FqVector.zero(2, 7), layout)
         with pytest.raises(ValueError, match="canonical"):
-            _descend_types(level1, FqVector(2, (0, 0, 0, 1, 0, 0, 0)))
+            _descend_types(level1, FqVector(2, (0, 0, 0, 1, 0, 0, 0)), layout)
         with pytest.raises(ValueError, match="not the level minimum"):
-            _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
+            _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)), layout)
 
     def test_large_dense_tables_are_never_built(self, monkeypatch):
         # The dense route would build 2^22 entries at level 0; (2, 22, 5)
-        # ends at 2^12 entries, so it builds no dense table at all.
+        # ends at 2^12 entries, so it builds no dense table at all.  With the
+        # edge route (last loop) neither cell builds one: both end on edges.
         built = []
         init = spectrum_module.SpectrumTable.__init__
 
@@ -506,6 +520,7 @@ class TestTypedLevels:
                 built.append((self.level, len(self.values)))
 
         monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
+        monkeypatch.setattr(descent_module, "_edge_route", no_edges)
         for q, n, d in [(2, 22, 5), (2, 14, 4)]:
             built.clear()
             trace = run_algorithm1(GraphParams(q, n, d))
@@ -514,6 +529,12 @@ class TestTypedLevels:
             assert built == [(t, size) for t, size in sizes if size <= descent_module._CROSSOVER]
             assert all(size <= 512 for _, size in built)
         assert built == [(5, 512)]  # (2, 14, 4) ends on its handoff level
+        monkeypatch.undo()
+        monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
+        for cell in [(2, 22, 5), (2, 14, 4)]:
+            built.clear()
+            assert [table.kind for table, _ in descend(GraphParams(*cell))][-1] == "edges"
+            assert built == []
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_least_indices_match_a_scan_of_the_dense_codes(self, q):
@@ -531,13 +552,145 @@ class TestTypedLevels:
                     assert types.least_indices() == [first[i] for i in range(types.count)]
 
     def test_one_debug_record_per_level_shows_the_handoff(self, caplog):
+        # (2, 12, 4) hands off to dense levels, (2, 14, 4) to edge levels.
         caplog.set_level(logging.DEBUG, logger="gvgraph")
-        trace = run_algorithm1(GraphParams(2, 14, 4))
-        records = [r.getMessage() for r in caplog.records if r.name == "gvgraph"]
-        assert len(records) == trace.s + 1
-        kinds = [message.split(": ")[1].split(",")[0] for message in records]
-        handoff = kinds.index("dense")
-        assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {"dense"}
-        assert records[handoff].startswith(f"level {handoff}: dense, {2 ** (14 - handoff)} entries, ")
-        assert records[0].startswith(f"level 0: typed, 15 entries, lambda_min {trace.lambda_history[0]}, degree")
-        assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
+        for n, later in [(12, "dense"), (14, "edges")]:
+            caplog.clear()
+            trace = run_algorithm1(GraphParams(2, n, 4))
+            records = [r.getMessage() for r in caplog.records if r.name == "gvgraph"]
+            assert len(records) == trace.s + 1
+            kinds = [message.split(": ")[1].split(",")[0] for message in records]
+            handoff = kinds.index(later)
+            assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {later}
+            if later == "dense":
+                assert records[handoff].startswith(f"level {handoff}: dense, {2 ** (n - handoff)} entries, ")
+            else:
+                degrees = trace.degree_history + (trace.final_degree,)
+                for t in range(handoff, trace.s + 1):
+                    # Over F_2 each edge word is its own monic multiple: m = degree.
+                    assert records[t].startswith(f"level {t}: edges, {degrees[t]} monic edges, lambda_min ")
+            assert records[0].startswith(f"level 0: typed, {n + 1} entries, lambda_min {trace.lambda_history[0]}, degree")
+            assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
+
+
+def always_edges(*args):
+    """An edge-route rule that switches at the first typed level."""
+    return True
+
+
+def edged_levels(monkeypatch, params):
+    """Every level of the descent, on edges from level 1 on."""
+    with monkeypatch.context() as patch:
+        patch.setattr(descent_module, "_CROSSOVER", ALWAYS_TYPED)
+        patch.setattr(descent_module, "_edge_route", always_edges)
+        return list(descend(params))
+
+
+class TestEdgeLevels:
+    """Edge levels against the dense route and against brute force."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_forced_edge_route_gives_the_dense_levels(self, monkeypatch, q):
+        # Second route: densify at level 0 and average dense tables only.
+        for cell in [(q, n, d) for n in range(1, 17) if q**n <= 6 * 10**4 for d in range(1, n + 2)]:
+            params = GraphParams(*cell)
+            edged = edged_levels(monkeypatch, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(descent_module, "_CROSSOVER", ALWAYS_DENSE)
+                dense = list(descend(params))
+            assert [rec for _, rec in edged] == [rec for _, rec in dense], cell
+            for (table, _), (want, _) in zip(edged, dense):
+                assert table.kind == ("edges" if table.level else "typed")
+                assert table.densify() == want, (cell, table.level)
+                assert table.min_eigenvalue() == want.min_eigenvalue()
+
+    @pytest.mark.parametrize("cell", [(2, 9, 4), (2, 10, 5), (3, 6, 4), (5, 4, 3), (7, 4, 3)])
+    def test_edges_are_the_monic_low_weight_codewords(self, monkeypatch, cell):
+        q, n, d = cell
+        vectors = all_vectors(q, n)
+        for table, _ in edged_levels(monkeypatch, GraphParams(*cell))[1:]:
+            rows = [p.digits for p in table.pivots]
+            want = [
+                v for v in vectors
+                if 0 < weight(v) < d and all(dot(v, row, q) == 0 for row in rows) and next(x for x in v if x) == 1
+            ]
+            assert list(table.edges) == want
+            assert (q - 1) * len(table.edges) == table.degree
+
+    @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
+    def test_pattern_values_and_argmin_match_direct_counts(self, cell):
+        # Random word sets orthogonal to the pivots, so the minimum lies on
+        # many patterns at once: the values from the patterns must equal Z
+        # counted word by word, and the argmin the dense rule's first index.
+        rng = random.Random(11)
+        params = GraphParams(*cell)
+        q, n, _ = cell
+        for table in typed_levels(params):
+            basis = kernel_basis(*rref([p.digits for p in table.pivots], q), q, n)
+            for _ in range(8):
+                words = []
+                while basis and len(words) < rng.randint(1, 6):
+                    word = [0] * n
+                    for vec in basis:
+                        c = rng.choice([0, 0, 1])
+                        word = [(x + c * y) % q for x, y in zip(word, vec)]
+                    if any(word):
+                        words.append(tuple(word))
+                level = edge_level(params, table.pivots, tuple(words))
+                dense = level.densify()
+                assert dense.values == tuple(level.value_of(level.vector_at(i)) for i in range(level.size))
+                assert level.min_value == dense.min_value
+                assert level.min_eigenvalue() == dense.min_eigenvalue()
+
+    def test_doctored_edge_sets_raise(self, monkeypatch):
+        # (2, 20, 5) enumerates its edges at level 8 and filters them at level 9.
+        real_words = descent_module._low_weight_words
+        monkeypatch.setattr(descent_module, "_low_weight_words", lambda params, pivots: real_words(params, pivots)[1:])
+        with pytest.raises(RuntimeError, match="level 8: zero-character eigenvalue 5 disagrees with the degree recursion value 6"):
+            run_algorithm1(GraphParams(2, 20, 5))
+        monkeypatch.undo()
+
+        def dropping(params, pivots, edges):
+            return edge_level(params, pivots, edges[1:] if len(pivots) == 9 else edges)
+
+        monkeypatch.setattr(descent_module, "edge_level", dropping)
+        with pytest.raises(RuntimeError, match="level 9: zero-character eigenvalue 0 disagrees with the degree recursion value 1"):
+            run_algorithm1(GraphParams(2, 20, 5))
+
+    def test_edge_pivot_checks(self):
+        params = GraphParams(2, 18, 4)
+        level = next(table for table, _ in descend(params) if table.kind == "edges")
+        pivot = select_pivot(level)
+        assert level.value_of(pivot) == level.min_value
+        # One word fewer and the pattern values kept: the pivot's Z, counted
+        # word by word, no longer gives the pattern minimum.
+        doctored = dataclasses.replace(level, edges=level.edges[1:])
+        with pytest.raises(ValueError, match="not the level minimum"):
+            _descend_edges(doctored, pivot)
+        with pytest.raises(ValueError, match="nonzero"):
+            _descend_edges(level, FqVector.zero(2, 18))
+        with pytest.raises(ValueError, match="canonical"):
+            _descend_edges(level, level.pivots[0])
+
+
+@st.composite
+def small_cells(draw):
+    q = draw(st.sampled_from(sorted(MAX_DIGITS)))
+    n = draw(st.integers(1, MAX_DIGITS[q]))
+    return GraphParams(q, n, draw(st.integers(1, n + 1)))
+
+
+class TestDescentProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(small_cells())
+    def test_trace_properties(self, params):
+        q, n = params.q, params.n
+        trace = run_algorithm1(params)
+        degrees = trace.degree_history + (trace.final_degree,)
+        # The degree recursion D_{t+1} = (D_t + (q-1) lambda_t) / q, down to degree 0.
+        assert degrees[0] == params.degree and trace.final_degree == 0
+        for t, rec in enumerate(trace.levels):
+            assert q * degrees[t + 1] == degrees[t] + (q - 1) * rec.lambda_min
+        code = LinearCode(q, n, trace.parity_rows)
+        assert min_distance(code) >= params.d
+        assert all(bound <= q ** (n - trace.s) for bound in trace.bounds)
