@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import ceil, floor
 
@@ -265,6 +264,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The pool starts all its workers at the first task.
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

@@ -30,22 +30,19 @@ one dual word: a pchk file of s >= 1 rows holds s * n digits, so its size
 bounds n, but one with s = 0 states n only in its header, and each packed
 word has n slots.
 
-Both sides are enumerated as packed integers, one Python int per word.  Digit
-i sits in bits [w*i, w*i + w) with w = (q-1).bit_length() + 1: the low w - 1
-bits hold the digit, and the slot's top bit is a guard bit, clear in every
-reduced word.  Since q <= 2^(w-1), two digits sum to at most 2q - 2 < 2^w,
-so one integer add ``s = x + m`` adds every slot at once and no slot
-carries into the next.  Adding ``bias`` (2^(w-1) - q in every slot) keeps
-each slot in [0, 2^w) and sets its guard bit exactly when the slot's sum is
-at least q; shifting the guard bits down by w - 1 and multiplying by q gives
-the q to take from each such slot, again with no borrow, so
+Packed rows
+-----------
 
-    s - (((s + bias) & high) >> (w - 1)) * q
-
-reduces every slot mod q (``high`` holds the guard bits).  In the same way a
-digit plus 2^(w-1) - 1 sets the guard bit exactly when the digit is nonzero,
-so the weight of a word x is ``((x + nz) & high).bit_count()``.  For q = 2
-the bias is 0 and the reduction of x + m is exactly ``x ^ m``.
+From parse to weight a row or word is one Python int, one guarded slot per
+digit (``modq``, "Row format").  ``LinearCode`` reduces its parity rows to
+their RREF by packed row operations (``modq.rref``: one XOR per row
+operation for q = 2, else one guarded add-and-reduce with a stored multiple
+of the pivot row) and keeps the packed rows.  The dual words are the span
+of those rows and the codewords the span of the packed kernel basis, each
+grown by ``_span`` with one add per word and multiple.  A word's weight is
+the number of its nonzero slots.  For q = 2 the slots are single digits
+under clear guard bits, and XOR of reduced words never sets a guard bit, so
+the weight is the word's popcount, ``int.bit_count``.
 
 The file format ``gvpchk v1`` is plain UTF-8 text with LF newlines:
 
@@ -73,7 +70,7 @@ from typing import Iterable
 from .combinat import GraphParams, is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
-from .modq import kernel_basis, rank, rref  # noqa: F401
+from .modq import _Slots, kernel_basis, rank, rref  # noqa: F401
 from .vectors import FqVector
 
 __all__ = [
@@ -99,7 +96,8 @@ class LinearCode:
     q: int
     n: int
     parity_rows: tuple[FqVector, ...]
-    _rref: tuple[list[tuple[int, ...]], list[int]] = field(init=False, repr=False, compare=False)
+    _slots: _Slots = field(init=False, repr=False, compare=False)
+    _rref: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
@@ -109,9 +107,11 @@ class LinearCode:
         for row in self.parity_rows:
             if row.q != self.q or row.n != self.n:
                 raise ValueError("parity row parameters do not match the code")
-        echelon = rref([row.digits for row in self.parity_rows], self.q)
+        slots = _Slots(self.q, self.n)
+        echelon = rref([slots.pack(row.digits) for row in self.parity_rows], slots)
         if len(echelon[0]) != self.s:
             raise ValueError(f"parity rows are linearly dependent: rank below s = {self.s}")
+        object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_rref", echelon)
 
     @property
@@ -127,41 +127,20 @@ class LinearCode:
         return self.q**self.dimension
 
 
-class _Slots:
-    """The packed layout of n digits mod q (module docstring): slot width and per-slot constants."""
-
-    def __init__(self, q: int, n: int) -> None:
-        self.q = q
-        self.n = n
-        self.w = w = (q - 1).bit_length() + 1
-        ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # 1 at the bottom of every slot
-        self.high = ones << (w - 1)
-        self.bias = ones * ((1 << (w - 1)) - q)
-        self.nz = ones * ((1 << (w - 1)) - 1)
-
-    def pack(self, digits: Iterable[int]) -> int:
-        return sum(x << (self.w * i) for i, x in enumerate(digits))
-
-    def unpack(self, word: int) -> tuple[int, ...]:
-        w, mask = self.w, (1 << self.w) - 1
-        return tuple((word >> (w * i)) & mask for i in range(self.n))
-
-
-def _span(slots: _Slots, basis: Iterable[tuple[int, ...]], start: Iterable[int] = (0,)) -> list[int]:
-    """Every combination of ``basis`` as packed ints, zero first: for each basis
-    vector b, the words so far plus b, then plus 2b, ..., plus (q-1)b.  From
-    ``start``, the words of a span built so far, it extends that span."""
+def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> list[int]:
+    """Every combination of the packed ``basis`` words, zero first: for each
+    basis word b, the words so far plus b, then plus 2b, ..., plus (q-1)b.
+    From ``start``, the words of a span built so far, it extends that span."""
     q, high, shift = slots.q, slots.high, slots.w - 1
     words = list(start)
     for vec in basis:
+        if q == 2:
+            words += [x ^ vec for x in words]
+            continue
         added = []
-        for c in range(1, q):
-            m = slots.pack(vec if c == 1 else (c * x % q for x in vec))
-            if q == 2:
-                added += [x ^ m for x in words]
-            else:
-                mb = m + slots.bias  # s + bias below is x + mb, with s = x + m
-                added += [x + m - (((x + mb) & high) >> shift) * q for x in words]
+        for m in slots.multiples(vec):
+            mb = m + slots.bias  # s + bias below is x + mb, with s = x + m
+            added += [x + m - (((x + mb) & high) >> shift) * q for x in words]
         words += added
     return words
 
@@ -169,8 +148,8 @@ def _span(slots: _Slots, basis: Iterable[tuple[int, ...]], start: Iterable[int] 
 def codewords(code: LinearCode, budget: int | None = None) -> list[FqVector]:
     """All q^(n-s) vectors orthogonal to every parity row, zero included."""
     check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
-    slots = _Slots(code.q, code.n)
-    return [FqVector(code.q, slots.unpack(x)) for x in _span(slots, kernel_basis(*code._rref, code.q, code.n))]
+    slots = code._slots
+    return [FqVector(code.q, slots.unpack(x)) for x in _span(slots, kernel_basis(*code._rref, slots))]
 
 
 def _distance_from_dual(dual_weights: Counter, q: int, n: int, s: int) -> int:
@@ -199,13 +178,11 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
         check_budget(q, s, budget, f"dual-word enumeration of a [{n}, {k}] code")
     else:
         check_budget(q, k, budget, f"codeword enumeration of a [{n}, {k}] code")
-    slots = _Slots(q, n)
-    nz, high = slots.nz, slots.high
+    slots = code._slots
     if s < k:
-        dual = _span(slots, code._rref[0])
-        return _distance_from_dual(Counter(((x + nz) & high).bit_count() for x in dual), q, n, s)
-    words = _span(slots, kernel_basis(*code._rref, q, n))
-    return min((((x + nz) & high).bit_count() for x in words if x), default=INFINITE_DISTANCE)
+        return _distance_from_dual(Counter(slots.weights(_span(slots, code._rref[0]))), q, n, s)
+    words = _span(slots, kernel_basis(*code._rref, slots))
+    return min(slots.weights(islice(words, 1, None)), default=INFINITE_DISTANCE)  # words[0] is 0
 
 
 def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool:
@@ -280,10 +257,10 @@ def parse_pchk(text: str) -> LinearCode:
         if len(parts) != n:
             raise PchkFormatError(f"row {offset}: expected {n} digits, got {len(parts)}")
         try:
-            digits = tuple(int(x) for x in parts)
+            digits = tuple(map(int, parts))
         except ValueError:
             raise PchkFormatError(f"row {offset}: non-integer digit in {line!r}") from None
-        if any(not 0 <= x < q for x in digits):
+        if digits and (min(digits) < 0 or max(digits) >= q):
             raise PchkFormatError(f"row {offset}: digit out of range [0, {q})")
         rows.append(digits)
     try:

@@ -82,10 +82,9 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from .bounds import descent_bound
-from .codes import _Slots
 from .combinat import GraphParams
 from .errors import DivisibilityError
-from .modq import kernel_basis, rref
+from .modq import _Slots, kernel_basis, rref
 from .spectrum import SpectrumTable, _check_dense, _lead_col, _outer_sum, _Types, build_spectrum_level0, edge_level
 from .vectors import FqVector
 
@@ -284,16 +283,16 @@ def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tupl
     image of them, the kernel basis of the pivots' RREF), and its free
     weight is at most its weight.  So the free digit patterns of weight
     1..d-1 whose first nonzero digit is 1, one per class of nonzero
-    multiples, are summed as packed words (``codes._Slots``), and the words
-    of weight at most d-1 are kept, each scaled to be monic.
+    multiples, are summed as packed words (``modq``, "Row format"), and the
+    words of weight at most d-1 are kept, each scaled to be monic.
     """
     q, n, d = params.q, params.n, params.d
-    basis = kernel_basis(*rref([p.digits for p in pivots], q), q, n)
     slots = _Slots(q, n)
-    nz, high, bias, shift = slots.nz, slots.high, slots.bias, slots.w - 1
+    basis = kernel_basis(*rref([slots.pack(p.digits) for p in pivots], slots), slots)
+    high, bias, shift = slots.high, slots.bias, slots.w - 1
     # Per free column, its multiples 1..q-1 as (m, m + bias): x + m reduces
     # to x + m - (((x + m + bias) & high) >> shift) * q.
-    multiples = [[(m, m + bias) for m in (slots.pack(c * x % q for x in vec) for c in range(1, q))] for vec in basis]
+    multiples = [[(m, m + bias) for m in slots.multiples(vec)] for vec in basis]
     # (word, index of the next free column it may extend by), by free weight.
     frontier = [(mult[0][0], j + 1) for j, mult in enumerate(multiples)]
     found: list[int] = []
@@ -307,8 +306,8 @@ def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tupl
                 for m, mb in multiples[j]
             ]
     words = []
-    for word in found:
-        if ((word + nz) & high).bit_count() < d:
+    for word, weight in zip(found, slots.weights(found)):
+        if weight < d:
             digits = slots.unpack(word)
             inv = pow(next(x for x in digits if x), -1, q)
             words.append(tuple(inv * x % q for x in digits))

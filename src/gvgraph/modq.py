@@ -1,63 +1,179 @@
-"""Small exact linear algebra mod a prime q: RREF, rank, kernel bases.
+"""Small exact linear algebra mod a prime q on packed words: RREF, rank, kernel bases.
 
-Rows are plain digit tuples; q prime guarantees every nonzero pivot is
-invertible (pow(a, -1, q)).
+Row format
+----------
+A row of n digits mod q is one Python int, its packed word.  Digit i sits
+in bits [w*i, w*i + w) with w = (q-1).bit_length() + 1: the low w - 1 bits
+hold the digit, and the slot's top bit is a guard bit, clear in every
+reduced word.  ``_Slots`` holds this layout for one (q, n).  Since
+q <= 2^(w-1), two digits sum to at most 2q - 2 < 2^w, so one integer add
+``s = x + m`` adds every slot at once and no slot carries into the next.
+Adding ``bias`` (2^(w-1) - q in every slot) keeps each slot in [0, 2^w) and
+sets its guard bit exactly when the slot's sum is at least q; shifting the
+guard bits down by w - 1 and multiplying by q gives the q to take from each
+such slot, again with no borrow, so
+
+    s - (((s + bias) & high) >> (w - 1)) * q
+
+reduces every slot mod q (``high`` holds the guard bits).  In the same way a
+digit plus 2^(w-1) - 1 sets the guard bit exactly when the digit is nonzero,
+so the weight of a word x is ``((x + nz) & high).bit_count()``.  For q = 2
+the bias is 0, the reduction of x + m is exactly ``x ^ m``, and a word's
+weight is its popcount.
+
+Row operations
+--------------
+The lead column of a nonzero word is its lowest set slot.  ``rref``
+eliminates digit c of a row with the monic pivot row p by adding
+(q - c) * p: for q = 2 one XOR, for other q one guarded add-and-reduce with
+that multiple, formed on first use and kept with p.  q prime guarantees
+every nonzero lead digit is invertible (pow(a, -1, q)).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import lshift
+from typing import Iterable, Iterator
+
 __all__ = ["kernel_basis", "rank", "rref"]
 
 
-def rref(rows: list[tuple[int, ...]], q: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Reduced row-echelon form of ``rows`` mod q.
+class _Slots:
+    """The packed layout of n digits mod q (module docstring): slot width and per-slot constants."""
 
-    Returns (rref_rows, pivot_cols); zero rows are dropped, each surviving
-    row has a leading 1 in a distinct pivot column and zeros in every other
-    row's pivot column.
-    """
-    work = [list(r) for r in rows]
-    n = len(work[0]) if work else 0
-    out: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for row in work:
-        # eliminate with existing pivots
-        for prow, col in zip(out, pivot_cols):
-            c = row[col]
+    def __init__(self, q: int, n: int) -> None:
+        self.q = q
+        self.n = n
+        self.w = w = (q - 1).bit_length() + 1
+        self.mask = (1 << w) - 1
+
+    # The n-slot constants are built on first use: a code with no parity
+    # rows may state a huge n that the budget check refuses later.
+    @cached_property
+    def ones(self) -> int:
+        """1 at the bottom of every slot."""
+        return ((1 << (self.w * self.n)) - 1) // self.mask
+
+    @cached_property
+    def high(self) -> int:
+        return self.ones << (self.w - 1)
+
+    @cached_property
+    def bias(self) -> int:
+        return self.ones * ((1 << (self.w - 1)) - self.q)
+
+    @cached_property
+    def nz(self) -> int:
+        return self.ones * ((1 << (self.w - 1)) - 1)
+
+    def pack(self, digits: Iterable[int]) -> int:
+        """The word of n digits."""
+        return sum(map(lshift, digits, range(0, self.w * self.n, self.w)))
+
+    def unpack(self, word: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple((word >> shift) & mask for shift in range(0, self.w * self.n, self.w))
+
+    def add(self, x: int, m: int) -> int:
+        """The reduced sum of two reduced words."""
+        if self.q == 2:
+            return x ^ m
+        s = x + m
+        return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.q
+
+    def multiples(self, word: int) -> list[int]:
+        """word, 2 word, ..., (q-1) word, each one add from the one before."""
+        out = [word]
+        for _ in range(2, self.q):
+            out.append(self.add(out[-1], word))
+        return out
+
+    def scale(self, word: int, c: int) -> int:
+        """c * word, reduced, by doubling and adding: about 2 log2(c) adds."""
+        out = 0
+        while c:
+            if c & 1:
+                out = self.add(out, word)
+            c >>= 1
             if c:
-                row[:] = [(a - c * b) % q for a, b in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
+                word = self.add(word, word)
+        return out
+
+    def weights(self, words: Iterable[int]) -> Iterator[int]:
+        """The weight of each reduced word: a popcount for q = 2, whose guard bits are never set."""
+        if self.q == 2:
+            return map(int.bit_count, words)
+        nz, high = self.nz, self.high
+        return (((x + nz) & high).bit_count() for x in words)
+
+
+def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form of the packed ``rows`` mod q.
+
+    Returns (rref_rows, pivot_cols), sorted by pivot column; zero rows are
+    dropped, each surviving row has a leading 1 in a distinct pivot column
+    and zeros in every other row's pivot column.
+    """
+    q, w, mask = slots.q, slots.w, slots.mask
+    echelon: list[int] = []  # the pivot rows so far, each zero in the others' lead columns
+    # Per pivot row: the bit offset of its lead slot, the row as inserted, and
+    # {c: (q - c) * that row}, which clears digit c from its lead slot.
+    pivots: list[tuple[int, int, dict[int, int]]] = []
+
+    def minus(inserted: int, negs: dict[int, int], c: int) -> int:
+        if c == q - 1:  # always for q = 2, where the add is one XOR
+            return inserted
+        if c not in negs:
+            negs[c] = slots.scale(inserted, q - c)
+        return negs[c]
+
+    for row in rows:
+        # The rows as inserted, in insertion order, clear every lead column:
+        # a pivot row changes after insertion only by multiples of later
+        # pivot rows, whose lead columns this loop clears after it.
+        for offset, inserted, negs in pivots:
+            c = (row >> offset) & mask
+            if c:
+                row = slots.add(row, minus(inserted, negs, c))
+        if not row:
             continue
-        inv = pow(row[lead], -1, q)
-        row[:] = [(inv * a) % q for a in row]
-        # back-eliminate the new column from existing rows
-        for prow in out:
-            c = prow[lead]
+        offset = (row & -row).bit_length() - 1
+        offset -= offset % w
+        c = (row >> offset) & mask
+        if c != 1:
+            row = slots.scale(row, pow(c, -1, q))
+        fresh: dict[int, int] = {}
+        for i, other in enumerate(echelon):
+            c = (other >> offset) & mask
             if c:
-                prow[:] = [(a - c * b) % q for a, b in zip(prow, row)]
-        out.append(row)
-        pivot_cols.append(lead)
-    order = sorted(range(len(out)), key=pivot_cols.__getitem__)
-    return [tuple(out[i]) for i in order], [pivot_cols[i] for i in order]
+                echelon[i] = slots.add(other, minus(row, fresh, c))
+        echelon.append(row)
+        pivots.append((offset, row, fresh))
+    order = sorted(range(len(echelon)), key=lambda i: pivots[i][0])
+    return [echelon[i] for i in order], [pivots[i][0] // w for i in order]
 
 
-def rank(rows: list[tuple[int, ...]], q: int) -> int:
-    return len(rref(rows, q)[0])
+def rank(rows: Iterable[int], slots: _Slots) -> int:
+    return len(rref(rows, slots)[0])
 
 
-def kernel_basis(rref_rows: list[tuple[int, ...]], pivot_cols: list[int], q: int, n: int) -> list[tuple[int, ...]]:
-    """A basis of the joint kernel {u : <u, row> = 0 for every row}, from the rows' ``rref``.
+def kernel_basis(rref_rows: list[int], pivot_cols: list[int], slots: _Slots) -> list[int]:
+    """A basis of the joint kernel {u : <u, row> = 0 for every row}, from the rows' ``rref``, packed.
 
-    One basis vector per free column f: 1 at f, -row[f] at each pivot
-    column, 0 elsewhere.  Returned in increasing free-column order.
+    One basis word per free column f: 1 at f, -row[f] at each pivot column,
+    0 elsewhere.  Returned in increasing free-column order.
     """
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    q, w, mask = slots.q, slots.w, slots.mask
+    pivots = set(pivot_cols)
     basis = []
-    for f in free_cols:
-        vec = [0] * n
-        vec[f] = 1
+    for f in range(slots.n):
+        if f in pivots:
+            continue
+        word = 1 << (w * f)
         for row, col in zip(rref_rows, pivot_cols):
-            vec[col] = (-row[f]) % q
-        basis.append(tuple(vec))
+            x = (row >> (w * f)) & mask
+            if x:
+                word |= (q - x) << (w * col)
+        basis.append(word)
     return basis

@@ -67,9 +67,10 @@ that order (first pattern column most significant), the first pattern
 attaining the minimum gives the least dense index attaining it.  An edge
 table's ``weight_values`` holds the q^r pattern values in that order, one
 value object per weight of y: the degree (q-1) * m first, at y = 0.  Each
-y is a packed m-digit word (``codes._Slots``), so Z is m less the weight of
-y.  ``densify`` forms the pattern of every dense index the same way, and
-``value_of`` counts Z word by word.
+y is a packed m-digit word (``modq``, "Row format"), each column of E is
+packed once, and Z is m less the weight of y.  ``densify`` forms the
+pattern of every dense index the same way, and ``value_of`` counts Z word
+by word.
 
 The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
@@ -91,9 +92,10 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .codes import _Slots, _span
+from .codes import _span
 from .combinat import GraphParams, ball_volume, binomial, krawtchouk, krawtchouk_row
 from .errors import check_budget
+from .modq import _Slots
 from .vectors import FqVector
 
 __all__ = [
@@ -390,7 +392,8 @@ class SpectrumTable:
         assert self.weight_values is not None
         _check_dense(self.params, self.level, budget)
         if self.edges is not None:
-            slots, columns = _Slots(self.params.q, len(self.edges)), _edge_columns(self.edges, self.params.n)
+            slots = _Slots(self.params.q, len(self.edges))
+            columns = _edge_columns(slots, self.edges, self.params.n)
             values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
@@ -410,17 +413,17 @@ class SpectrumTable:
         return FqVector(q, tuple(digits))
 
 
-def _edge_columns(edges: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """The n columns of the words ``edges``."""
-    return list(zip(*edges)) if edges else [()] * n
+def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """The n columns of the words ``edges``, each packed once."""
+    return [slots.pack(column) for column in zip(*edges)] if edges else [0] * n
 
 
 def _edge_values(slots: _Slots, words: Iterable[int]) -> tuple[int, ...]:
     """q * Z - m for every packed m-digit word y, Z the number of zero digits
     of y, read from the weight of y: m + 1 value objects in all."""
-    q, m, nz, high = slots.q, slots.n, slots.nz, slots.high
+    q, m = slots.q, slots.n
     by_weight = [(q - 1) * m - q * w for w in range(m + 1)]
-    return tuple([by_weight[((y + nz) & high).bit_count()] for y in words])
+    return tuple(map(by_weight.__getitem__, slots.weights(words)))
 
 
 def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -430,10 +433,11 @@ def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: 
     the span of the columns kept so far is kept, and the span grows by it
     (``codes._span``), so the span's words come out in pattern order.
     """
-    slots, columns = _Slots(params.q, len(edges)), _edge_columns(edges, params.n)
+    slots = _Slots(params.q, len(edges))
+    columns = _edge_columns(slots, edges, params.n)
     words, seen, cols = [0], {0}, []
     for col in reversed(free_cols):
-        if slots.pack(columns[col]) not in seen:
+        if columns[col] not in seen:
             cols.append(col)
             size, words = len(words), _span(slots, [columns[col]], words)
             seen.update(islice(words, size, None))

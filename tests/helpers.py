@@ -6,8 +6,8 @@ explicit induced subgraphs -- and never reuses the library's quotient-index
 machinery, so agreement is a genuine two-route check.  The reference
 averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
-compared against; so is the codeword enumeration's former ``FqVector``
-doubling loop.
+compared against; so are the codeword enumeration's former ``FqVector``
+doubling loop and the former list RREF and kernel basis on digit tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from gvgraph import BudgetError, FqVector, GraphParams
 from gvgraph.errors import DivisibilityError, check_budget
-from gvgraph.modq import kernel_basis, rref
 
 EXACT_SEARCH_CAP = 64
 
@@ -377,11 +376,59 @@ def kernel_bruteforce(q, n, rows):
     return [v for v in all_vectors(q, n) if all(dot(v, row, q) == 0 for row in rows)]
 
 
+def reference_rref(rows, q):
+    """Reduced row-echelon form of digit tuples mod q, row by row on lists:
+    the library's former list RREF, kept as the oracle for ``modq.rref``.
+
+    Returns (rref_rows, pivot_cols); zero rows are dropped, each surviving
+    row has a leading 1 in a distinct pivot column and zeros in every other
+    row's pivot column.
+    """
+    work = [list(r) for r in rows]
+    out = []
+    pivot_cols = []
+    for row in work:
+        # eliminate with existing pivots
+        for prow, col in zip(out, pivot_cols):
+            c = row[col]
+            if c:
+                row[:] = [(a - c * b) % q for a, b in zip(row, prow)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, q)
+        row[:] = [(inv * a) % q for a in row]
+        # back-eliminate the new column from existing rows
+        for prow in out:
+            c = prow[lead]
+            if c:
+                prow[:] = [(a - c * b) % q for a, b in zip(prow, row)]
+        out.append(row)
+        pivot_cols.append(lead)
+    order = sorted(range(len(out)), key=pivot_cols.__getitem__)
+    return [tuple(out[i]) for i in order], [pivot_cols[i] for i in order]
+
+
+def reference_kernel_basis(rref_rows, pivot_cols, q, n):
+    """A basis of the joint kernel of ``reference_rref``'s rows, as digit
+    tuples: one vector per free column f, 1 at f, -row[f] at each pivot
+    column, 0 elsewhere, in increasing free-column order."""
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    basis = []
+    for f in free_cols:
+        vec = [0] * n
+        vec[f] = 1
+        for row, col in zip(rref_rows, pivot_cols):
+            vec[col] = (-row[f]) % q
+        basis.append(tuple(vec))
+    return basis
+
+
 def reference_codewords(code, budget=None):
     """All q^(n-s) vectors orthogonal to every parity row, zero included."""
     check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
     q, n = code.q, code.n
-    basis = kernel_basis(*rref([row.digits for row in code.parity_rows], q), q, n)
+    basis = reference_kernel_basis(*reference_rref([row.digits for row in code.parity_rows], q), q, n)
     words = [FqVector.zero(q, n)]
     for vec in basis:
         b = FqVector(q, vec)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -449,9 +450,17 @@ class TestSweepJobs:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # ``cli`` imports the pool class from here when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         return created
+
+    def test_importing_the_cli_loads_no_pool(self):
+        # A fresh interpreter: multiprocessing comes in only with a pool of two or more workers.
+        probe = "import sys, gvgraph.cli; print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def sweep(self, tmp_path, n_range, jobs):
         argv = ["sweep", "-q", "2", "-n", n_range, "-d", "3", "-o", str(tmp_path / "s.csv"), "--jobs", str(jobs)]

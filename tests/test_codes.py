@@ -6,7 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from gvgraph import (
@@ -35,6 +35,8 @@ from helpers import (
     kernel_bruteforce,
     max_independent_set_oracle,
     reference_codewords,
+    reference_kernel_basis,
+    reference_rref,
     weight,
 )
 
@@ -64,7 +66,8 @@ def only_expected_route(code):
 def dual_weights(code):
     """Weight counts of the q^s dual words, as the codewords of the code whose parity rows span ``code``."""
     q, n = code.q, code.n
-    generators = tuple(FqVector(q, v) for v in modq.kernel_basis(*code._rref, q, n))
+    rows = [row.digits for row in code.parity_rows]
+    generators = tuple(FqVector(q, v) for v in reference_kernel_basis(*reference_rref(rows, q), q, n))
     return Counter(w.weight for w in codewords(LinearCode(q, n, generators)))
 
 
@@ -147,6 +150,9 @@ class TestMinDistance:
             assert min_distance(code) == brute
 
 
+# ``test_both_sides_agree`` weighs both sides of the codes with at most this many words on each.
+AGREEMENT_CAP = 729
+
 # Largest n with q^n <= 5000 for each q the brute-force kernel scan covers.
 ORACLE_MAX_N = {2: 12, 3: 7, 5: 5, 7: 4, 13: 3, 17: 3}
 
@@ -213,9 +219,9 @@ class TestPackedEnumeration:
         calls = []
         real = modq.rref
 
-        def counted(rows, q):
+        def counted(rows, slots):
             calls.append(len(rows))
-            return real(rows, q)
+            return real(rows, slots)
 
         monkeypatch.setattr(modq, "rref", counted)
         monkeypatch.setattr(codes, "rref", counted)
@@ -291,6 +297,20 @@ class TestDualRoute:
         # The whole space (s = 0) is checked at q^n, though it has one dual word.
         with pytest.raises(BudgetError, match=r"^codeword enumeration of a \[5, 5\] code needs 2\^5 "):
             min_distance(LinearCode(2, 5, ()), budget=31)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_both_sides_agree(self, code):
+        # Where both sides fit a small cap: the least nonzero codeword weight
+        # equals the MacWilliams distance from the dual words' weight counts.
+        q, n, s, k = code.q, code.n, code.s, code.dimension
+        assume(k >= 1 and q**s <= AGREEMENT_CAP and q**k <= AGREEMENT_CAP)
+        slots = code._slots
+        words = codes._span(slots, modq.kernel_basis(*code._rref, slots))
+        primal = min(slots.weights(words[1:]))
+        dual = Counter(slots.weights(codes._span(slots, code._rref[0])))
+        assert codes._distance_from_dual(dual, q, n, s) == primal
+        assert min_distance(code) == primal
 
     def test_whole_space_counts_raise(self):
         # Counts proportional to the whole space's make every A_j with j >= 1 zero,
@@ -426,6 +446,21 @@ class TestPchkFormat:
     )
     def test_rejections(self, text, message):
         with pytest.raises(PchkFormatError, match=message):
+            parse_pchk(text)
+
+    @pytest.mark.parametrize(
+        "q, rows, bad",
+        [
+            (2, ["0 1 2"], 0),
+            (5, ["1 0 0", "0 0 5"], 1),
+            (5, ["1 0 0", "0 -1 4"], 1),
+            (3, ["-1 0 0", "0 1 3"], 0),
+        ],
+    )
+    def test_digit_range_message(self, q, rows, bad):
+        # The first row holding a digit outside [0, q), at either end, is named.
+        text = f"# gvpchk v1\nq {q}\nn 3\ns {len(rows)}\n" + "".join(row + "\n" for row in rows)
+        with pytest.raises(PchkFormatError, match=rf"^row {bad}: digit out of range \[0, {q}\)$"):
             parse_pchk(text)
 
     @settings(max_examples=100, deadline=None)

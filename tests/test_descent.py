@@ -24,9 +24,17 @@ from gvgraph import (
 from gvgraph import descent as descent_module
 from gvgraph import spectrum as spectrum_module
 from gvgraph.descent import _average, _descend_edges, _descend_types
-from gvgraph.modq import kernel_basis, rref
 from gvgraph.spectrum import edge_level
-from helpers import all_vectors, character_sum_oracle, dot, reference_average, reference_descent, weight
+from helpers import (
+    all_vectors,
+    character_sum_oracle,
+    dot,
+    reference_average,
+    reference_descent,
+    reference_kernel_basis,
+    reference_rref,
+    weight,
+)
 
 
 def digits(*rows):
@@ -360,7 +368,7 @@ class TestCosetIndexing:
                     pivots = table.pivots
                     assert table.level == len(pivots)
                     # Second route to the pivot columns: the RREF of the pivot span.
-                    pivot_cols = rref([p.digits for p in pivots], q)[1]
+                    pivot_cols = reference_rref([p.digits for p in pivots], q)[1]
                     assert table.free_cols == tuple(c for c in range(n) if c not in pivot_cols)
                     for i in range(table.size):
                         assert table.index_of(table.vector_at(i)) == i
@@ -626,7 +634,7 @@ class TestEdgeLevels:
         params = GraphParams(*cell)
         q, n, _ = cell
         for table in typed_levels(params):
-            basis = kernel_basis(*rref([p.digits for p in table.pivots], q), q, n)
+            basis = reference_kernel_basis(*reference_rref([p.digits for p in table.pivots], q), q, n)
             for _ in range(8):
                 words = []
                 while basis and len(words) < rng.randint(1, 6):
