@@ -22,13 +22,12 @@ from .codes import (
     LinearCode,
     codewords,
     format_pchk,
-    is_independent_set,
     min_distance,
     read_pchk,
     write_pchk,
 )
 from .combinat import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
-from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot, spectrum_descend
+from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
 from .spectrum import (
     RealEigenvector,
@@ -69,7 +68,6 @@ __all__ = [
     "gv_bound",
     "hoffman_bound",
     "hoffman_paper_literal",
-    "is_independent_set",
     "is_prime",
     "krawtchouk",
     "min_distance",
@@ -77,7 +75,6 @@ __all__ = [
     "real_eigenvector",
     "run_algorithm1",
     "select_pivot",
-    "spectrum_descend",
     "sufficient_dimension",
     "wilf_cor27_bound",
     "write_pchk",

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .combinat import GraphParams, is_prime, krawtchouk_column
+from .combinat import is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
 from .modq import _Slots, kernel_basis, rank, rref  # noqa: F401
@@ -78,7 +78,6 @@ __all__ = [
     "LinearCode",
     "codewords",
     "format_pchk",
-    "is_independent_set",
     "min_distance",
     "read_pchk",
     "write_pchk",
@@ -183,21 +182,6 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
         return _distance_from_dual(Counter(slots.weights(_span(slots, code._rref[0]))), q, n, s)
     words = _span(slots, kernel_basis(*code._rref, slots))
     return min(slots.weights(islice(words, 1, None)), default=INFINITE_DISTANCE)  # words[0] is 0
-
-
-def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool:
-    """Whether all pairwise Hamming distances are at least d."""
-    vecs = list(vectors)
-    if len(set(vecs)) != len(vecs):
-        raise ValueError("vectors must be distinct")
-    for v in vecs:
-        if v.q != params.q or v.n != params.n:
-            raise ValueError("vector parameters do not match")
-    for i, u in enumerate(vecs):
-        for v in vecs[i + 1 :]:
-            if u.hamming_distance(v) < params.d:
-                return False
-    return True
 
 
 def format_pchk(code: LinearCode) -> str:

@@ -22,17 +22,17 @@ v + r * pivot of a next-level type v are types of the previous level, and
 each next-level class sits inside one previous class, shifted by r times
 the pivot's digit there, while the pivot column itself holds r times the
 pivot's leading digit.  So the next level's classes are the previous
-ones split by the pivot's digit (``_Types.split``), the parent code of
+ones split by the pivot's digit (``spectrum._split``), the parent code of
 every next-level type is an outer sum of short per-class lists, one list of
 codes per r, and the mean is taken as below, each code read through the
 level's one code -> value lookup.  Every level scans its values once for
 the minimum; only a level that picks a pivot derives the argmin from it,
 on a typed level the least dense index among the nonzero types holding the
 minimum (the least dense index of every type being itself an outer sum).
-The edgeless last level computes no argmin.  A typed level is densified
-once its dense table has at most ``_CROSSOVER`` entries, and every later
-level is dense; or it hands off to edge levels, below.  Budgets are checked
-against q^n before level 0, as if the run were dense throughout.
+The edgeless last level computes no argmin.  Every level is typed until it
+hands off to edge levels, below; the descent builds no dense table, which
+only ``densify`` makes, to print a level.  Budgets are checked against q^n
+before level 0, the size of a dense level 0.
 
 Edge levels
 -----------
@@ -50,25 +50,25 @@ q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
 level t+1 and m from its recursion degree (``_edge_route``): then level
 t+1's edges are found among the V_q(n-t-1, d-1) free-digit patterns of
 weight below d (``_low_weight_words``), and its q^r <= q^m patterns replace
-an average over count types.  Dense levels never hand off, and every later
+an average over count types.  The route is decided from the next level's
+classes and type count alone, before its layout is built.  Every later
 level is an edge level.  Checks: (q-1) * |E_t| must equal the recursion
-degree (the same RuntimeError as a typed or dense level whose
-zero-character value disagrees), and the pivot's Z, counted word by word
+degree (the same RuntimeError as a typed level whose zero-character value
+disagrees), and the pivot's Z, counted word by word
 by ``value_of``, must give the pattern minimum; ``select_pivot`` checks
 the argmin as on any level.
 
 Exact means
 -----------
-Typed or dense, a level gathers the q parents of every new entry into q
-lazy slabs, each a lookup mapped over one index map (parent codes or
-parent positions, outer sums that cost about one list element per entry),
-sums them entry by entry with ``map(operator.add, ...)`` and looks each
-sum up in a dict of exact quotients.  A sum is divided, with
-``divmod``, the first time it occurs; a nonzero remainder raises
-DivisibilityError naming that sum, the first offending one in index order
-(in type order on a typed level).  Every later occurrence reuses the stored
-quotient, so a level holds one int object per distinct eigenvalue (a few
-dozen) instead of one per entry.
+A typed level gathers the q parents of every new type into q lazy slabs,
+each the code -> value lookup mapped over one list of parent codes (an
+outer sum that costs about one list element per type), sums them type by
+type with ``map(operator.add, ...)`` and looks each sum up in a dict of
+exact quotients.  A sum is divided, with ``divmod``, the first time it
+occurs; a nonzero remainder raises DivisibilityError naming that sum, the
+first offending one in type order.  Every later occurrence reuses the
+stored quotient, so a level holds one int object per distinct eigenvalue
+(a few dozen) instead of one per type.
 """
 
 from __future__ import annotations
@@ -85,19 +85,23 @@ from .bounds import descent_bound
 from .combinat import GraphParams
 from .errors import DivisibilityError
 from .modq import _Slots, kernel_basis, rref
-from .spectrum import SpectrumTable, _check_dense, _lead_col, _outer_sum, _Types, build_spectrum_level0, edge_level
+from .spectrum import (
+    SpectrumTable,
+    _check_dense,
+    _lead_col,
+    _outer_sum,
+    _split,
+    _type_count,
+    _Types,
+    _weighted,
+    build_spectrum_level0,
+    edge_level,
+)
 from .vectors import FqVector
 
-__all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot", "spectrum_descend"]
+__all__ = ["DescentTrace", "LevelRecord", "descend", "run_algorithm1", "select_pivot"]
 
 log = logging.getLogger("gvgraph")
-
-# A level is densified once its dense table has at most _CROSSOVER entries:
-# below that a dense level costs less than a typed level's layout.  Over the
-# sweep cells (q^n <= 2*10^4), 256 and 512 gave the least total descent time;
-# 1024 and 2048 were 4% and 11% slower.
-_CROSSOVER = 512
-
 
 @dataclass(frozen=True)
 class LevelRecord:
@@ -185,55 +189,31 @@ def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, .
     return tuple(map(_Quotients(q, level).__getitem__, sums))
 
 
-def _average(vals: tuple[int, ...], q: int, tail: list[int], level: int) -> tuple[int, ...]:
-    """Exact mean of the q parents of every entry of the level below a dense table.
-
-    Let the table have m free columns, with the pivot's leading column at
-    position pos among them (its earlier free digits are all zero, since the
-    pivot is a canonical representative).  Writing an index as (hi, r, lo) --
-    hi the digits before pos, r the digit at pos, lo the k = m-1-pos digits
-    after -- the q parents of a new entry (hi, lo) are
-
-        parent_r = (hi, r, lo + r * tail),
-
-    where ``tail`` holds the monic pivot's trailing digits and + adds digit by
-    digit mod q.  Per r, their positions in (hi, lo) order are an outer sum
-    of the hi offsets and one list per tail digit.
-    """
-    k = len(tail)
-    his = range(0, len(vals), q ** (k + 1))
-    gather = list(vals).__getitem__
-    slabs: list[Iterable[int]] = []
-    for r in range(q):
-        shifts = [[(x + r * c) % q * q**e for x in range(q)] for e, c in zip(range(k - 1, -1, -1), tail)]
-        slabs.append(map(gather, _outer_sum([his, *shifts], r * q**k)))
-    return _exact_means(slabs, q, level)
-
-
 def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[int]]:
     """Per r, the parent type code of ``v + r * pivot`` for every type v of
     the next level, in its type order."""
     q, lead = parent.q, _lead_col(pivot)
-    lead_codes = parent.digit_codes[parent.class_of[lead]]
-    parent_class = {key: j for j, (key, _) in enumerate(parent.classes)}
+    codes_of = {key: codes for codes, (key, _) in zip(parent.digit_codes, parent.classes)}
+    lead_codes = next(codes for codes, (_, cols) in zip(parent.digit_codes, parent.classes) if lead in cols)
     parts: list[list[list[int]]] = [[] for _ in range(q)]
     # v is zero at the pivot column, so v + r * pivot holds r * lead digit there.
     starts = [lead_codes[r * pivot.digits[lead] % q] for r in range(q)]
-    for j, (key, cols) in reversed(list(enumerate(types.classes))):
-        codes = parent.digit_codes[parent_class[key[:-1]]]
-        a = key[-1]
-        hists = types.histograms(j)
+    for (key, cols), radices in zip(reversed(types.classes), reversed(types.radices)):
+        codes, a, f = codes_of[key[:-1]], key[-1], len(cols)
         # Slot s counts digit s (any nonzero digit in the zero class, where
-        # a = 0 and every nonzero digit adds the same code); in the parent
-        # such a column holds s + r*a, a zero column r*a.  A class with a = 0
-        # gives every r the same list.
-        for r in range(q):
-            base = codes[r * a % q]
-            starts[r] += len(cols) * base
-            if r == 0 or a:
-                steps = [codes[(s + r * a) % q] - base for s in range(1, len(types.radices[j]) + 1)]
-                shared = [sum(map(mul, h, steps)) for h in hists]
-            parts[r].append(shared)
+        # every nonzero digit adds the same code); in the parent such a
+        # column holds s + r*a, a zero column r*a.  So a class with a = 0
+        # gives every r the same list, and a code of 0 for its zero columns.
+        if not a:
+            shared = _weighted(f, codes[1 : len(radices) + 1])
+            for part in parts:
+                part.append(shared)
+            continue
+        for r, part in enumerate(parts):
+            shift = r * a % q
+            rotated = codes[shift:] + codes[:shift]
+            starts[r] += f * rotated[0]
+            part.append(_weighted(f, [x - rotated[0] for x in rotated[1:]]))
     return [_outer_sum(part, start) for part, start in zip(parts, starts)]
 
 
@@ -250,17 +230,18 @@ def _check_pivot(table: SpectrumTable, v_chosen: FqVector) -> None:
 
 
 def _descend_types(table: SpectrumTable, v_chosen: FqVector, types: _Types) -> SpectrumTable:
-    """``spectrum_descend`` on a typed table, one exact mean per next-level type.
+    """The next level of a typed table, one exact mean of q parents per type.
 
-    ``types`` is the next level's layout, ``table.types.split(v_chosen)``.  A
-    nonzero remainder raises DivisibilityError naming the first offending sum
-    in type order.
+    ``v_chosen`` must be a canonical representative attaining the table's
+    minimum eigenvalue; ``types`` is the next level's layout.  A nonzero
+    remainder raises DivisibilityError naming the first offending sum in
+    type order.
     """
     _check_pivot(table, v_chosen)
     q = table.params.q
     slabs: list[Iterable[int]] = [map(table._by_code.__getitem__, codes) for codes in _parent_codes(table.types, types, v_chosen)]
     out = SpectrumTable(params=table.params, pivots=table.pivots + (v_chosen,), weight_values=_exact_means(slabs, q, table.level))
-    vars(out)["types"] = types  # the cached layout, so it is built once per level
+    vars(out).update(types=types, free_cols=types.free_cols)  # the cached layout, built once per level
     return out
 
 
@@ -309,8 +290,8 @@ def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tupl
     for word, weight in zip(found, slots.weights(found)):
         if weight < d:
             digits = slots.unpack(word)
-            inv = pow(next(x for x in digits if x), -1, q)
-            words.append(tuple(inv * x % q for x in digits))
+            inv = pow(next(filter(None, digits)), -1, q)
+            words.append(digits if inv == 1 else tuple(inv * x % q for x in digits))
     return tuple(sorted(words))
 
 
@@ -324,25 +305,6 @@ def _descend_edges(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
     else:
         edges = tuple(c for c in table.edges if sum(map(mul, c, v_chosen.digits)) % q == 0)
     return edge_level(table.params, pivots, edges)
-
-
-def spectrum_descend(table: SpectrumTable, v_chosen: FqVector) -> SpectrumTable:
-    """Spectrum of the next level graph, averaging over the pivot's multiples.
-
-    ``v_chosen`` must be a canonical representative attaining the table's
-    minimum eigenvalue.  Every new entry is the exact mean of its q parent
-    entries; a nonzero remainder raises DivisibilityError.
-    """
-    table = table.densify()
-    _check_pivot(table, v_chosen)
-    assert table.values is not None
-    q, free = table.params.q, table.free_cols
-    lead = _lead_col(v_chosen)
-    # Trailing free digits of the monic multiple of the pivot.
-    inv = pow(v_chosen.digits[lead], -1, q)
-    tail = [inv * v_chosen.digits[c] % q for c in free[free.index(lead) + 1 :]]
-    values = _average(table.values, q, tail, table.level)
-    return SpectrumTable(params=table.params, pivots=table.pivots + (v_chosen,), values=values)
 
 
 def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[SpectrumTable, LevelRecord | None]]:
@@ -359,15 +321,13 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
     minima: list[int] = []
     while True:
         t = table.level
-        if table.kind == "typed" and table.size <= _CROSSOVER:
-            table = table.densify()
         if table.degree != degree:
             raise RuntimeError(
                 f"level {t}: zero-character eigenvalue {table.degree} "
                 f"disagrees with the degree recursion value {degree}"
             )
         value, kind = table.min_value, table.kind
-        held = {"dense": table.values, "typed": table.weight_values, "edges": table.edges}[kind]
+        held = table.edges if kind == "edges" else table.weight_values
         log.debug(
             "level %d: %s, %d %s, lambda_min %d, degree %d, %.6f s",
             t, kind, len(held), "monic edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
@@ -393,14 +353,12 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
         degree, rem = divmod(total, q)
         if rem:
             raise DivisibilityError(f"level {t}: degree recursion value {total} not divisible by {q}")
-        if kind == "dense":
-            table = spectrum_descend(table, pivot)
-        elif kind == "typed":
-            types = table.types.split(pivot)
-            if _edge_route(params, t + 1, degree, types.count):
+        if kind == "typed":
+            classes = _split(table.types.classes, pivot)
+            if _edge_route(params, t + 1, degree, _type_count(q, classes)):
                 table = _descend_edges(table, pivot)
             else:
-                table = _descend_types(table, pivot, types)
+                table = _descend_types(table, pivot, _Types(q, classes))
         else:
             table = _descend_edges(table, pivot)
         if table.level > n:

@@ -74,9 +74,10 @@ by word.
 
 The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
-from that value only when asked for: the first dense index holding it, the
-least dense index among the nonzero types holding it, or the vector of
-the first pattern holding it.
+from that value only when asked for: on the descent's levels the least
+dense index among the nonzero types holding it, or the vector of the first
+pattern holding it; on a table that ``densify`` built to print a level,
+the first dense index holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
@@ -86,9 +87,9 @@ use and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, compress, islice
-from math import comb
+from functools import cache, cached_property
+from itertools import accumulate, chain, compress, islice
+from math import comb, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -118,7 +119,13 @@ def eigenvalue_level0(params: GraphParams, weight: int) -> int:
 
 def _lead_col(v: FqVector) -> int:
     """Column of the first nonzero digit of ``v``."""
-    return next(c for c, x in enumerate(v.digits) if x)
+    return v.digits.index(next(filter(None, v.digits)))
+
+
+def _free_cols(n: int, pivots: Iterable[FqVector]) -> tuple[int, ...]:
+    """Every column of n but the pivots' leading columns, in increasing order."""
+    pivot_cols = set(map(_lead_col, pivots))
+    return tuple(c for c in range(n) if c not in pivot_cols)
 
 
 def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
@@ -151,13 +158,50 @@ def _outer_sum(parts: Sequence[Sequence[int]], start: int = 0) -> list[int]:
     return [o + t for o in outer for t in inner]
 
 
-def _histograms(f: int, slots: int) -> list[tuple[int, ...]]:
+@cache
+def _histograms(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """Slot-count tuples with sum at most ``f``, in increasing order of
-    their code (the last slot most significant)."""
+    their code (the last slot most significant).
+
+    Cached: every level asks again for the same few (f, slots) pairs, f at
+    most n and slots 1 or q - 1.
+    """
     out: list[tuple[int, ...]] = [()]
     for _ in range(slots):
         out = [(k,) + h for h in out for k in range(f - sum(h) + 1)]
+    return tuple(out)
+
+
+def _weighted(f: int, weights: Sequence[int]) -> list[int]:
+    """``sum(map(mul, h, weights))`` for every histogram h of
+    ``_histograms(f, len(weights))``, in that order."""
+    if len(weights) == 1:  # the histograms (0,), (1,), ..., (f,)
+        return [k * weights[0] for k in range(f + 1)]
+    return [sum(map(mul, h, weights)) for h in _histograms(f, len(weights))]
+
+
+_Classes = list[tuple[tuple[int, ...], list[int]]]
+
+
+def _split(classes: _Classes, pivot: FqVector) -> _Classes:
+    """The next level's classes: each class split by the pivot's digit on
+    it, less the pivot column.  Keys extend the parent keys, so the split
+    classes come out in key order."""
+    lead, digits = _lead_col(pivot), pivot.digits
+    out = []
+    for key, cols in classes:
+        parts: dict[int, list[int]] = {}
+        for col in cols:
+            if col != lead:
+                parts.setdefault(digits[col], []).append(col)
+        out += [(key + (a,), parts[a]) for a in sorted(parts)]
     return out
+
+
+def _type_count(q: int, classes: _Classes) -> int:
+    """The number of types: per class, the histograms of its columns over
+    its slots (q - 1, one in the zero class)."""
+    return prod(comb(len(cols) + s, s) for key, cols in classes for s in [q - 1 if any(key) else 1])
 
 
 class _Types:
@@ -167,18 +211,18 @@ class _Types:
     by column vector, so the zero class comes first; class j's slots are
     less significant than class j+1's.  ``digit_codes[j][b]`` is what one
     column of class j holding digit b adds to a type code.  Level 0 has the
-    one class ``((), every column)``; ``split`` gives each next level's.
+    one class ``((), every column)``; ``_split`` gives each next level's.
     """
 
-    def __init__(self, q: int, classes: list[tuple[tuple[int, ...], list[int]]]) -> None:
+    def __init__(self, q: int, classes: _Classes) -> None:
         self.q, self.classes = q, classes
-        self.class_of = {col: j for j, (_, cols) in enumerate(classes) for col in cols}
-        self.free_cols = tuple(sorted(self.class_of))
+        self.free_cols = tuple(sorted(chain.from_iterable(cols for _, cols in classes)))
+        self.count = _type_count(q, classes)
         # Per class: the slot radices and the code one column adds per digit;
         # slot s (1-based) counts digit s, or every nonzero digit in the zero class.
         self.radices: list[list[int]] = []
         self.digit_codes: list[list[int]] = []
-        radix, self.count = 1, 1
+        radix = 1
         for key, cols in classes:
             f = len(cols)
             slot_of = list(range(q)) if any(key) else [0] + [1] * (q - 1)
@@ -187,39 +231,19 @@ class _Types:
             radix *= (f + 1) ** slots
             self.radices.append(radices)
             self.digit_codes.append([0] + [radices[s - 1] for s in slot_of[1:]])
-            self.count *= comb(f + slots, slots)
         # Codes skip the histograms that overfill a class exactly when the
         # code space is larger than the type count.
         self.gapped = radix != self.count
 
-    def split(self, pivot: FqVector) -> "_Types":
-        """The next level's layout: each class split by the pivot's digit on it,
-        less the pivot column.  Keys extend the parent keys, so the split
-        classes come out in key order."""
-        lead, digits = _lead_col(pivot), pivot.digits
-        classes = []
-        for key, cols in self.classes:
-            parts: dict[int, list[int]] = {}
-            for col in cols:
-                if col != lead:
-                    parts.setdefault(digits[col], []).append(col)
-            classes += [(key + (a,), parts[a]) for a in sorted(parts)]
-        return _Types(self.q, classes)
-
-    def histograms(self, j: int) -> list[tuple[int, ...]]:
-        return _histograms(len(self.classes[j][1]), len(self.radices[j]))
-
     def codes(self) -> list[int]:
         """Every type's code, in increasing order (for a gapped layout)."""
-        parts = [
-            [sum(map(mul, h, self.radices[j])) for h in self.histograms(j)]
-            for j in range(len(self.classes))
-        ]
+        parts = [_weighted(len(cols), radices) for radices, (_, cols) in zip(self.radices, self.classes)]
         return _outer_sum(parts[::-1])
 
     def dense_codes(self) -> list[int]:
         """Type code of every dense index: an outer sum of one list per free column."""
-        return _outer_sum([self.digit_codes[self.class_of[col]] for col in self.free_cols])
+        code_of = {col: codes for codes, (_, cols) in zip(self.digit_codes, self.classes) for col in cols}
+        return _outer_sum([code_of[col] for col in self.free_cols])
 
     def least_indices(self) -> list[int]:
         """Least dense index of every type, in type order.
@@ -231,10 +255,14 @@ class _Types:
         """
         place = {col: self.q**e for e, col in enumerate(reversed(self.free_cols))}
         parts = []
-        for j, (_, cols) in enumerate(self.classes):
-            suffix = list(accumulate((place[c] for c in reversed(cols)), initial=0))
-            # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
-            parts.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in self.histograms(j)])
+        for radices, (_, cols) in zip(self.radices, self.classes):
+            suffix = list(accumulate(map(place.__getitem__, reversed(cols)), initial=0))
+            if len(radices) == 1:  # T_1 is the one count k, so the term is suffix[k]
+                parts.append(suffix)
+            else:
+                # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
+                hists = _histograms(len(cols), len(radices))
+                parts.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
         return _outer_sum(parts[::-1])
 
 
@@ -244,9 +272,10 @@ class SpectrumTable:
 
     The level is named by its ``pivots``.  Either ``weight_values`` (typed:
     one entry per type in code order, which at level 0 is one per weight)
-    or ``values`` (dense: one entry per canonical coset representative) is
-    set; an edge level sets ``edges`` too, and its ``weight_values`` hold
-    one entry per pattern (see "Edge levels" above).
+    or ``values`` (dense: one entry per canonical coset representative,
+    built only by ``densify``) is set; an edge level sets ``edges`` too, and
+    its ``weight_values`` hold one entry per pattern (see "Edge levels"
+    above).
     """
 
     params: GraphParams
@@ -269,15 +298,14 @@ class SpectrumTable:
     @cached_property
     def free_cols(self) -> tuple[int, ...]:
         """Every column but the pivot columns, in increasing order."""
-        pivot_cols = set(map(_lead_col, self.pivots))
-        return tuple(c for c in range(self.params.n) if c not in pivot_cols)
+        return _free_cols(self.params.n, self.pivots)
 
     @cached_property
     def types(self) -> _Types:
-        types = _Types(self.params.q, [((), list(range(self.params.n)))])
+        classes: _Classes = [((), list(range(self.params.n)))]
         for pivot in self.pivots:
-            types = types.split(pivot)
-        return types
+            classes = _split(classes, pivot)
+        return _Types(self.params.q, classes)
 
     @property
     def size(self) -> int:
@@ -332,7 +360,8 @@ class SpectrumTable:
             return q * zeros - len(self.edges)
         assert self.weight_values is not None
         types = self.types
-        return self._by_code[sum(types.digit_codes[types.class_of[c]][v.digits[c]] for c in self.free_cols)]
+        digits = v.digits
+        return self._by_code[sum(codes[digits[c]] for codes, (_, cols) in zip(types.digit_codes, types.classes) for c in cols)]
 
     @cached_property
     def _by_code(self) -> list[int] | dict[int, int]:
@@ -446,7 +475,7 @@ def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: 
 
 def edge_level(params: GraphParams, pivots: tuple[FqVector, ...], edges: tuple[tuple[int, ...], ...]) -> SpectrumTable:
     """The level named by ``pivots`` from its monic edge words, one value per pattern."""
-    free_cols = SpectrumTable(params=params, pivots=pivots).free_cols
+    free_cols = _free_cols(params.n, pivots)
     cols, values = _patterns(params, edges, free_cols)
     table = SpectrumTable(params=params, pivots=pivots, weight_values=values, edges=edges)
     vars(table).update(free_cols=free_cols, pattern_cols=cols)  # the cached layout, built once
@@ -488,13 +517,6 @@ class RealEigenvector:
 
     def entry(self, u: FqVector) -> int:
         return self.params.q - 1 if u.dot(self.indicator) == 0 else -1
-
-    def dense_entries(self, budget: int | None = None) -> list[int]:
-        params = self.params
-        check_budget(params.q, params.n, budget, "dense real eigenvector")
-        ind = self.indicator
-        q = params.q
-        return [q - 1 if u.dot(ind) == 0 else -1 for u in FqVector.enumerate_all(q, params.n)]
 
     @property
     def norm_squared(self) -> int:

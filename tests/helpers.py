@@ -8,20 +8,84 @@ averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
 compared against; so are the codeword enumeration's former ``FqVector``
 doubling loop and the former list RREF and kernel basis on digit tuples.
+The dense route (``dense_descend``, ``dense_descent``) runs Algorithm 1 on
+dense tables through ``reference_average``: the second route the typed and
+edge levels are compared against.  The vector helpers at the top (rank
+order, distances, supports, independent sets) are the test-only parts of
+the former ``FqVector`` and ``codes`` API.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from gvgraph import BudgetError, FqVector, GraphParams
+from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound, select_pivot
+from gvgraph.descent import _check_pivot
 from gvgraph.errors import DivisibilityError, check_budget
+from gvgraph.spectrum import RealEigenvector, _lead_col
 
 EXACT_SEARCH_CAP = 64
+
+
+def from_rank(q: int, n: int, rank: int) -> FqVector:
+    """Inverse of ``rank``: digits of ``rank`` base q, digit 1 most significant."""
+    if not 0 <= rank < q**n:
+        raise ValueError(f"rank {rank} out of range for q={q}, n={n}")
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        rank, digits[i] = divmod(rank, q)
+    return FqVector(q, tuple(digits))
+
+
+def rank(v: FqVector) -> int:
+    """The vector read as a base-q number, digit 1 most significant."""
+    r = 0
+    for x in v.digits:
+        r = r * v.q + x
+    return r
+
+
+def enumerate_all(q: int, n: int) -> Iterator[FqVector]:
+    """All q**n vectors in increasing rank order."""
+    for r in range(q**n):
+        yield from_rank(q, n, r)
+
+
+def support(v: FqVector) -> frozenset[int]:
+    """1-based positions of the nonzero digits."""
+    return frozenset(i + 1 for i, x in enumerate(v.digits) if x != 0)
+
+
+def hamming_distance(u: FqVector, v: FqVector) -> int:
+    if u.q != v.q or u.n != v.n:
+        raise ValueError(f"mismatched parameters: (q={u.q}, n={u.n}) vs (q={v.q}, n={v.n})")
+    return hamming(u.digits, v.digits)
+
+
+def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool:
+    """Whether all pairwise Hamming distances are at least d."""
+    vecs = list(vectors)
+    if len(set(vecs)) != len(vecs):
+        raise ValueError("vectors must be distinct")
+    for v in vecs:
+        if v.q != params.q or v.n != params.n:
+            raise ValueError("vector parameters do not match")
+    for i, u in enumerate(vecs):
+        for v in vecs[i + 1 :]:
+            if hamming_distance(u, v) < params.d:
+                return False
+    return True
+
+
+def dense_entries(vector: RealEigenvector, budget: int | None = None) -> list[int]:
+    """The entries of a two-valued real eigenvector at every vertex, in rank order."""
+    q, n = vector.params.q, vector.params.n
+    check_budget(q, n, budget, "dense real eigenvector")
+    return [vector.entry(u) for u in enumerate_all(q, n)]
 
 
 def all_vectors(q, n):
@@ -239,11 +303,11 @@ def gilbert_adjacency(params: GraphParams, budget: int | None = None) -> list[in
     """Adjacency bitmasks of the explicit Gilbert graph in rank order."""
     total = params.num_vertices
     check_budget(params.q, 2 * params.n, budget, f"explicit adjacency of G_({params.q},{params.n},{params.d})")
-    vecs = list(FqVector.enumerate_all(params.q, params.n))
+    vecs = list(enumerate_all(params.q, params.n))
     adj = [0] * total
     for i, u in enumerate(vecs):
         for j in range(i + 1, total):
-            if 1 <= u.hamming_distance(vecs[j]) <= params.d - 1:
+            if 1 <= hamming_distance(u, vecs[j]) <= params.d - 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -292,7 +356,7 @@ def max_independent_set_oracle(params: GraphParams) -> tuple[int, frozenset[FqVe
 
     expand((1 << total) - 1, 0, 0)
     witness = frozenset(
-        FqVector.from_rank(params.q, params.n, i) for i in range(total) if best_set >> i & 1
+        from_rank(params.q, params.n, i) for i in range(total) if best_set >> i & 1
     )
     return best_size, witness
 
@@ -358,6 +422,38 @@ def reference_average(vals, q, tail, level):
                 out[idx] = div
                 idx += 1
     return tuple(out)
+
+
+def dense_descend(table, pivot):
+    """The next level's dense table, by ``reference_average`` of the dense ``table``.
+
+    The pivot is checked as the descent checks it (nonzero, canonical, at
+    the level minimum); ``tail`` holds the monic pivot's free digits after
+    its leading column.
+    """
+    table = table.densify()
+    _check_pivot(table, pivot)
+    q, free = table.params.q, table.free_cols
+    lead = free.index(_lead_col(pivot))
+    inv = pow(pivot.digits[free[lead]], -1, q)
+    tail = [inv * pivot.digits[c] % q for c in free[lead + 1 :]]
+    values = reference_average(table.values, q, tail, table.level)
+    return SpectrumTable(params=table.params, pivots=table.pivots + (pivot,), values=values)
+
+
+def dense_descent(params):
+    """Algorithm 1 on dense tables: ``[(table, record)]`` for t = 0..s, as
+    ``list(descend(params))`` gives them, each pivot the dense argmin and
+    each next level ``dense_descend``."""
+    table, minima, levels = build_spectrum_level0(params).densify(), [], []
+    while table.min_value:
+        pivot, value = select_pivot(table), table.min_value
+        minima.append(value)
+        orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
+        bound = descent_bound(params, minima)
+        levels.append((table, LevelRecord(table.level, pivot, value, table.degree, bound, orthogonal)))
+        table = dense_descend(table, pivot)
+    return levels + [(table, None)]
 
 
 def reference_dense_level0(lam_w, q, n):

@@ -28,11 +28,10 @@ from gvgraph import (
     hoffman_bound,
     krawtchouk,
     run_algorithm1,
-    spectrum_descend,
     wilf_cor27_bound,
     write_pchk,
 )
-from helpers import max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
+from helpers import dense_descend, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -131,7 +130,7 @@ def test_criterion_05_descent_ground_truth():
                 for t in range(trace.s + 1):
                     if t > 0:
                         rec = trace.levels[t - 1]
-                        table = spectrum_descend(table, rec.pivot)
+                        table = dense_descend(table, rec.pivot)
                         pivot_mat = np.vstack(
                             [pivot_mat, np.array(rec.pivot.digits, dtype=np.int32)]
                         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, min_distance, read_pchk, run_algorithm1
-from helpers import hamming_parity_rows
+from helpers import dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -139,23 +139,19 @@ class TestSpectrumCommand:
         assert r.returncode == 3
 
     @pytest.mark.parametrize("cell", [(2, 7, 3), (3, 5, 3), (5, 4, 3)])
-    def test_typed_levels_print_the_dense_rows(self, monkeypatch, cell):
-        from gvgraph import descent
-
+    def test_typed_levels_print_the_dense_rows(self, cell):
+        # Levels 1..3, stdout and exit code, against the dense route.
+        levels = dense_descent(GraphParams(*cell))
         q, n, d = map(str, cell)
-
-        def outputs(crossover):
-            # Levels 1..3, stdout and exit code, typed or dense to the end.
-            monkeypatch.setattr(descent, "_CROSSOVER", crossover)
-            printed = []
-            for level in "123":
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(["spectrum", "-q", q, "-n", n, "-d", d, "--level", level])
-                printed.append((code, out.getvalue()))
-            return printed
-
-        assert outputs(-(10**30)) == outputs(10**30)
+        for level in (1, 2, 3):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["spectrum", "-q", q, "-n", n, "-d", d, "--level", str(level)])
+            if level < len(levels):
+                rows = "".join(f"{vec},{lam}\n" for vec, lam in levels[level][0].entries())
+                assert (code, out.getvalue()) == (0, "vector,eigenvalue\n" + rows)
+            else:
+                assert (code, out.getvalue()) == (2, "")
 
 
 class TestConstructCommand:

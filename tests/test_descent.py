@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvgraph import (
@@ -19,17 +19,18 @@ from gvgraph import (
     min_distance,
     run_algorithm1,
     select_pivot,
-    spectrum_descend,
 )
 from gvgraph import descent as descent_module
 from gvgraph import spectrum as spectrum_module
-from gvgraph.descent import _average, _descend_edges, _descend_types
-from gvgraph.spectrum import edge_level
+from gvgraph.descent import _descend_edges, _descend_types
+from gvgraph.spectrum import _split, _Types, edge_level
 from helpers import (
     all_vectors,
     character_sum_oracle,
+    dense_descend,
+    dense_descent,
     dot,
-    reference_average,
+    enumerate_all,
     reference_descent,
     reference_kernel_basis,
     reference_rref,
@@ -71,10 +72,12 @@ class TestAnchors273:
 
 
 class TestSpectrumDescend:
+    """The tests' dense route (helpers.dense_descend) against first principles."""
+
     def test_first_descent_zero_class_reproduces_degree_recursion(self):
         p = GraphParams(2, 7, 3)
         table = build_spectrum_level0(p).densify()
-        level1 = spectrum_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
+        level1 = dense_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
         assert level1.degree == 12  # (28 + (-4)) / 2
         assert level1.size == 64
         assert sum(level1.values) == 0
@@ -84,10 +87,10 @@ class TestSpectrumDescend:
         # Independent route: explicit difference set of the level-1 graph.
         p = GraphParams(2, 7, 3)
         pivot = FqVector(2, (0, 0, 0, 1, 1, 1, 1))
-        level1 = spectrum_descend(build_spectrum_level0(p).densify(), pivot)
+        level1 = dense_descend(build_spectrum_level0(p).densify(), pivot)
         S1 = [
             v
-            for v in FqVector.enumerate_all(2, 7)
+            for v in enumerate_all(2, 7)
             if 1 <= v.weight <= 2 and v.dot(pivot) == 0
         ]
         assert len(S1) == 12
@@ -97,20 +100,20 @@ class TestSpectrumDescend:
     def test_edgeless_parent_descends_to_zeros(self):
         p = GraphParams(2, 3, 1)
         table = build_spectrum_level0(p).densify()
-        level1 = spectrum_descend(table, FqVector(2, (0, 0, 1)))
+        level1 = dense_descend(table, FqVector(2, (0, 0, 1)))
         assert level1.values == (0, 0, 0, 0)
 
     def test_rejects_non_canonical_and_non_argmin_pivots(self):
         p = GraphParams(2, 7, 3)
         table = build_spectrum_level0(p).densify()
         with pytest.raises(ValueError, match="not the"):
-            spectrum_descend(table, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
+            dense_descend(table, FqVector(2, (1, 0, 0, 0, 0, 0, 0)))
         with pytest.raises(ValueError, match="nonzero"):
-            spectrum_descend(table, FqVector.zero(2, 7))
-        level1 = spectrum_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
+            dense_descend(table, FqVector.zero(2, 7))
+        level1 = dense_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
         bad = FqVector(2, (0, 0, 0, 1, 0, 0, 0))  # nonzero at a pivot column
         with pytest.raises(ValueError, match="canonical"):
-            spectrum_descend(level1, bad)
+            dense_descend(level1, bad)
 
     def test_divisibility_violation_is_reported(self):
         p = GraphParams(2, 4, 2)
@@ -118,80 +121,11 @@ class TestSpectrumDescend:
         doctored = dataclasses.replace(table, values=table.values[:-1] + (table.values[-1] + 1,))
         pivot = FqVector(2, (1, 1, 1, 1))
         with pytest.raises(DivisibilityError):
-            spectrum_descend(doctored, pivot)
+            dense_descend(doctored, pivot)
 
 
 # Free digits per q so that a table has at most 4096 entries.
 MAX_DIGITS = {2: 12, 3: 7, 5: 5, 7: 4}
-
-
-def parent_positions(q, high, tail):
-    """Each next-level entry's q parents, (hi, r, lo + r * tail), from digit lists."""
-    low = q ** len(tail)
-    out = []
-    for hi in range(high):
-        for lo in range(low):
-            lo_digits = [lo // q**i % q for i in reversed(range(len(tail)))]
-            row = []
-            for r in range(q):
-                shifted = 0
-                for x, t in zip(lo_digits, tail):
-                    shifted = shifted * q + (x + r * t) % q
-                row.append((hi * q + r) * low + shifted)
-            out.append(row)
-    return out
-
-
-def divisible_case(q, pos, tail, spread, seed):
-    """A level table with q^pos hi blocks whose parent sums all divide by q."""
-    rng = random.Random(seed)
-    vals = [rng.randint(-spread, spread) for _ in range(q ** (pos + 1 + len(tail)))]
-    parents = parent_positions(q, q**pos, tail)
-    for row in parents:
-        vals[row[0]] -= sum(vals[i] for i in row) % q
-    return q, tail, vals, parents, rng
-
-
-@st.composite
-def averaging_cases(draw):
-    q = draw(st.sampled_from(sorted(MAX_DIGITS)))
-    m = draw(st.integers(1, MAX_DIGITS[q]))
-    pos = draw(st.integers(0, m - 1))
-    tail = draw(st.lists(st.integers(0, q - 1), min_size=m - 1 - pos, max_size=m - 1 - pos))
-    spread = draw(st.sampled_from([2, 60, 10**30]))
-    return divisible_case(q, pos, tail, spread, draw(st.integers(0, 2**32 - 1)))
-
-
-class TestAveragingKernel:
-    """The gather kernel against the former entry-by-entry loops (helpers.reference_average)."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(averaging_cases())
-    @example(divisible_case(2, 0, [1] * 11, 60, 0))  # one hi block, a long tail
-    @example(divisible_case(2, 5, [1, 0, 0, 0, 0, 0], 60, 0))  # the shift only in the leading tail digit
-    @example(divisible_case(2, 6, [0, 0, 0, 0, 1], 60, 0))  # many hi blocks, a short tail
-    @example(divisible_case(7, 2, [3], 60, 0))  # q > 2, one tail digit
-    def test_divisible_tables_match_reference(self, case):
-        q, tail, vals, parents, _ = case
-        table = tuple(vals)
-        out = _average(table, q, tail, 3)
-        assert isinstance(out, tuple)
-        assert out == reference_average(table, q, tail, 3)
-        assert out == tuple(sum(vals[i] for i in row) // q for row in parents)
-        # One int object per distinct value.
-        assert len({id(x) for x in out}) == len(set(out))
-
-    @settings(max_examples=100, deadline=None)
-    @given(averaging_cases())
-    def test_doctored_tables_raise_from_both(self, case):
-        q, tail, vals, _, rng = case
-        vals[rng.randrange(len(vals))] += rng.randint(1, q - 1)
-        table = tuple(vals)
-        with pytest.raises(DivisibilityError) as got:
-            _average(table, q, tail, 3)
-        with pytest.raises(DivisibilityError) as want:
-            reference_average(table, q, tail, 3)
-        assert str(got.value) == str(want.value)
 
 
 class TestSelectPivot:
@@ -333,17 +267,15 @@ class TestDescend:
         # Reference route: re-descend level 0 along the trace's pivots.
         expected = build_spectrum_level0(params).densify()
         for (table, _), rec in zip(levels, trace.levels + (None,)):
-            assert (table.values is not None) == (table.size <= descent_module._CROSSOVER)
+            assert table.values is None
             assert table.densify() == expected
             if rec is not None:
-                expected = spectrum_descend(expected, rec.pivot)
+                expected = dense_descend(expected, rec.pivot)
 
     def test_stopping_early_descends_no_further(self, monkeypatch):
-        import gvgraph.descent as descent_module
-
-        # Level 0 (1024 entries) is averaged typed, level 1 (512) dense.
+        # Levels 0 and 1 of (2, 10, 4) are averaged typed, level 2 is never built.
         averaged = []
-        for name in ("_descend_types", "spectrum_descend"):
+        for name in ("_descend_types", "_descend_edges"):
             real = getattr(descent_module, name)
 
             def counting(table, pivot, *layout, real=real, name=name):
@@ -354,7 +286,27 @@ class TestDescend:
         for table, _ in descend(GraphParams(2, 10, 4)):
             if table.level == 2:
                 break
-        assert averaged == [(0, "_descend_types"), (1, "spectrum_descend")]
+        assert averaged == [(0, "_descend_types"), (1, "_descend_types")]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_no_level_is_dense(self, monkeypatch, q):
+        # Every level is typed until it hands off to edge levels; no dense
+        # table is built on the way.
+        built = []
+        init = spectrum_module.SpectrumTable.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.values is not None:
+                built.append(self.level)
+
+        monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
+        for n in range(1, MAX_DIGITS[q] + 1):
+            for d in range(1, n + 2):
+                kinds = [table.kind for table, _ in descend(GraphParams(q, n, d))]
+                handoff = kinds.index("edges") if "edges" in kinds else len(kinds)
+                assert set(kinds[:handoff]) <= {"typed"} and set(kinds[handoff:]) <= {"edges"}, (n, d)
+        assert built == []
 
 
 class TestCosetIndexing:
@@ -417,19 +369,12 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     monkeypatch.setattr(spectrum_module._Types, "least_indices", least)
     trace = run_algorithm1(GraphParams(*cell))
     assert len(kinds) == trace.s + 1
-    for t, kind in enumerate(kinds):
-        if kind != "edges":
-            assert kind == ("dense" if q ** (n - t) <= descent_module._CROSSOVER else "typed")
+    assert set(kinds) <= {"typed", "edges"}
     assert [e for e in events if e[0] == "value"] == [("value", t, kinds[t]) for t in range(trace.s + 1)]
     assert [e for e in events if e[0] == "argmin"] == [("argmin", t, kinds[t]) for t in range(trace.s)]
     assert [e for e in events if e[0] == "least"] == [("least", t, "typed") for t in range(trace.s) if kinds[t] == "typed"]
     if cell in [(2, 18, 4), (3, 11, 4)]:
         assert kinds[trace.s] == "edges"
-
-
-# Crossover settings that keep every level typed, or densify at level 0.
-ALWAYS_TYPED = -(10**30)
-ALWAYS_DENSE = 10**30
 
 
 def no_edges(*args):
@@ -439,12 +384,22 @@ def no_edges(*args):
 
 def typed_levels(params):
     """Every level of the descent, kept typed to the end."""
-    old = descent_module._CROSSOVER, descent_module._edge_route
-    descent_module._CROSSOVER, descent_module._edge_route = ALWAYS_TYPED, no_edges
+    old = descent_module._edge_route
+    descent_module._edge_route = no_edges
     try:
         return [table for table, _ in descend(params)]
     finally:
-        descent_module._CROSSOVER, descent_module._edge_route = old
+        descent_module._edge_route = old
+
+
+# The cells below 6 * 10^4 entries, for the comparisons with the dense route.
+DENSE_ROUTE_CELLS = {q: [(q, n, d) for n in range(1, 17) if q**n <= 6 * 10**4 for d in range(1, n + 2)] for q in (2, 3, 5, 7)}
+
+
+@functools.cache
+def dense_levels(cell):
+    """The dense route's levels of one cell, built once for the tests that share it."""
+    return dense_descent(GraphParams(*cell))
 
 
 def trace_key(trace):
@@ -456,22 +411,23 @@ class TestTypedLevels:
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_dense_route_gives_the_same_trace(self, monkeypatch, q):
-        # Second route: densify at level 0 and average dense tables only.
-        cells = [(q, n, d) for n in range(1, 17) if q**n <= 6 * 10**4 for d in range(1, n + 2)]
-        runs = {}
-        for setting in (ALWAYS_DENSE, ALWAYS_TYPED, descent_module._CROSSOVER):
-            monkeypatch.setattr(descent_module, "_CROSSOVER", setting)
-            runs[setting] = [trace_key(run_algorithm1(GraphParams(*cell))) for cell in cells]
-        dense = runs.pop(ALWAYS_DENSE)
-        for traces in runs.values():
-            for cell, want, got in zip(cells, dense, traces):
-                assert got == want, cell
+        # Second route: densify at level 0 and average dense tables only,
+        # against the descent with and without its edge levels.
+        for cell in DENSE_ROUTE_CELLS[q]:
+            levels = dense_levels(cell)
+            want = (len(levels) - 1, levels[-1][0].degree, tuple(rec for _, rec in levels[:-1]))
+            assert trace_key(run_algorithm1(GraphParams(*cell))) == want, cell
+            with monkeypatch.context() as patch:
+                patch.setattr(descent_module, "_edge_route", no_edges)
+                assert trace_key(run_algorithm1(GraphParams(*cell))) == want, cell
 
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4), (3, 7, 5)])
     def test_every_typed_level_densifies_to_the_dense_level(self, cell):
         params = GraphParams(*cell)
-        dense = [table for table, _ in descend(params)]
-        for table, want in zip(typed_levels(params), dense):
+        dense = [table for table, _ in dense_descent(params)]
+        typed = typed_levels(params)
+        assert len(typed) == len(dense)
+        for table, want in zip(typed, dense):
             assert table.values is None
             assert len(table.weight_values) == table.types.count
             assert table.densify() == want.densify()
@@ -502,12 +458,12 @@ class TestTypedLevels:
         vals[bumped] += 1
         doctored = dataclasses.replace(level1, weight_values=tuple(vals))
         with pytest.raises(DivisibilityError, match="level 1: eigenvalue sum -?[0-9]+ is not divisible by 2"):
-            _descend_types(doctored, pivot, level1.types.split(pivot))
+            _descend_types(doctored, pivot, _Types(2, _split(level1.types.classes, pivot)))
 
     def test_typed_pivot_checks(self):
         level1 = typed_levels(GraphParams(2, 7, 3))[1]
         # The checks refuse the pivot before the layout is read.
-        layout = level1.types.split(select_pivot(level1))
+        layout = _Types(2, _split(level1.types.classes, select_pivot(level1)))
         with pytest.raises(ValueError, match="nonzero"):
             _descend_types(level1, FqVector.zero(2, 7), layout)
         with pytest.raises(ValueError, match="canonical"):
@@ -516,9 +472,9 @@ class TestTypedLevels:
             _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)), layout)
 
     def test_large_dense_tables_are_never_built(self, monkeypatch):
-        # The dense route would build 2^22 entries at level 0; (2, 22, 5)
-        # ends at 2^12 entries, so it builds no dense table at all.  With the
-        # edge route (last loop) neither cell builds one: both end on edges.
+        # The dense route would build 2^22 entries at level 0.  Typed to the
+        # end (first loop) or handing off to edge levels (last loop), neither
+        # cell builds a dense table at any level.
         built = []
         init = spectrum_module.SpectrumTable.__init__
 
@@ -529,20 +485,14 @@ class TestTypedLevels:
 
         monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
         monkeypatch.setattr(descent_module, "_edge_route", no_edges)
-        for q, n, d in [(2, 22, 5), (2, 14, 4)]:
-            built.clear()
-            trace = run_algorithm1(GraphParams(q, n, d))
-            # Dense tables exactly at the levels from the handoff on.
-            sizes = [(t, q ** (n - t)) for t in range(trace.s + 1)]
-            assert built == [(t, size) for t, size in sizes if size <= descent_module._CROSSOVER]
-            assert all(size <= 512 for _, size in built)
-        assert built == [(5, 512)]  # (2, 14, 4) ends on its handoff level
+        for cell in [(2, 22, 5), (2, 14, 4)]:
+            assert {table.kind for table, _ in descend(GraphParams(*cell))} == {"typed"}
+        assert built == []
         monkeypatch.undo()
         monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
         for cell in [(2, 22, 5), (2, 14, 4)]:
-            built.clear()
             assert [table.kind for table, _ in descend(GraphParams(*cell))][-1] == "edges"
-            assert built == []
+        assert built == []
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_least_indices_match_a_scan_of_the_dense_codes(self, q):
@@ -560,23 +510,20 @@ class TestTypedLevels:
                     assert types.least_indices() == [first[i] for i in range(types.count)]
 
     def test_one_debug_record_per_level_shows_the_handoff(self, caplog):
-        # (2, 12, 4) hands off to dense levels, (2, 14, 4) to edge levels.
+        # (2, 12, 4) and (2, 14, 4) run typed levels, then edge levels.
         caplog.set_level(logging.DEBUG, logger="gvgraph")
-        for n, later in [(12, "dense"), (14, "edges")]:
+        for n in (12, 14):
             caplog.clear()
             trace = run_algorithm1(GraphParams(2, n, 4))
             records = [r.getMessage() for r in caplog.records if r.name == "gvgraph"]
             assert len(records) == trace.s + 1
             kinds = [message.split(": ")[1].split(",")[0] for message in records]
-            handoff = kinds.index(later)
-            assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {later}
-            if later == "dense":
-                assert records[handoff].startswith(f"level {handoff}: dense, {2 ** (n - handoff)} entries, ")
-            else:
-                degrees = trace.degree_history + (trace.final_degree,)
-                for t in range(handoff, trace.s + 1):
-                    # Over F_2 each edge word is its own monic multiple: m = degree.
-                    assert records[t].startswith(f"level {t}: edges, {degrees[t]} monic edges, lambda_min ")
+            handoff = kinds.index("edges")
+            assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {"edges"}
+            degrees = trace.degree_history + (trace.final_degree,)
+            for t in range(handoff, trace.s + 1):
+                # Over F_2 each edge word is its own monic multiple: m = degree.
+                assert records[t].startswith(f"level {t}: edges, {degrees[t]} monic edges, lambda_min ")
             assert records[0].startswith(f"level 0: typed, {n + 1} entries, lambda_min {trace.lambda_history[0]}, degree")
             assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
 
@@ -589,7 +536,6 @@ def always_edges(*args):
 def edged_levels(monkeypatch, params):
     """Every level of the descent, on edges from level 1 on."""
     with monkeypatch.context() as patch:
-        patch.setattr(descent_module, "_CROSSOVER", ALWAYS_TYPED)
         patch.setattr(descent_module, "_edge_route", always_edges)
         return list(descend(params))
 
@@ -600,12 +546,9 @@ class TestEdgeLevels:
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_forced_edge_route_gives_the_dense_levels(self, monkeypatch, q):
         # Second route: densify at level 0 and average dense tables only.
-        for cell in [(q, n, d) for n in range(1, 17) if q**n <= 6 * 10**4 for d in range(1, n + 2)]:
-            params = GraphParams(*cell)
-            edged = edged_levels(monkeypatch, params)
-            with monkeypatch.context() as patch:
-                patch.setattr(descent_module, "_CROSSOVER", ALWAYS_DENSE)
-                dense = list(descend(params))
+        for cell in DENSE_ROUTE_CELLS[q]:
+            edged = edged_levels(monkeypatch, GraphParams(*cell))
+            dense = dense_levels(cell)
             assert [rec for _, rec in edged] == [rec for _, rec in dense], cell
             for (table, _), (want, _) in zip(edged, dense):
                 assert table.kind == ("edges" if table.level else "typed")
