@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .combinat import GraphParams, ball_volume, entropy_q
+from .combinat import GraphParams, entropy_q
 from .spectrum import build_spectrum_level0
 
 if TYPE_CHECKING:
@@ -37,7 +37,7 @@ __all__ = [
 
 def gv_bound(params: GraphParams) -> Fraction:
     """Greedy sphere-covering lower bound q^n / V_q(n, d-1)."""
-    return Fraction(params.num_vertices, ball_volume(params, params.d - 1))
+    return Fraction(params.num_vertices, params.degree + 1)
 
 
 def asymptotic_gv(q: int, delta, digits: int = 50) -> Decimal:
@@ -89,7 +89,7 @@ def descent_bound(params: GraphParams, lambda_min_sequence: Sequence[int]) -> Fr
     if not lambda_min_sequence:
         raise ValueError("lambda_min_sequence must contain at least one level minimum")
     q = params.q
-    denom = ball_volume(params, params.d - 1)
+    denom = params.degree + 1
     for i, lam in enumerate(lambda_min_sequence):
         denom += (q - 1) * q**i * lam
     denom += q ** len(lambda_min_sequence)
@@ -108,7 +108,7 @@ def sufficient_dimension(params: GraphParams, b_sequence: Sequence[int]) -> int 
     exhaustion (nothing is certified).
     """
     q = params.q
-    acc = ball_volume(params, params.d - 1) - 1
+    acc = params.degree
     if acc <= 0:
         return params.n
     for m, b in enumerate(b_sequence, start=1):

@@ -7,6 +7,11 @@ whole package.  Everything is arbitrary-precision integer arithmetic except
 of significant digits (default 50).  The entropy value feeds only
 asymptotic-rate reporting; no bound or spectrum computation anywhere else
 leaves exact integers and rationals.
+
+``entropy_q`` works from cached logarithms of integers (ln q, ln(q-1) and
+ln of the numerator, denominator and their difference), with guard digits
+for the cancellation among them, so a whole sweep computes a few dozen
+logarithms and each value is right to its last digit even for tiny x.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterator
 
@@ -105,7 +110,8 @@ class GraphParams:
     def is_complete(self) -> bool:
         return self.d == self.n + 1
 
-    @property
+    # Computed on first use, so a refusal of a huge n stays cheap.
+    @cached_property
     def degree(self) -> int:
         """Regular degree of the graph: one less than the ball volume at d-1."""
         return ball_volume(self, self.d - 1) - 1
@@ -200,14 +206,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational (Fraction/int/Decimal/str), got {type(x).__name__}")
 
 
-@lru_cache(maxsize=32)
-def _logs(q: int, prec: int) -> tuple[Decimal, Decimal]:
-    """ln q and ln(q - 1) at ``prec`` significant digits.  Decimal ``ln`` is
-    correctly rounded (half-even, whatever the context's rounding), so a
-    cached value equals a fresh one."""
+@lru_cache(maxsize=256)
+def _ln(k: int, prec: int) -> Decimal:
+    """ln k at ``prec`` significant digits.  Decimal ``ln`` is correctly
+    rounded (half-even, whatever the context's rounding), so a cached value
+    equals a fresh one."""
     with localcontext() as ctx:
         ctx.prec = prec
-        return Decimal(q).ln(), Decimal(q - 1).ln()
+        return Decimal(k).ln()
 
 
 def entropy_q(q: int, x, digits: int = 50) -> Decimal:
@@ -217,6 +223,17 @@ def entropy_q(q: int, x, digits: int = 50) -> Decimal:
     0 <= x <= 1 - 1/q; h_q(0) is 0 by continuity and h_q(1 - 1/q) = 1.
     The result carries ``digits`` significant decimal digits (default 50);
     floats are refused so no binary rounding ever enters the computation.
+
+    With x = a/b in lowest terms and c = b - a, the value is taken from
+    logarithms of integers only,
+
+        h_q(x) = (a ln(q-1) + b ln b - a ln a - c ln c) / (b ln q),
+
+    each ln k from a cache keyed by (k, precision), so a sweep row reuses
+    ln n and ln(q-1) and a multi-q sweep reuses all but ln q.  The sum
+    b ln b - a ln a - c ln c loses about log10(b) digits to cancellation,
+    so it is formed with 10 + log10(b) guard digits or more, and only the
+    result is rounded to ``digits``.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -227,13 +244,14 @@ def entropy_q(q: int, x, digits: int = 50) -> Decimal:
         raise ValueError(f"x must lie in [0, 1 - 1/q] = [0, {1 - Fraction(1, q)}], got {xf}")
     if xf == 0:
         return Decimal(0)
+    a, b = xf.numerator, xf.denominator
+    c = b - a
+    # log10(b) < bit_length(b) / 3.  Rounding up to a multiple of 16 lets
+    # nearby denominators share cached logarithms.
+    prec = (digits + 10 + (b.bit_length() + 2) // 3 + 15) // 16 * 16
     with localcontext() as ctx:
-        ctx.prec = digits + 10
-        ln_q, ln_q1 = _logs(q, ctx.prec)
-        xd = Decimal(xf.numerator) / Decimal(xf.denominator)
-        yf = 1 - xf
-        yd = Decimal(yf.numerator) / Decimal(yf.denominator)
-        h = xd * (ln_q1 / ln_q) - xd * (xd.ln() / ln_q) - yd * (yd.ln() / ln_q)
+        ctx.prec = prec
+        h = (a * _ln(q - 1, prec) + b * _ln(b, prec) - a * _ln(a, prec) - c * _ln(c, prec)) / (b * _ln(q, prec))
     with localcontext() as ctx:
         ctx.prec = digits
         return +h

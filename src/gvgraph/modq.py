@@ -34,9 +34,14 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import lshift
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["kernel_basis", "rank", "rref"]
+
+
+# Digit byte x < 32 to its character in base 32; every other byte to "!",
+# which int() refuses.
+_BASE32 = b"0123456789abcdefghijklmnopqrstuv".ljust(256, b"!")
 
 
 class _Slots:
@@ -67,8 +72,16 @@ class _Slots:
     def nz(self) -> int:
         return self.ones * ((1 << (self.w - 1)) - 1)
 
-    def pack(self, digits: Iterable[int]) -> int:
-        """The word of n digits."""
+    def pack(self, digits: Sequence[int]) -> int:
+        """The word of n digits.
+
+        For w <= 5 (q <= 13) the word read in base 2^w has the digits
+        themselves as its digits, so it is parsed from one string of n
+        characters, in time linear in n.  Larger q keep the sum of shifted
+        digits, which is quadratic in n, since each add copies the word so far.
+        """
+        if self.w <= 5:
+            return int(bytes(reversed(digits)).translate(_BASE32) or b"0", 1 << self.w)
         return sum(map(lshift, digits, range(0, self.w * self.n, self.w)))
 
     def unpack(self, word: int) -> tuple[int, ...]:

@@ -94,7 +94,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .codes import _span
-from .combinat import GraphParams, ball_volume, binomial, krawtchouk, krawtchouk_row
+from .combinat import GraphParams, binomial, krawtchouk, krawtchouk_row
 from .errors import check_budget
 from .modq import _Slots
 from .vectors import FqVector
@@ -113,7 +113,7 @@ def eigenvalue_level0(params: GraphParams, weight: int) -> int:
     if not 0 <= weight <= params.n:
         raise ValueError(f"weight must lie in [0, n], got {weight} with n={params.n}")
     if weight == 0:
-        return ball_volume(params, params.d - 1) - 1
+        return params.degree
     return krawtchouk(params.d - 1, weight - 1, params.n - 1, params.q) - 1
 
 

@@ -7,7 +7,9 @@ machinery, so agreement is a genuine two-route check.  The reference
 averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
 compared against; so are the codeword enumeration's former ``FqVector``
-doubling loop and the former list RREF and kernel basis on digit tuples.
+doubling loop, the former list RREF and kernel basis on digit tuples, the
+former ``entropy_q`` (``reference_entropy``) and the former shift-sum
+``_Slots.pack`` (``reference_pack``).
 The dense route (``dense_descend``, ``dense_descent``) runs Algorithm 1 on
 dense tables through ``reference_average``: the second route the typed and
 edge levels are compared against.  The vector helpers at the top (rank
@@ -18,6 +20,9 @@ the former ``FqVector`` and ``codes`` API.
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -123,6 +128,42 @@ def char_sum(S, v, q):
 
 def ball_volume_brute(q, n, r):
     return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
+
+
+@lru_cache(maxsize=None)
+def _decimal_ln(x: Decimal, prec: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return x.ln()
+
+
+def reference_entropy(q: int, x, digits: int = 50) -> Decimal:
+    """The former ``entropy_q``: h_q(x) from ln x and ln(1 - x), with x and
+    1 - x rounded to digits + 10 significant digits first.
+
+    Right to ``digits`` digits while x is well above 10^-10; below that the
+    rounding of 1 - x shows, and at x = 2^-200 it is wrong from the third
+    digit.  Its logarithms are cached, since a grid of x repeats them
+    across q.
+    """
+    xf = Fraction(x)
+    if xf == 0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        ln_q, ln_q1 = _decimal_ln(Decimal(q), ctx.prec), _decimal_ln(Decimal(q - 1), ctx.prec)
+        xd = Decimal(xf.numerator) / Decimal(xf.denominator)
+        yf = 1 - xf
+        yd = Decimal(yf.numerator) / Decimal(yf.denominator)
+        h = xd * (ln_q1 / ln_q) - xd * (_decimal_ln(xd, ctx.prec) / ln_q) - yd * (_decimal_ln(yd, ctx.prec) / ln_q)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +h
+
+
+def reference_pack(digits, w: int) -> int:
+    """The former ``_Slots.pack``: the sum of each digit shifted to its slot, quadratic in n."""
+    return sum(x << (w * i) for i, x in enumerate(digits))
 
 
 def krawtchouk_genfunc(k, x, n, q):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, min_distance, read_pchk, run_algorithm1
+from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, combinat, min_distance, read_pchk, run_algorithm1
 from helpers import dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
@@ -413,17 +413,26 @@ class TestSweepCommand:
         assert cells == sorted(cells)
 
     def test_parallel_jobs_deterministic(self, tmp_path):
+        # Each worker fills its own logarithm cache; the rates must not change.
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        run_cli("sweep", "-q", "2", "-n", "4:6", "-d", "2:3", "-o", str(seq))
-        run_cli("sweep", "-q", "2", "-n", "4:6", "-d", "2:3", "-o", str(par), "--jobs", "2")
+        assert run_cli("sweep", "-q", "2,3", "-n", "4:12", "-d", "2:4", "-o", str(seq)).returncode == 0
+        assert run_cli("sweep", "-q", "2,3", "-n", "4:12", "-d", "2:4", "-o", str(par), "--jobs", "2").returncode == 0
 
         def strip_runtime(path):
-            rows = list(csv.DictReader(path.read_text().splitlines()))
-            for row in rows:
-                row.pop("runtime_seconds")
-            return rows
+            lines = path.read_text().splitlines()
+            assert lines[0].endswith(",runtime_seconds")
+            return [line.rsplit(",", 1)[0] for line in lines]
 
         assert strip_runtime(seq) == strip_runtime(par)
+        assert any(row["asymptotic_rate"] for row in csv.DictReader(seq.read_text().splitlines()))
+
+    def test_sweep_takes_each_logarithm_once(self, tmp_path):
+        combinat._ln.cache_clear()
+        argv = ["sweep", "-q", "2,3,5,7", "-n", "2:14", "-d", "2:6", "-o", str(tmp_path / "s.csv")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        # Every rate needs ln k for integers k <= n = 14 and ln q.
+        assert combinat._ln.cache_info().misses <= 14 + 4
 
 
 class TestSweepJobs:

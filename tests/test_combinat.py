@@ -1,13 +1,15 @@
 import threading
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvgraph import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
-from gvgraph.combinat import _logs, krawtchouk_column, krawtchouk_row
-from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, weight
+from gvgraph.combinat import _ln, krawtchouk_column, krawtchouk_row
+from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, reference_entropy, weight
 
 # 50 significant digits, frozen from an independent mpmath evaluation.
 H2_QUARTER = Decimal("0.81127812445913286390969579203913761843013919423064")
@@ -239,14 +241,54 @@ class TestEntropy:
     def test_cached_logarithms_equal_fresh_ones(self):
         from decimal import ROUND_DOWN, localcontext
 
-        for q in (2, 3, 5, 7, 101):
-            for prec in (11, 60, 65):
+        for k in (1, 2, 3, 5, 7, 100, 101, 10**30 + 57):
+            for prec in (11, 60, 80):
                 with localcontext() as ctx:
                     ctx.prec = prec
-                    fresh = Decimal(q).ln(), Decimal(q - 1).ln()
+                    fresh = Decimal(k).ln()
                     ctx.rounding = ROUND_DOWN  # ln ignores the rounding mode
-                    assert _logs(q, prec) == fresh
-                    assert [str(x) for x in _logs(q, prec)] == [str(x) for x in fresh]
+                    assert _ln(k, prec) == fresh
+                    assert str(_ln(k, prec)) == str(fresh)
+
+    def test_equals_the_former_routine_on_the_grid(self, monkeypatch):
+        """Every x = a/b with b <= 160, for q <= 13: the same value, and the
+        same digits wherever a rate is printed (x < 1 - 1/q).  At the domain
+        top the former routine printed 1 with trailing zeros."""
+        from gvgraph import asymptotic_gv, bounds
+
+        grid = [(a, b) for b in range(1, 161) for a in range(b + 1) if gcd(a, b) == 1]
+        cells = [(q, Fraction(a, b)) for q in (2, 3, 5, 7, 11, 13) for a, b in grid if a * q <= b * (q - 1)]
+        top = [(q, x) for q, x in cells if x == 1 - Fraction(1, q)]
+        rated = [(q, x) for q, x in cells if x < 1 - Fraction(1, q)]
+        assert [entropy_q(q, x) for q, x in top] == [reference_entropy(q, x) for q, x in top] == [1] * 6
+        assert [str(entropy_q(q, x)) for q, x in rated] == [str(reference_entropy(q, x)) for q, x in rated]
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "entropy_q", reference_entropy)
+            former = [str(asymptotic_gv(q, x)) for q, x in rated]
+        assert [str(asymptotic_gv(q, x)) for q, x in rated] == former
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 5, 7, 11, 13)),
+        st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))),
+    )
+    def test_equals_the_former_routine_up_to_a_denominator_of_a_million(self, q, ab):
+        x = min(Fraction(*ab), 1 - Fraction(1, q))
+        got, want = entropy_q(q, x), reference_entropy(q, x)
+        assert got == want
+        assert x == 1 - Fraction(1, q) or str(got) == str(want)
+
+    @pytest.mark.parametrize("q, x", [(2, Fraction(1, 2**200)), (2, Fraction(1, 10**80)), (3, Fraction(7, 10**70))])
+    def test_tiny_x_against_mpmath_at_400_digits(self, q, x):
+        """Right to the last of 50 digits where the former routine, which
+        rounded 1 - x to 60 digits, was wrong from the third."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):
+            xm = mpmath.mpf(x.numerator) / x.denominator
+            exact = xm * mpmath.log(q - 1, q) - xm * mpmath.log(xm, q) - (1 - xm) * mpmath.log(1 - xm, q)
+            want = Decimal(mpmath.nstr(exact, 60))
+        assert abs(entropy_q(q, x) - want) <= want.scaleb(-49)
+        assert abs(reference_entropy(q, x) - want) > want.scaleb(-3)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

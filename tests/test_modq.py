@@ -1,11 +1,13 @@
 """Packed RREF and kernel basis against the list oracle on digit tuples."""
 
+import random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvgraph import modq
 from gvgraph.modq import _Slots
-from helpers import reference_kernel_basis, reference_rref
+from helpers import reference_kernel_basis, reference_pack, reference_rref
 
 PRIMES = [2, 3, 5, 7, 13, 17, 257]
 
@@ -59,3 +61,12 @@ class TestPackedRows:
         assert [slots.unpack(m) for m in slots.multiples(word)] == [tuple(c * x % q for x in digits) for c in range(1, q)]
         for c in (1, q - 1, q // 2 + 1):
             assert slots.unpack(slots.scale(word, c)) == tuple(c * x % q for x in digits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 2000), st.integers(0, 2**32))
+    @example(2, 0, 0)  # the empty word
+    def test_pack_equals_the_shift_sum(self, q, n, seed):
+        rng, slots = random.Random(seed), _Slots(q, n)
+        for digits in ([rng.randrange(q) for _ in range(n)], [q - 1] * n, [0] * n):
+            assert slots.pack(digits) == reference_pack(digits, slots.w)
+            assert slots.unpack(slots.pack(digits)) == tuple(digits)
