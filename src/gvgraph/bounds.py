@@ -140,10 +140,15 @@ def build_bound_report(params: GraphParams, trace: DescentTrace | None = None) -
 
     Closed-form fields never need a table budget.  The descent fields are
     copied from ``trace`` (a ``run_algorithm1`` result for ``params``) and
-    are None without one; no descent is run here.
+    are None without one; no descent is run here.  Level 0's minimum comes
+    from the trace's first level when it has one, else (no trace, or an
+    edgeless level 0) from the level-0 spectrum.
     """
     q, n, d = params.q, params.n, params.d
-    lam_min = build_spectrum_level0(params).min_value
+    if trace is not None and trace.levels:
+        lam_min = trace.levels[0].lambda_min
+    else:
+        lam_min = build_spectrum_level0(params).min_value
     gv = gv_bound(params)
     wilf = wilf_cor27_bound(params, lam_min)
     if lam_min < 0:

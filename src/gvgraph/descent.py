@@ -22,14 +22,16 @@ v + r * pivot of a next-level type v are types of the previous level, and
 each next-level class sits inside one previous class, shifted by r times
 the pivot's digit there, while the pivot column itself holds r times the
 pivot's leading digit.  So the next level's classes are the previous
-ones split by the pivot's digit (``spectrum._split``), the parent code of
-every next-level type is an outer sum of short per-class lists, one list of
-codes per r, and the mean is taken as below, each code read through the
-level's one code -> value lookup.  Every level scans its values once for
-the minimum; only a level that picks a pivot derives the argmin from it,
-on a typed level the least dense index among the nonzero types holding the
-minimum (the least dense index of every type being itself an outer sum).
-The edgeless last level computes no argmin.  Every level is typed until it
+ones split by the pivot's digit (``spectrum._split``), the parent codes of
+the next-level types are, per r, an outer sum of short per-class lists,
+kept as its two halves, and the mean is taken as below.  Every level
+scans its values once for the minimum; only a level that picks a pivot
+derives the argmin from it, on a typed level from the nonzero types tied
+at the minimum alone: their least dense indices are read from the halves
+of the least-index outer sum.  The pivot is checked by reading the value
+at its type's position (``_Types.position``), so a level that hands off
+to edges builds no code -> value lookup.  The edgeless last level
+computes no argmin.  Every level is typed until it
 hands off to edge levels, below; the descent builds no dense table, which
 only ``densify`` makes, to print a level.  Budgets are checked against q^n
 before level 0, the size of a dense level 0.
@@ -60,9 +62,10 @@ the argmin as on any level.
 
 Exact means
 -----------
-A typed level gathers the q parents of every new type into q lazy slabs,
-each the code -> value lookup mapped over one list of parent codes (an
-outer sum that costs about one list element per type), sums them type by
+A typed level gathers the q parents of every new type into q slabs of
+parent values, each read through the level's code -> value lookup straight
+from the two halves of one parent-code outer sum (one addition and one
+lookup per type; no list of parent codes is built), sums them type by
 type with ``map(operator.add, ...)`` and looks each sum up in a dict of
 exact quotients.  A sum is divided, with ``divmod``, the first time it
 occurs; a nonzero remainder raises DivisibilityError naming that sum, the
@@ -79,7 +82,7 @@ from fractions import Fraction
 from math import comb
 from operator import add, mul
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import descent_bound
 from .combinat import GraphParams
@@ -89,7 +92,7 @@ from .spectrum import (
     SpectrumTable,
     _check_dense,
     _lead_col,
-    _outer_sum,
+    _outer_halves,
     _split,
     _type_count,
     _Types,
@@ -181,7 +184,7 @@ class _Quotients(dict):
         return div
 
 
-def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
+def _exact_means(slabs: Sequence[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
     """Entry-by-entry sums of the q slabs, each divided exactly by q."""
     sums: Iterator[int] = iter(slabs[0])
     for slab in slabs[1:]:
@@ -189,9 +192,9 @@ def _exact_means(slabs: list[Iterable[int]], q: int, level: int) -> tuple[int, .
     return tuple(map(_Quotients(q, level).__getitem__, sums))
 
 
-def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[int]]:
+def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[tuple[Sequence[int], list[int]]]:
     """Per r, the parent type code of ``v + r * pivot`` for every type v of
-    the next level, in its type order."""
+    the next level, in its type order, as ``_outer_halves``."""
     q, lead = parent.q, _lead_col(pivot)
     codes_of = {key: codes for codes, (key, _) in zip(parent.digit_codes, parent.classes)}
     lead_codes = next(codes for codes, (_, cols) in zip(parent.digit_codes, parent.classes) if lead in cols)
@@ -214,7 +217,7 @@ def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[list[i
             rotated = codes[shift:] + codes[:shift]
             starts[r] += f * rotated[0]
             part.append(_weighted(f, [x - rotated[0] for x in rotated[1:]]))
-    return [_outer_sum(part, start) for part, start in zip(parts, starts)]
+    return [_outer_halves(part, start) for part, start in zip(parts, starts)]
 
 
 def _check_pivot(table: SpectrumTable, v_chosen: FqVector) -> None:
@@ -238,8 +241,8 @@ def _descend_types(table: SpectrumTable, v_chosen: FqVector, types: _Types) -> S
     type order.
     """
     _check_pivot(table, v_chosen)
-    q = table.params.q
-    slabs: list[Iterable[int]] = [map(table._by_code.__getitem__, codes) for codes in _parent_codes(table.types, types, v_chosen)]
+    q, by = table.params.q, table._by_code
+    slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in _parent_codes(table.types, types, v_chosen)]
     out = SpectrumTable(params=table.params, pivots=table.pivots + (v_chosen,), weight_values=_exact_means(slabs, q, table.level))
     vars(out).update(types=types, free_cols=types.free_cols)  # the cached layout, built once per level
     return out

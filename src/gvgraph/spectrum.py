@@ -40,15 +40,22 @@ slot per nonzero digit (one slot in all for the zero class), a slot counts
 the columns of its class holding that digit, and the code is the sum of the
 slot counts times their radices.  A column with digit b therefore adds a
 fixed amount to the code, so every map between indices and codes is an
-outer sum of short per-column or per-class lists.  Only histograms whose
+outer sum of short per-column or per-class lists, kept as its two halves
+(``_outer_halves``): entry i is outer[i // len(inner)] + inner[i % len(inner)],
+so one entry is read without the whole list.  Only histograms whose
 counts fit their class are types; ``weight_values`` lists the types in
-increasing code order.  A typed table keeps one code -> value lookup: the
+increasing code order.  A type's position in that list is gap-free: per
+class, the rank of its histogram in ``_histograms`` (``_ranks``), combined
+mixed-radix with each class's histogram count, and ``value_of`` reads
+``weight_values`` there.  The code -> value lookup (``_by_code``: the
 values themselves when every code below the type count is a type, else a
-dict (the codes are gapped, which happens only for q > 2).  ``densify``
-indexes it with the code of every dense index, the descent with the
-parent code of every next-level type.  The smallest vector of a type fills
-each class's columns with the class's digits in increasing order, so the
-least dense index of every type is an outer sum of per-class lists as well.
+dict, the codes being gapped, which happens only for q > 2) is built only
+where whole maps are read: ``densify`` indexes it with the code of every
+dense index, the descent with the parent code of every next-level type.
+The smallest vector of a type fills each class's columns with the class's
+digits in increasing order, so the least dense index of every type is an
+outer sum of per-class lists as well, kept as halves too
+(``least_halves``).
 
 Edge levels
 -----------
@@ -74,10 +81,11 @@ by word.
 
 The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
-from that value only when asked for: on the descent's levels the least
-dense index among the nonzero types holding it, or the vector of the first
-pattern holding it; on a table that ``densify`` built to print a level,
-the first dense index holding it.
+from that value only when asked for.  On a typed level the nonzero types
+holding it are counted and found with ``tuple.index``, and the least dense
+index among them is read from the halves at those positions alone.  On an
+edge level it is the vector of the first pattern holding it; on a table
+that ``densify`` built to print a level, the first dense index holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
@@ -88,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, islice
 from math import comb, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -139,22 +147,33 @@ def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
 _INNER = 64
 
 
-def _outer_sum(parts: Sequence[Sequence[int]], start: int = 0) -> list[int]:
-    """``start + x_0 + ... + x_k`` for every choice of x_i in parts[i], parts[0] varying slowest.
+def _outer_halves(parts: Sequence[Sequence[int]], start: int = 0) -> tuple[Sequence[int], list[int]]:
+    """Halves (outer, inner) of ``_outer_sum(parts, start)``: its entry i is
+    ``outer[i // len(inner)] + inner[i % len(inner)]``.
 
-    The last parts are summed first into an inner list of at least
-    ``_INNER`` entries (or all of them), the rest into an outer list, and one
-    pass pairs the two, so each output entry costs one addition.
+    The last parts are summed first into the inner list, of at least
+    ``_INNER`` entries (or all of them), the rest into the outer list, which
+    is ``[0]`` when the inner list took every part.
     """
     inner, k = [start], len(parts)
     while k and len(inner) < _INNER:
         k -= 1
         inner = [x + t for x in parts[k] for t in inner]
     if not k:
-        return inner
+        return [0], inner
     outer = parts[0]
     for part in parts[1:k]:
         outer = [o + x for o in outer for x in part]
+    return outer, inner
+
+
+def _outer_sum(parts: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """``start + x_0 + ... + x_k`` for every choice of x_i in parts[i], parts[0] varying slowest.
+
+    One pass pairs the two ``_outer_halves``, so each output entry costs one
+    addition.
+    """
+    outer, inner = _outer_halves(parts, start)
     return [o + t for o in outer for t in inner]
 
 
@@ -170,6 +189,12 @@ def _histograms(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
     for _ in range(slots):
         out = [(k,) + h for h in out for k in range(f - sum(h) + 1)]
     return tuple(out)
+
+
+@cache
+def _ranks(f: int, slots: int) -> dict[tuple[int, ...], int]:
+    """Each histogram of ``_histograms(f, slots)`` -> its position there."""
+    return {h: i for i, h in enumerate(_histograms(f, slots))}
 
 
 def _weighted(f: int, weights: Sequence[int]) -> list[int]:
@@ -245,8 +270,21 @@ class _Types:
         code_of = {col: codes for codes, (_, cols) in zip(self.digit_codes, self.classes) for col in cols}
         return _outer_sum([code_of[col] for col in self.free_cols])
 
-    def least_indices(self) -> list[int]:
-        """Least dense index of every type, in type order.
+    def position(self, digits: Sequence[int]) -> int:
+        """Position in type order of the type of a representative with these
+        digits: its histogram ranks in ``_histograms``, one per class,
+        combined mixed-radix (class j+1 more significant)."""
+        pos, scale = 0, 1
+        for radices, (key, cols) in zip(self.radices, self.classes):
+            held = [digits[c] for c in cols]
+            hist = tuple(map(held.count, range(1, self.q))) if any(key) else (len(held) - held.count(0),)
+            ranks = _ranks(len(cols), len(radices))
+            pos += scale * ranks[hist]
+            scale *= len(ranks)
+        return pos
+
+    def least_halves(self) -> tuple[Sequence[int], list[int]]:
+        """Least dense index of every type, in type order, as ``_outer_halves``.
 
         The smallest vector of a type fills each class's columns with the
         class's digits in increasing order, so its index is a sum of one
@@ -263,7 +301,7 @@ class _Types:
                 # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
                 hists = _histograms(len(cols), len(radices))
                 parts.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
-        return _outer_sum(parts[::-1])
+        return _outer_halves(parts[::-1])
 
 
 @dataclass(frozen=True)
@@ -359,9 +397,7 @@ class SpectrumTable:
             zeros = sum(1 for c in self.edges if sum(map(mul, c, v.digits)) % q == 0)
             return q * zeros - len(self.edges)
         assert self.weight_values is not None
-        types = self.types
-        digits = v.digits
-        return self._by_code[sum(codes[digits[c]] for codes, (_, cols) in zip(types.digit_codes, types.classes) for c in cols)]
+        return self.weight_values[self.types.position(v.digits)]
 
     @cached_property
     def _by_code(self) -> list[int] | dict[int, int]:
@@ -396,8 +432,16 @@ class SpectrumTable:
                 return value, self.vector_at(1 if self.size > 1 else 0)
             return value, self._pattern_vector(self.weight_values.index(value, 1))
         else:
-            hits = map(value.__eq__, islice(self.weight_values, 1, None))
-            index = min(compress(islice(self.types.least_indices(), 1, None), hits), default=0)
+            # Only the positions after 0 that hold the minimum are visited:
+            # counted first, so each index() call is known to find one.
+            vals = self.weight_values
+            ties, i, tied = vals.count(value) - (vals[0] == value), 0, []
+            for _ in range(ties):
+                i = vals.index(value, i + 1)
+                tied.append(i)
+            outer, inner = self.types.least_halves()
+            width = len(inner)
+            index = min((outer[i // width] + inner[i % width] for i in tied), default=0)
         return value, self.vector_at(index)
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:

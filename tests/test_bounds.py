@@ -234,6 +234,31 @@ class TestBoundReport:
         assert (report.descent_bounds, report.constructed_code_size, report.s) == (None, None, None)
         assert report.wilf_cor27 == Fraction(128, 27)
 
+    def test_level0_minimum_taken_from_the_trace(self, monkeypatch):
+        # A trace with a level already holds lambda_0, so the report builds
+        # no level-0 spectrum; an edgeless level 0 leaves the trace without
+        # levels, and without a trace the report builds it once.
+        import gvgraph.bounds
+
+        traces = {cell: run_algorithm1(GraphParams(*cell)) for cell in [(2, 7, 3), (3, 5, 3), (2, 4, 5), (2, 5, 1)]}
+        wanted = {cell: build_bound_report(GraphParams(*cell)).lambda_min for cell in traces}
+        built = []
+        real = gvgraph.bounds.build_spectrum_level0
+
+        def counted(params):
+            built.append(params)
+            return real(params)
+
+        monkeypatch.setattr(gvgraph.bounds, "build_spectrum_level0", counted)
+        for cell, trace in traces.items():
+            built.clear()
+            report = build_bound_report(GraphParams(*cell), trace)
+            assert report.lambda_min == wanted[cell]
+            assert len(built) == (0 if trace.levels else 1), cell
+        built.clear()
+        build_bound_report(GraphParams(2, 7, 3))
+        assert len(built) == 1
+
     def test_asymptotic_rate_absent_when_delta_too_large(self):
         assert build_bound_report(GraphParams(2, 4, 3)).asymptotic_rate is None
         assert build_bound_report(GraphParams(2, 8, 3)).asymptotic_rate is not None

@@ -340,13 +340,13 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     # min_eigenvalue: descend, select_pivot and the pivot check all ask for
     # each level's minimum, and must share one value scan of it.  Only a
     # level that picks a pivot derives the argmin from that value (a typed
-    # one through its types' least indices, an edge level from its pattern
+    # one through its types' least-index halves, an edge level from its pattern
     # values), so the edgeless level s pays for no argmin.  (2, 18, 4) and
     # (3, 11, 4) end on edge levels.
     q, n, _ = cell
     kinds = [table.kind for table, _ in descend(GraphParams(*cell))]
     table_cls = spectrum_module.SpectrumTable
-    real_least = spectrum_module._Types.least_indices
+    real_least = spectrum_module._Types.least_halves
     events = []
 
     def counted(name, kind):
@@ -366,7 +366,7 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
 
     counted("min_value", "value")
     counted("_minimum", "argmin")
-    monkeypatch.setattr(spectrum_module._Types, "least_indices", least)
+    monkeypatch.setattr(spectrum_module._Types, "least_halves", least)
     trace = run_algorithm1(GraphParams(*cell))
     assert len(kinds) == trace.s + 1
     assert set(kinds) <= {"typed", "edges"}
@@ -507,7 +507,54 @@ class TestTypedLevels:
                     first = {}
                     for index, code in enumerate(codes):
                         first.setdefault(position[code], index)
-                    assert types.least_indices() == [first[i] for i in range(types.count)]
+                    outer, inner = types.least_halves()
+                    assert len(outer) * len(inner) == types.count
+                    width = len(inner)
+                    least = [outer[i // width] + inner[i % width] for i in range(types.count)]
+                    assert least == [first[i] for i in range(types.count)]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_tied_types_and_positions_match_the_dense_level(self, q):
+        # Every typed level of every small cell, and (3, 9, 4), whose level
+        # 3 holds its minimum on 60 of 324 types: the argmin from the tied
+        # types alone is the first dense index after 0 attaining the
+        # minimum, and value_of, which reads a type by its position, gives
+        # the densified value at every canonical representative (gapped
+        # layouts included for q > 2).
+        cells = [(q, n, d) for n in range(1, MAX_DIGITS[q] + 1) for d in range(1, n + 2)]
+        most_tied = 0
+        for cell in cells + ([(3, 9, 4)] if q == 3 else []):
+            for table in typed_levels(GraphParams(*cell)):
+                dense = table.densify().values
+                value = min(dense[1:], default=dense[0])
+                first = dense.index(value, 1) if len(dense) > 1 else 0
+                assert table.min_eigenvalue() == (value, table.vector_at(first)), (cell, table.level)
+                positions = [table.types.position(table.vector_at(i).digits) for i in range(table.size)]
+                assert [table.value_of(table.vector_at(i)) for i in range(table.size)] == list(dense), (cell, table.level)
+                assert [table.weight_values[p] for p in positions] == list(dense)
+                assert sorted(set(positions)) == list(range(table.types.count))
+                most_tied = max(most_tied, table.weight_values[1:].count(value))
+        assert most_tied >= (60 if q == 3 else 2)
+
+    def test_gapped_handoff_level_builds_no_code_lookup(self, monkeypatch):
+        # (3, 11, 4)'s level 3 is gapped and hands off to edges: its pivot is
+        # checked by type position, and no code -> value lookup is built.
+        table_cls = spectrum_module.SpectrumTable
+        real = vars(table_cls)["_by_code"].func
+        built = []
+
+        def recording(table):
+            built.append(table.level)
+            return real(table)
+
+        prop = functools.cached_property(recording)
+        prop.__set_name__(table_cls, "_by_code")
+        monkeypatch.setattr(table_cls, "_by_code", prop)
+        levels = list(descend(GraphParams(3, 11, 4)))
+        kinds = [table.kind for table, _ in levels]
+        assert kinds == ["typed"] * 4 + ["edges"] * 2
+        assert levels[3][0].types.gapped
+        assert built == [0, 1, 2]
 
     def test_one_debug_record_per_level_shows_the_handoff(self, caplog):
         # (2, 12, 4) and (2, 14, 4) run typed levels, then edge levels.
