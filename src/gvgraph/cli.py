@@ -205,11 +205,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = read_pchk(args.pchk)
     distance = min_distance(code, budget=args.budget)
     shown = "infinity" if distance == INFINITE_DISTANCE else str(distance)
-    print(f"q: {code.q}")
-    print(f"n: {code.n}")
-    print(f"dimension: {code.dimension}")
-    print(f"codewords: {code.size}")
-    print(f"min_distance: {shown}")
+    sys.stdout.write(
+        f"q: {code.q}\nn: {code.n}\ndimension: {code.dimension}\ncodewords: {code.size}\nmin_distance: {shown}\n"
+    )
     return EXIT_OK if distance >= args.d else EXIT_VERIFY_FAILED
 
 

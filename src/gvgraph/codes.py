@@ -34,9 +34,18 @@ Packed rows
 -----------
 
 From parse to weight a row or word is one Python int, one guarded slot per
-digit (``modq``, "Row format").  ``LinearCode`` reduces its parity rows to
-their RREF by packed row operations (``modq.rref``: one XOR per row
-operation for q = 2, else one guarded add-and-reduce with a stored multiple
+digit (``modq``, "Row format").  ``parse_pchk`` reads a row of n
+one-character decimal digits, for 2 <= q <= 16 (slots of at most 5 bits),
+as one base-2^w numeral, the row reversed so that digit 1 lands in the
+lowest slot: one ``int`` call per row.  Its range is then checked on the
+guard bits, first ``word & high`` (a digit of 2^(w-1) or more), then
+``(word + bias) & high`` (a digit of q or more).  Any other row, and any
+row that fails a check, is read digit by digit, which packs it or raises
+the row's format error.  ``LinearCode`` holds its parity rows as these
+words and builds ``FqVector`` rows only when ``parity_rows`` is read, which
+``verify`` never does; a code built from ``FqVector`` rows keeps them.  It
+reduces the rows to their RREF by packed row operations (``modq.rref``: an
+XOR basis for q = 2, else one guarded add-and-reduce with a stored multiple
 of the pivot row) and keeps the packed rows.  The dual words are the span
 of those rows and the codewords the span of the packed kernel basis, each
 grown by ``_span`` with one add per word and multiple.  A word's weight is
@@ -64,6 +73,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -88,34 +98,58 @@ INFINITE_DISTANCE = math.inf
 PCHK_MAGIC = "# gvpchk v1"
 
 
-@dataclass(frozen=True)
+def _check_field(q: int, n: int) -> None:
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+
+
+@dataclass(frozen=True, init=False)
 class LinearCode:
-    """The kernel of a full-rank set of parity-check rows over F_q; ``parse_pchk`` relies on its checks."""
+    """The kernel of a full-rank set of parity-check rows over F_q; ``parse_pchk`` relies on its checks.
+
+    The rows are held packed (module docstring, "Packed rows"); ``parity_rows``
+    reads them as ``FqVector`` rows, which a parsed code builds on first read.
+    """
 
     q: int
     n: int
-    parity_rows: tuple[FqVector, ...]
-    _slots: _Slots = field(init=False, repr=False, compare=False)
-    _rref: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...]
+    _slots: _Slots = field(repr=False, compare=False)
+    _rref: tuple[list[int], list[int]] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"q must be prime, got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        for row in self.parity_rows:
-            if row.q != self.q or row.n != self.n:
+    def __init__(self, q: int, n: int, parity_rows: tuple[FqVector, ...]) -> None:
+        parity_rows = tuple(parity_rows)
+        _check_field(q, n)
+        for row in parity_rows:
+            if row.q != q or row.n != n:
                 raise ValueError("parity row parameters do not match the code")
-        slots = _Slots(self.q, self.n)
-        echelon = rref([slots.pack(row.digits) for row in self.parity_rows], slots)
-        if len(echelon[0]) != self.s:
-            raise ValueError(f"parity rows are linearly dependent: rank below s = {self.s}")
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_rref", echelon)
+        slots = _Slots(q, n)
+        self._reduce(q, n, [slots.pack(row.digits) for row in parity_rows], slots)
+        vars(self)["parity_rows"] = parity_rows
+
+    @classmethod
+    def _from_words(cls, q: int, n: int, rows: list[int], slots: _Slots) -> LinearCode:
+        """The code of the packed ``rows``, laid out by ``slots``, with the constructor's checks."""
+        _check_field(q, n)
+        code = object.__new__(cls)
+        code._reduce(q, n, rows, slots)
+        return code
+
+    def _reduce(self, q: int, n: int, rows: list[int], slots: _Slots) -> None:
+        echelon = rref(rows, slots)
+        if len(echelon[0]) != len(rows):
+            raise ValueError(f"parity rows are linearly dependent: rank below s = {len(rows)}")
+        vars(self).update(q=q, n=n, _rows=tuple(rows), _slots=slots, _rref=echelon)
+
+    @cached_property
+    def parity_rows(self) -> tuple[FqVector, ...]:
+        return tuple(FqVector(self.q, self._slots.unpack(row)) for row in self._rows)
 
     @property
     def s(self) -> int:
-        return len(self.parity_rows)
+        return len(self._rows)
 
     @property
     def dimension(self) -> int:
@@ -220,7 +254,39 @@ def _header_int(line: str, key: str, lineno: int) -> int:
         raise PchkFormatError(f"line {lineno}: {parts[1]!r} is not an integer") from None
 
 
+def _digits_word(parts: list[str], slots: _Slots) -> int | None:
+    """The word of a row of n one-character decimal digits, each below q,
+    read as one base-2^w numeral; None for any other row."""
+    n = slots.n
+    if len(parts) != n:
+        return None
+    text = "".join(reversed(parts))
+    if len(text) != n or not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        word = int(text, 1 << slots.w)
+    except ValueError:  # a digit of at least 2^w
+        return None
+    # Guard bits: a digit of 2^(w-1) or more, then one of q or more.
+    return None if word & slots.high or (word + slots.bias) & slots.high else word
+
+
+def _row_word(line: str, parts: list[str], offset: int, slots: _Slots) -> int:
+    """The word of one row of ``parts``, read digit by digit, or its format error."""
+    if len(parts) != slots.n:
+        raise PchkFormatError(f"row {offset}: expected {slots.n} digits, got {len(parts)}")
+    try:
+        digits = tuple(map(int, parts))
+    except ValueError:
+        raise PchkFormatError(f"row {offset}: non-integer digit in {line!r}") from None
+    if digits and (min(digits) < 0 or max(digits) >= slots.q):
+        raise PchkFormatError(f"row {offset}: digit out of range [0, {slots.q})")
+    return slots.pack(digits)
+
+
 def parse_pchk(text: str) -> LinearCode:
+    """A code from gvpchk v1 text, its rows packed as the module docstring's
+    "Packed rows" says: by one ``int`` call, else digit by digit."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -235,20 +301,18 @@ def parse_pchk(text: str) -> LinearCode:
         raise PchkFormatError(f"s must be nonnegative, got {s}")
     if len(lines) != 4 + s:
         raise PchkFormatError(f"expected {s} rows after the header, found {len(lines) - 4}")
+    slots = _Slots(q, n)
+    # int() reads bases up to 36, so slots of at most 5 bits; q >= 2 keeps the bias nonnegative.
+    fast = 2 <= q <= 16
     rows = []
     for offset, line in enumerate(lines[4:]):
         parts = line.split()
-        if len(parts) != n:
-            raise PchkFormatError(f"row {offset}: expected {n} digits, got {len(parts)}")
-        try:
-            digits = tuple(map(int, parts))
-        except ValueError:
-            raise PchkFormatError(f"row {offset}: non-integer digit in {line!r}") from None
-        if digits and (min(digits) < 0 or max(digits) >= q):
-            raise PchkFormatError(f"row {offset}: digit out of range [0, {q})")
-        rows.append(digits)
+        word = _digits_word(parts, slots) if fast else None
+        rows.append(_row_word(line, parts, offset, slots) if word is None else word)
+    if rows and (q < 2 or n == 0):  # the row vector's checks, which come before the code's
+        raise PchkFormatError(f"q must be at least 2, got {q}" if q < 2 else "digits must be nonempty")
     try:
-        return LinearCode(q, n, tuple(FqVector(q, digits) for digits in rows))
+        return LinearCode._from_words(q, n, rows, slots)
     except ValueError as exc:
         raise PchkFormatError(str(exc)) from None
 

@@ -25,9 +25,12 @@ Row operations
 --------------
 The lead column of a nonzero word is its lowest set slot.  ``rref``
 eliminates digit c of a row with the monic pivot row p by adding
-(q - c) * p: for q = 2 one XOR, for other q one guarded add-and-reduce with
-that multiple, formed on first use and kept with p.  q prime guarantees
-every nonzero lead digit is invertible (pow(a, -1, q)).
+(q - c) * p: one guarded add-and-reduce with that multiple, formed on first
+use and kept with p.  q prime guarantees every nonzero lead digit is
+invertible (pow(a, -1, q)).  For q = 2 every nonzero digit is 1, so a row's
+lead is its lowest set bit, and ``rref`` keeps an XOR basis keyed by that
+bit: a row is cleared at each lead bit it holds by one XOR with that row,
+and a new row is XORed into each basis row that holds its lead bit.
 """
 
 from __future__ import annotations
@@ -90,8 +93,6 @@ class _Slots:
 
     def add(self, x: int, m: int) -> int:
         """The reduced sum of two reduced words."""
-        if self.q == 2:
-            return x ^ m
         s = x + m
         return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.q
 
@@ -128,6 +129,8 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
     dropped, each surviving row has a leading 1 in a distinct pivot column
     and zeros in every other row's pivot column.
     """
+    if slots.q == 2:
+        return _xor_rref(rows)
     q, w, mask = slots.q, slots.w, slots.mask
     echelon: list[int] = []  # the pivot rows so far, each zero in the others' lead columns
     # Per pivot row: the bit offset of its lead slot, the row as inserted, and
@@ -135,7 +138,7 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
     pivots: list[tuple[int, int, dict[int, int]]] = []
 
     def minus(inserted: int, negs: dict[int, int], c: int) -> int:
-        if c == q - 1:  # always for q = 2, where the add is one XOR
+        if c == q - 1:
             return inserted
         if c not in negs:
             negs[c] = slots.scale(inserted, q - c)
@@ -165,6 +168,24 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
         pivots.append((offset, row, fresh))
     order = sorted(range(len(echelon)), key=lambda i: pivots[i][0])
     return [echelon[i] for i in order], [pivots[i][0] // w for i in order]
+
+
+def _xor_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``rref`` for q = 2: an XOR basis keyed by each row's lead bit, the
+    lowest set bit, with every row zero at the other rows' lead bits."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        for lead, pivot in basis.items():
+            if row & lead:
+                row ^= pivot
+        if row:
+            lead = row & -row
+            for other, pivot in basis.items():
+                if pivot & lead:
+                    basis[other] = pivot ^ row
+            basis[lead] = row
+    leads = sorted(basis)
+    return [basis[lead] for lead in leads], [lead.bit_length() // 2 for lead in leads]
 
 
 def rank(rows: Iterable[int], slots: _Slots) -> int:

@@ -8,8 +8,9 @@ averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
 compared against; so are the codeword enumeration's former ``FqVector``
 doubling loop, the former list RREF and kernel basis on digit tuples, the
-former ``entropy_q`` (``reference_entropy``) and the former shift-sum
-``_Slots.pack`` (``reference_pack``).
+former ``entropy_q`` (``reference_entropy``), the former shift-sum
+``_Slots.pack`` (``reference_pack``) and the former digit-by-digit
+``parse_pchk`` (``reference_parse_pchk``).
 The dense route (``dense_descend``, ``dense_descent``) runs Algorithm 1 on
 dense tables through ``reference_average``: the second route the typed and
 edge levels are compared against.  The vector helpers at the top (rank
@@ -29,8 +30,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound, select_pivot
+from gvgraph.codes import PCHK_MAGIC, _header_int
+from gvgraph.combinat import is_prime
 from gvgraph.descent import _check_pivot
-from gvgraph.errors import DivisibilityError, check_budget
+from gvgraph.errors import DivisibilityError, PchkFormatError, check_budget
 from gvgraph.spectrum import RealEigenvector, _lead_col
 
 EXACT_SEARCH_CAP = 64
@@ -164,6 +167,52 @@ def reference_entropy(q: int, x, digits: int = 50) -> Decimal:
 def reference_pack(digits, w: int) -> int:
     """The former ``_Slots.pack``: the sum of each digit shifted to its slot, quadratic in n."""
     return sum(x << (w * i) for i, x in enumerate(digits))
+
+
+def reference_parse_pchk(text):
+    """The former ``parse_pchk``, digit by digit: every token through ``int``,
+    every row an ``FqVector``, then the code's checks, with the rank from
+    ``reference_rref``.  Returns (q, n, rows packed by ``reference_pack``),
+    or raises the former ``PchkFormatError``."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != PCHK_MAGIC:
+        raise PchkFormatError(f"bad magic line: expected {PCHK_MAGIC!r}")
+    if len(lines) < 4:
+        raise PchkFormatError("missing header lines (need q, n, s)")
+    q = _header_int(lines[1], "q", 2)
+    n = _header_int(lines[2], "n", 3)
+    s = _header_int(lines[3], "s", 4)
+    if s < 0:
+        raise PchkFormatError(f"s must be nonnegative, got {s}")
+    if len(lines) != 4 + s:
+        raise PchkFormatError(f"expected {s} rows after the header, found {len(lines) - 4}")
+    rows = []
+    for offset, line in enumerate(lines[4:]):
+        parts = line.split()
+        if len(parts) != n:
+            raise PchkFormatError(f"row {offset}: expected {n} digits, got {len(parts)}")
+        try:
+            digits = tuple(int(part) for part in parts)
+        except ValueError:
+            raise PchkFormatError(f"row {offset}: non-integer digit in {line!r}") from None
+        if digits and (min(digits) < 0 or max(digits) >= q):
+            raise PchkFormatError(f"row {offset}: digit out of range [0, {q})")
+        rows.append(digits)
+    try:
+        for digits in rows:
+            FqVector(q, digits)
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if len(reference_rref(rows, q)[0]) != s:
+            raise ValueError(f"parity rows are linearly dependent: rank below s = {s}")
+    except ValueError as exc:
+        raise PchkFormatError(str(exc)) from None
+    w = (q - 1).bit_length() + 1
+    return q, n, tuple(reference_pack(digits, w) for digits in rows)
 
 
 def krawtchouk_genfunc(k, x, n, q):

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, combinat, min_distance, read_pchk, run_algorithm1
-from helpers import dense_descent, hamming_parity_rows
+from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, combinat, min_distance, read_pchk, run_algorithm1, vectors
+from helpers import CLASSICAL_CODES, dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -332,6 +332,25 @@ class TestVerifyCommand:
         # Both sides of [7, 4] over the budget: 2^3 dual words, 2^4 codewords.
         r = run_cli("verify", str(hamming_file), "-d", "3", "--budget", "4")
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("name", ["golay_24_12_8", "hamming_15_11_3", "ternary_golay_11_6_5"])
+    def test_verify_builds_no_row_vector(self, tmp_path, monkeypatch, name):
+        # The parsed rows stay packed words on both routes, codewords and dual words.
+        q, n, k, d, rows = CLASSICAL_CODES[name]
+        path = tmp_path / "c.pchk"
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        path.write_text(f"# gvpchk v1\nq {q}\nn {n}\ns {len(rows)}\n{body}")
+        built = []
+        post_init = vectors.FqVector.__post_init__
+        monkeypatch.setattr(vectors.FqVector, "__post_init__", lambda vec: built.append(vec) or post_init(vec))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", str(path), "-d", str(d)])
+        assert code == 0
+        assert out.getvalue() == f"q: {q}\nn: {n}\ndimension: {k}\ncodewords: {q**k}\nmin_distance: {d}\n"
+        assert built == []
+        vectors.FqVector(q, rows[0])  # the counter counts
+        assert len(built) == 1
 
     def test_huge_prime_q_decided_fast(self, tmp_path):
         big = tmp_path / "big.pchk"

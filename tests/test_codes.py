@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import random
 from collections import Counter
 from unittest import mock
 
@@ -37,6 +38,7 @@ from helpers import (
     rank,
     reference_codewords,
     reference_kernel_basis,
+    reference_parse_pchk,
     reference_rref,
     weight,
 )
@@ -490,6 +492,118 @@ class TestPchkFormat:
         write_pchk(str(path), code)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.pchk"]
         assert leftovers == []
+
+
+def parse_outcome(parse, text):
+    """(q, n, packed rows) from a parse, or its PchkFormatError message."""
+    try:
+        result = parse(text)
+    except PchkFormatError as exc:
+        return str(exc)
+    return result if isinstance(result, tuple) else (result.q, result.n, result._rows)
+
+
+PARSE_PRIMES = [2, 3, 5, 7, 11, 13]
+# Tokens that int() reads, refuses, or reads as another digit.
+ODD_TOKENS = ["10", "12", "+", "-", "_", "2", "3", "9", "\u0663", "\uff13", "\u00b2", "1_0", "+1", "-0", "-1", "00", "x"]
+
+
+def disguised_pchk(rng, q):
+    """A pchk text of random rows put through seeded row operations,
+    sometimes with a dependent row, sometimes one odd token, and sometimes
+    tabs and runs of spaces between and around the digits."""
+    n = rng.randint(1, 33)
+    s = rng.randint(1, min(n, 8))
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(s)]
+    for _ in range(2 * s if s > 1 else 0):
+        i, j = rng.sample(range(s), 2)
+        f = rng.randrange(1, q)
+        rows[i] = [(a + f * b) % q for a, b in zip(rows[i], rows[j])]
+    if s > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(s), 2)
+        f = rng.randrange(q)
+        rows[i] = [f * b % q for b in rows[j]]
+    lines = []
+    for row in rows:
+        tokens = list(map(str, row))
+        if rng.random() < 0.15:
+            tokens[rng.randrange(n)] = rng.choice(ODD_TOKENS)
+        sep = rng.choice([" ", "  ", "\t", " \t "]) if rng.random() < 0.3 else " "
+        pad = rng.choice(["", " ", "\t"])
+        lines.append(pad + sep.join(tokens) + pad)
+    return f"{PCHK_MAGIC}\nq {q}\nn {n}\ns {s}\n" + "".join(line + "\n" for line in lines)
+
+
+class TestParserEquivalence:
+    """``parse_pchk`` packs rows of one-character digits by one int() call;
+    every text must parse to the words, or fail with the message, of the
+    digit-by-digit reference."""
+
+    @pytest.mark.parametrize("q", PARSE_PRIMES)
+    def test_random_disguised_files(self, q):
+        rng = random.Random(q)
+        outcomes = Counter()
+        for _ in range(150):
+            text = disguised_pchk(rng, q)
+            want = parse_outcome(reference_parse_pchk, text)
+            assert parse_outcome(parse_pchk, text) == want, text
+            outcomes[isinstance(want, tuple)] += 1
+        assert outcomes[True] > 30 and outcomes[False] > 10, outcomes
+
+    @pytest.mark.parametrize("q", PARSE_PRIMES)
+    @pytest.mark.parametrize(
+        "n, row",
+        [
+            (3, "10 1"),  # three characters in two tokens
+            (3, "1 + 0"),
+            (3, "1 - 0"),
+            (3, "1 _ 0"),
+            (3, "0 2 1"),
+            (3, "0 3 1"),
+            (3, "9 0 1"),
+            (3, "1 0 \u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+            (3, "1 \u00b2 0"),  # SUPERSCRIPT TWO: a digit to str.isdigit, not to int()
+            (3, "1\t0  1 "),
+            (4, "1 10 0 1"),
+        ],
+        ids=["10_1", "plus", "minus", "underscore", "2", "3", "9", "arabic_indic_3", "superscript_2", "tabs", "two_chars"],
+    )
+    def test_odd_rows(self, q, n, row):
+        text = f"{PCHK_MAGIC}\nq {q}\nn {n}\ns 2\n1 {' '.join(['0'] * (n - 1))}\n{row}\n"
+        assert parse_outcome(parse_pchk, text) == parse_outcome(reference_parse_pchk, text)
+
+    @pytest.mark.parametrize(
+        "q, row, message",
+        [
+            (2, "0 2 1", r"^row 1: digit out of range \[0, 2\)$"),
+            (2, "0 3 1", r"^row 1: digit out of range \[0, 2\)$"),
+            (2, "9 0 1", r"^row 1: digit out of range \[0, 2\)$"),
+            (3, "0 3 1", r"^row 1: digit out of range \[0, 3\)$"),
+            (2, "10 1", r"^row 1: expected 3 digits, got 2$"),
+            (5, "1 _ 0", r"^row 1: non-integer digit in '1 _ 0'$"),
+            (2, "1 0 0", r"linearly dependent: rank below s = 2$"),
+        ],
+        ids=["q2_2", "q2_3", "q2_9", "q3_3", "q2_10_1", "q5_underscore", "q2_dependent"],
+    )
+    def test_fast_path_faults_keep_their_messages(self, q, row, message):
+        text = f"{PCHK_MAGIC}\nq {q}\nn 3\ns 2\n1 0 0\n{row}\n"
+        with pytest.raises(PchkFormatError, match=message):
+            parse_pchk(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pchk_like_texts())
+    @example(f"{PCHK_MAGIC}\nq 1\nn 2\ns 1\n0 0\n")  # the row vector's q check comes first
+    @example(f"{PCHK_MAGIC}\nq 2\nn 0\ns 1\n\n")
+    def test_malformed_texts(self, text):
+        assert parse_outcome(parse_pchk, text) == parse_outcome(reference_parse_pchk, text)
+
+    def test_parsed_rows_become_vectors_only_when_read(self):
+        q, n, _, _, rows = CLASSICAL_CODES["golay_24_12_8"]
+        text = format_pchk(LinearCode(q, n, tuple(FqVector(q, row) for row in rows)))
+        code = parse_pchk(text)
+        assert "parity_rows" not in vars(code)
+        assert [row.digits for row in code.parity_rows] == rows
+        assert format_pchk(code) == text
 
 
 def test_end_to_end_constructed_codes_are_independent_sets():

@@ -615,6 +615,26 @@ class TestEdgeLevels:
             assert list(table.edges) == want
             assert (q - 1) * len(table.edges) == table.degree
 
+    @pytest.mark.parametrize("cell", [(2, 9, 4), (2, 10, 5), (2, 8, 7), (3, 6, 4), (5, 4, 3)])
+    def test_low_weight_words_for_random_pivots(self, cell):
+        # Independent pivot sets of every size, so each free weight and each
+        # last free column of the q = 2 frontier is reached.
+        q, n, d = cell
+        rng = random.Random(n * d)
+        vectors = all_vectors(q, n)
+        for count in list(range(n)) * 2:
+            rows = []
+            while len(rows) < count:
+                row = tuple(rng.randrange(q) for _ in range(n))
+                if len(reference_rref(rows + [row], q)[0]) > len(rows):
+                    rows.append(row)
+            want = [
+                v for v in vectors
+                if 0 < weight(v) < d and all(dot(v, row, q) == 0 for row in rows) and next(x for x in v if x) == 1
+            ]
+            pivots = tuple(FqVector(q, row) for row in rows)
+            assert list(descent_module._low_weight_words(GraphParams(*cell), pivots)) == want, rows
+
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
     def test_pattern_values_and_argmin_match_direct_counts(self, cell):
         # Random word sets orthogonal to the pivots, so the minimum lies on

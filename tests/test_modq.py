@@ -70,3 +70,22 @@ class TestPackedRows:
         for digits in ([rng.randrange(q) for _ in range(n)], [q - 1] * n, [0] * n):
             assert slots.pack(digits) == reference_pack(digits, slots.w)
             assert slots.unpack(slots.pack(digits)) == tuple(digits)
+
+
+def test_xor_basis_rref_on_a_dense_binary_matrix():
+    # 26 x 32 over F_2: 20 dense random rows and 6 sums of some of them,
+    # shuffled, so rows fall to zero after several XORs each.
+    slots = _Slots(2, 32)
+    for seed in range(5):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randrange(2) for _ in range(32)) for _ in range(20)]
+        for _ in range(6):
+            picked = rng.sample(rows[:20], rng.randint(2, 6))
+            rows.append(tuple(sum(col) % 2 for col in zip(*picked)))
+        rng.shuffle(rows)
+        packed, cols = modq.rref([slots.pack(row) for row in rows], slots)
+        want_rows, want_cols = reference_rref(rows, 2)
+        assert len(want_rows) <= 20
+        assert [slots.unpack(x) for x in packed] == want_rows
+        assert cols == want_cols
+        assert not any(x & slots.high for x in packed)
