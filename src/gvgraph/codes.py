@@ -35,23 +35,20 @@ Packed rows
 
 From parse to weight a row or word is one Python int, one guarded slot per
 digit (``modq``, "Row format").  ``parse_pchk`` reads a row of n
-one-character decimal digits, for 2 <= q <= 16 (slots of at most 5 bits),
-as one base-2^w numeral, the row reversed so that digit 1 lands in the
-lowest slot: one ``int`` call per row.  Its range is then checked on the
-guard bits, first ``word & high`` (a digit of 2^(w-1) or more), then
-``(word + bias) & high`` (a digit of q or more).  Any other row, and any
-row that fails a check, is read digit by digit, which packs it or raises
-the row's format error.  ``LinearCode`` holds its parity rows as these
-words and builds ``FqVector`` rows only when ``parity_rows`` is read, which
-``verify`` never does; a code built from ``FqVector`` rows keeps them.  It
-reduces the rows to their RREF by packed row operations (``modq.rref``: an
-XOR basis for q = 2, else one guarded add-and-reduce with a stored multiple
-of the pivot row) and keeps the packed rows.  The dual words are the span
-of those rows and the codewords the span of the packed kernel basis, each
-grown by ``_span`` with one add per word and multiple.  A word's weight is
-the number of its nonzero slots.  For q = 2 the slots are single digits
-under clear guard bits, and XOR of reduced words never sets a guard bit, so
-the weight is the word's popcount, ``int.bit_count``.
+one-character decimal digits with one ``int`` call (``modq._Slots.parse``,
+for 2 <= q <= 16); any other row, and any row outside [0, q), is read digit
+by digit, which packs it or raises the row's format error.  ``LinearCode``
+holds its parity rows as these words and builds ``FqVector`` rows only when
+``parity_rows`` is read, which ``verify`` never does; a code built from
+``FqVector`` rows keeps them.  It reduces the rows to their RREF by packed
+row operations (``modq.rref``: one XOR per row operation for q = 2, else
+one guarded add-and-reduce with a stored multiple of the pivot row) and
+keeps the packed rows.  The dual words are the span of those rows and the
+codewords the span of the packed kernel basis, each grown by ``_span`` with
+one add per word and multiple.  A word's weight is the number of its
+nonzero slots.  For q = 2 the slots are single digits under clear guard
+bits, and XOR of reduced words never sets a guard bit, so the weight is the
+word's popcount, ``int.bit_count``.
 
 The file format ``gvpchk v1`` is plain UTF-8 text with LF newlines:
 
@@ -254,23 +251,6 @@ def _header_int(line: str, key: str, lineno: int) -> int:
         raise PchkFormatError(f"line {lineno}: {parts[1]!r} is not an integer") from None
 
 
-def _digits_word(parts: list[str], slots: _Slots) -> int | None:
-    """The word of a row of n one-character decimal digits, each below q,
-    read as one base-2^w numeral; None for any other row."""
-    n = slots.n
-    if len(parts) != n:
-        return None
-    text = "".join(reversed(parts))
-    if len(text) != n or not (text.isascii() and text.isdigit()):
-        return None
-    try:
-        word = int(text, 1 << slots.w)
-    except ValueError:  # a digit of at least 2^w
-        return None
-    # Guard bits: a digit of 2^(w-1) or more, then one of q or more.
-    return None if word & slots.high or (word + slots.bias) & slots.high else word
-
-
 def _row_word(line: str, parts: list[str], offset: int, slots: _Slots) -> int:
     """The word of one row of ``parts``, read digit by digit, or its format error."""
     if len(parts) != slots.n:
@@ -302,12 +282,10 @@ def parse_pchk(text: str) -> LinearCode:
     if len(lines) != 4 + s:
         raise PchkFormatError(f"expected {s} rows after the header, found {len(lines) - 4}")
     slots = _Slots(q, n)
-    # int() reads bases up to 36, so slots of at most 5 bits; q >= 2 keeps the bias nonnegative.
-    fast = 2 <= q <= 16
     rows = []
     for offset, line in enumerate(lines[4:]):
         parts = line.split()
-        word = _digits_word(parts, slots) if fast else None
+        word = slots.parse(parts)
         rows.append(_row_word(line, parts, offset, slots) if word is None else word)
     if rows and (q < 2 or n == 0):  # the row vector's checks, which come before the code's
         raise PchkFormatError(f"q must be at least 2, got {q}" if q < 2 else "digits must be nonempty")

@@ -79,7 +79,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import comb
 from operator import add, mul
 from time import perf_counter
@@ -269,26 +268,11 @@ def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tupl
     weight is at most its weight.  So the free digit patterns of weight
     1..d-1 whose first nonzero digit is 1, one per class of nonzero
     multiples, are summed as packed words (``modq``, "Row format"), and the
-    words of weight at most d-1 are kept, each scaled to be monic.  For
-    q = 2 the patterns of each free weight are kept in order of their last
-    free column, so those that extend by column j are a prefix of them, and
-    every word is monic.
+    words of weight at most d-1 are kept, each scaled to be monic.
     """
     q, n, d = params.q, params.n, params.d
     slots = _Slots(q, n)
     basis = kernel_basis(*rref([slots.pack(p.digits) for p in pivots], slots), slots)
-    if q == 2:
-        # cuts[j]: how many patterns of the current weight end before column j.
-        frontier, cuts = basis, range(len(basis))
-        found = list(basis) if d > 1 else []
-        for _ in range(2, d):
-            grown, next_cuts = [], []
-            for vec, cut in zip(basis, cuts):
-                next_cuts.append(len(grown))
-                grown += [x ^ vec for x in frontier[:cut]]
-            frontier, cuts = grown, next_cuts
-            found += frontier
-        return tuple(sorted(map(slots.unpack, compress(found, map(d.__gt__, slots.weights(found))))))
     high, bias, shift = slots.high, slots.bias, slots.w - 1
     # Per free column, its multiples 1..q-1 as (m, m + bias): x + m reduces
     # to x + m - (((x + m + bias) & high) >> shift) * q.

@@ -19,18 +19,18 @@ reduces every slot mod q (``high`` holds the guard bits).  In the same way a
 digit plus 2^(w-1) - 1 sets the guard bit exactly when the digit is nonzero,
 so the weight of a word x is ``((x + nz) & high).bit_count()``.  For q = 2
 the bias is 0, the reduction of x + m is exactly ``x ^ m``, and a word's
-weight is its popcount.
+weight is its popcount.  For w <= 5 (q <= 16) the word read in base 2^w has
+the digits themselves as its digits, so ``pack`` and ``parse`` read a row
+as one numeral; ``parse`` then checks each digit is below q on the guard
+bits.
 
 Row operations
 --------------
 The lead column of a nonzero word is its lowest set slot.  ``rref``
 eliminates digit c of a row with the monic pivot row p by adding
-(q - c) * p: one guarded add-and-reduce with that multiple, formed on first
-use and kept with p.  q prime guarantees every nonzero lead digit is
-invertible (pow(a, -1, q)).  For q = 2 every nonzero digit is 1, so a row's
-lead is its lowest set bit, and ``rref`` keeps an XOR basis keyed by that
-bit: a row is cleared at each lead bit it holds by one XOR with that row,
-and a new row is XORed into each basis row that holds its lead bit.
+(q - c) * p: for q = 2 one XOR, for other q one guarded add-and-reduce with
+that multiple, formed on first use and kept with p.  q prime guarantees
+every nonzero lead digit is invertible (pow(a, -1, q)).
 """
 
 from __future__ import annotations
@@ -87,12 +87,36 @@ class _Slots:
             return int(bytes(reversed(digits)).translate(_BASE32) or b"0", 1 << self.w)
         return sum(map(lshift, digits, range(0, self.w * self.n, self.w)))
 
+    def parse(self, tokens: Sequence[str]) -> int | None:
+        """The word of n tokens that are one decimal digit below q each, or None.
+
+        As in ``pack``, for w <= 5 the reversed row is one base-2^w numeral,
+        read by one ``int`` call.  The guard bits then check its range:
+        ``word & high`` is set by a digit of 2^(w-1) or more, and
+        ``(word + bias) & high`` by a digit of q or more.  None for q < 2,
+        for w > 5, and for any other tokens, which the caller reads digit by
+        digit.
+        """
+        n = self.n
+        if len(tokens) != n or self.w > 5 or self.q < 2:
+            return None
+        text = "".join(reversed(tokens))
+        if len(text) != n or not (text.isascii() and text.isdigit()):
+            return None
+        try:
+            word = int(text, 1 << self.w)
+        except ValueError:  # a digit of 2^w or more
+            return None
+        return None if word & self.high or (word + self.bias) & self.high else word
+
     def unpack(self, word: int) -> tuple[int, ...]:
         mask = self.mask
         return tuple((word >> shift) & mask for shift in range(0, self.w * self.n, self.w))
 
     def add(self, x: int, m: int) -> int:
         """The reduced sum of two reduced words."""
+        if self.q == 2:
+            return x ^ m
         s = x + m
         return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.q
 
@@ -129,8 +153,6 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
     dropped, each surviving row has a leading 1 in a distinct pivot column
     and zeros in every other row's pivot column.
     """
-    if slots.q == 2:
-        return _xor_rref(rows)
     q, w, mask = slots.q, slots.w, slots.mask
     echelon: list[int] = []  # the pivot rows so far, each zero in the others' lead columns
     # Per pivot row: the bit offset of its lead slot, the row as inserted, and
@@ -138,7 +160,7 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
     pivots: list[tuple[int, int, dict[int, int]]] = []
 
     def minus(inserted: int, negs: dict[int, int], c: int) -> int:
-        if c == q - 1:
+        if c == q - 1:  # always for q = 2, where the add is one XOR
             return inserted
         if c not in negs:
             negs[c] = slots.scale(inserted, q - c)
@@ -168,24 +190,6 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
         pivots.append((offset, row, fresh))
     order = sorted(range(len(echelon)), key=lambda i: pivots[i][0])
     return [echelon[i] for i in order], [pivots[i][0] // w for i in order]
-
-
-def _xor_rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """``rref`` for q = 2: an XOR basis keyed by each row's lead bit, the
-    lowest set bit, with every row zero at the other rows' lead bits."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        for lead, pivot in basis.items():
-            if row & lead:
-                row ^= pivot
-        if row:
-            lead = row & -row
-            for other, pivot in basis.items():
-                if pivot & lead:
-                    basis[other] = pivot ^ row
-            basis[lead] = row
-    leads = sorted(basis)
-    return [basis[lead] for lead in leads], [lead.bit_length() // 2 for lead in leads]
 
 
 def rank(rows: Iterable[int], slots: _Slots) -> int:

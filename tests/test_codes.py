@@ -561,12 +561,13 @@ class TestParserEquivalence:
             (3, "0 2 1"),
             (3, "0 3 1"),
             (3, "9 0 1"),
+            (3, "0 7 1"),
             (3, "1 0 \u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
             (3, "1 \u00b2 0"),  # SUPERSCRIPT TWO: a digit to str.isdigit, not to int()
             (3, "1\t0  1 "),
             (4, "1 10 0 1"),
         ],
-        ids=["10_1", "plus", "minus", "underscore", "2", "3", "9", "arabic_indic_3", "superscript_2", "tabs", "two_chars"],
+        ids=["10_1", "plus", "minus", "underscore", "2", "3", "9", "7", "arabic_indic_3", "superscript_2", "tabs", "two_chars"],
     )
     def test_odd_rows(self, q, n, row):
         text = f"{PCHK_MAGIC}\nq {q}\nn {n}\ns 2\n1 {' '.join(['0'] * (n - 1))}\n{row}\n"
@@ -579,11 +580,13 @@ class TestParserEquivalence:
             (2, "0 3 1", r"^row 1: digit out of range \[0, 2\)$"),
             (2, "9 0 1", r"^row 1: digit out of range \[0, 2\)$"),
             (3, "0 3 1", r"^row 1: digit out of range \[0, 3\)$"),
+            # 7 fills its 3-bit slot: adding the bias carries it out, so only its own guard bit shows it.
+            (3, "0 7 1", r"^row 1: digit out of range \[0, 3\)$"),
             (2, "10 1", r"^row 1: expected 3 digits, got 2$"),
             (5, "1 _ 0", r"^row 1: non-integer digit in '1 _ 0'$"),
             (2, "1 0 0", r"linearly dependent: rank below s = 2$"),
         ],
-        ids=["q2_2", "q2_3", "q2_9", "q3_3", "q2_10_1", "q5_underscore", "q2_dependent"],
+        ids=["q2_2", "q2_3", "q2_9", "q3_3", "q3_7", "q2_10_1", "q5_underscore", "q2_dependent"],
     )
     def test_fast_path_faults_keep_their_messages(self, q, row, message):
         text = f"{PCHK_MAGIC}\nq {q}\nn 3\ns 2\n1 0 0\n{row}\n"

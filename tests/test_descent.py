@@ -617,8 +617,8 @@ class TestEdgeLevels:
 
     @pytest.mark.parametrize("cell", [(2, 9, 4), (2, 10, 5), (2, 8, 7), (3, 6, 4), (5, 4, 3)])
     def test_low_weight_words_for_random_pivots(self, cell):
-        # Independent pivot sets of every size, so each free weight and each
-        # last free column of the q = 2 frontier is reached.
+        # Independent pivot sets of every size, so every free weight and
+        # every free column of the frontier is reached.
         q, n, d = cell
         rng = random.Random(n * d)
         vectors = all_vectors(q, n)

@@ -72,7 +72,7 @@ class TestPackedRows:
             assert slots.unpack(slots.pack(digits)) == tuple(digits)
 
 
-def test_xor_basis_rref_on_a_dense_binary_matrix():
+def test_binary_rref_on_a_dense_matrix():
     # 26 x 32 over F_2: 20 dense random rows and 6 sums of some of them,
     # shuffled, so rows fall to zero after several XORs each.
     slots = _Slots(2, 32)
