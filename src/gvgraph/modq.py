@@ -1,4 +1,4 @@
-"""Small exact linear algebra mod a prime q on packed words: RREF, rank, kernel bases.
+"""Small exact linear algebra mod a prime q on packed words: RREF, rank, kernel bases, spans.
 
 Row format
 ----------
@@ -35,6 +35,8 @@ every nonzero lead digit is invertible (pow(a, -1, q)).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
@@ -144,6 +146,106 @@ class _Slots:
             return map(int.bit_count, words)
         nz, high = self.nz, self.high
         return (((x + nz) & high).bit_count() for x in words)
+
+
+def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> list[int]:
+    """Every combination of the packed ``basis`` words, zero first: for each
+    basis word b, the words so far plus b, then plus 2b, ..., plus (q-1)b.
+    From ``start``, the words of a span built so far, it extends that span."""
+    q, high, shift = slots.q, slots.high, slots.w - 1
+    words = list(start)
+    for vec in basis:
+        if q == 2:
+            words += [x ^ vec for x in words]
+            continue
+        added = []
+        for m in slots.multiples(vec):
+            mb = m + slots.bias  # s + bias below is x + mb, with s = x + m
+            added += [x + m - (((x + mb) & high) >> shift) * q for x in words]
+        words += added
+    return words
+
+
+# The most words ``_span_weights`` holds in one int: a larger span is weighed
+# in chunks of this many words or fewer.
+_WEIGH_FIELDS = 1 << 12
+
+# Byte x to the number of its set bits.
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+
+# (item size, unsigned ``array`` type code of that size), narrowest first.
+_ARRAY_TYPES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
+
+
+def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
+    """The weight of every word of ``_span(slots, basis)``, in that order,
+    with no Python int per word.
+
+    The span is held as one int, word i in the i-th byte-aligned field of
+    ``nbytes`` bytes.  Each basis word b grows it in a few whole-int
+    operations: b (for q > 2 each multiple of b) times ``ones``, 1 in every
+    field, is XORed or added and reduced, as ``_Slots.add`` does, into all
+    fields at once, and the result is shifted past the fields so far.  To
+    weigh, the guard bits of ``(x + nz) & high`` mark each nonzero slot
+    (q = 2: the word's bits are its digits), each byte becomes its popcount,
+    and a field's byte counts are summed by adding the ``nbytes`` ints that
+    hold the counts at one byte position of every field.  The sum of a
+    field is its weight, at most n, so no field carries into the next.
+
+    The first basis words form a bundle of at most ``_WEIGH_FIELDS`` words;
+    every combination of the remaining words, in ``_span`` order, is added
+    to the whole bundle and weighed as one chunk.  The weights are bytes for
+    n < 256, else an ``array`` of items wide enough for n.
+    """
+    q, shift = slots.q, slots.w - 1
+    nbytes = max(1, (slots.w * slots.n + 7) // 8)  # bytes per field
+    inner, fields = 0, q  # fields: the words of a bundle of one more basis word
+    while inner < len(basis) and fields <= _WEIGH_FIELDS:
+        inner, fields = inner + 1, fields * q
+    bundle, ones, bits = 0, 1, 8 * nbytes  # bits: the bundle's width
+    for vec in basis[:inner]:
+        if q == 2:
+            bundle |= (bundle ^ vec * ones) << bits
+            ones |= ones << bits
+        else:
+            words, one, bias, high = bundle, ones, slots.bias * ones, slots.high * ones
+            for j, m in enumerate(slots.multiples(vec), 1):
+                added = words + m * one
+                bundle |= (added - (((added + bias) & high) >> shift) * q) << (bits * j)
+                ones |= one << (bits * j)
+        bits *= q
+    if q > 2:
+        bias, high, nz = slots.bias * ones, slots.high * ones, slots.nz * ones
+    width, typecode = (1, "B") if slots.n < 256 else next((size, t) for size, t in _ARRAY_TYPES if 256**size > slots.n)
+    chunks = []
+    for word in _span(slots, basis[inner:]) if inner < len(basis) else (0,):
+        chunk = bundle
+        if q == 2:
+            chunk ^= word * ones
+        else:
+            if word:
+                chunk += word * ones
+                chunk -= (((chunk + bias) & high) >> shift) * q
+            chunk = (chunk + nz) & high
+        counts = chunk.to_bytes(bits // 8, "little").translate(_POPCOUNT)
+        total = sum(int.from_bytes(_widen(counts[j::nbytes], width), "little") for j in range(nbytes))
+        chunks.append(total.to_bytes(bits // 8 // nbytes * width, "little"))
+    weights = b"".join(chunks)
+    if width == 1:
+        return weights
+    wide = array(typecode, weights)
+    if sys.byteorder == "big":
+        wide.byteswap()
+    return wide
+
+
+def _widen(lane: bytes, width: int) -> bytes | bytearray:
+    """Each byte of ``lane`` as a little-endian number of ``width`` bytes."""
+    if width == 1:
+        return lane
+    wide = bytearray(len(lane) * width)
+    wide[::width] = lane
+    return wide
 
 
 def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:

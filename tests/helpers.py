@@ -171,9 +171,9 @@ def reference_pack(digits, w: int) -> int:
 
 def reference_parse_pchk(text):
     """The former ``parse_pchk``, digit by digit: every token through ``int``,
-    every row an ``FqVector``, then the code's checks, with the rank from
+    then the code's checks (q prime, n >= 1), with the rank from
     ``reference_rref``.  Returns (q, n, rows packed by ``reference_pack``),
-    or raises the former ``PchkFormatError``."""
+    or raises the ``PchkFormatError`` of the first fault."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -201,8 +201,6 @@ def reference_parse_pchk(text):
             raise PchkFormatError(f"row {offset}: digit out of range [0, {q})")
         rows.append(digits)
     try:
-        for digits in rows:
-            FqVector(q, digits)
         if not is_prime(q):
             raise ValueError(f"q must be prime, got {q}")
         if n < 1:

@@ -366,6 +366,19 @@ class TestVerifyCommand:
         assert r.returncode == 2
         assert "q must be prime" in r.stderr
 
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [("q 1\nn 2", "0 0\n", "q must be prime, got 1"), ("q 2\nn 0", "\n", "n must be positive, got 0")],
+        ids=["q1", "n0"],
+    )
+    @pytest.mark.parametrize("with_rows", [False, True])
+    def test_field_fault_exits_2_with_one_message(self, tmp_path, header, rows, message, with_rows):
+        path = tmp_path / "f.pchk"
+        path.write_text(f"# gvpchk v1\n{header}\ns {int(with_rows)}\n{rows if with_rows else ''}")
+        r = run_cli("verify", str(path), "-d", "1")
+        assert r.returncode == 2
+        assert r.stderr == f"error: {message}\n"
+
     def test_trivial_code_zero_budget_exits_3(self, tmp_path):
         path = tmp_path / "t.pchk"
         path.write_text("# gvpchk v1\nq 2\nn 2\ns 2\n1 0\n0 1\n")

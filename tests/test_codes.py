@@ -323,6 +323,82 @@ class TestDualRoute:
             codes._distance_from_dual(weights, 2, 7, 3)
 
 
+def repetition_code(q, n):
+    """[n, 1, n]: parity rows e_0 - e_i, i = 1 .. n - 1."""
+    rows = tuple(FqVector(q, tuple(1 if j == 0 else q - 1 if j == i else 0 for j in range(n))) for i in range(1, n))
+    return LinearCode(q, n, rows)
+
+
+def even_weight_code(n):
+    """[n, n - 1, 2]: the binary words of even weight."""
+    return LinearCode(2, n, (FqVector(2, (1,) * n),))
+
+
+class TestMinDistanceOnBothRoutes:
+    """``min_distance`` from the weights of a whole span, on the route the code takes."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_code(2, ("10", "01")),  # k = 0
+            lambda: LinearCode(5, 3, tuple(FqVector(5, row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),  # k = 0
+            lambda: LinearCode(3, 4, ()),  # s = 0: dual route, one dual word
+            lambda: LinearCode(2, 9, ()),  # s = 0
+            lambda: make_code(2, HAMMING_ROWS),  # dual route
+            lambda: make_code(2, ("1100", "0110", "0011")),  # codeword route
+            lambda: make_code(5, ("1400", "0014")),
+            lambda: repetition_code(2, 300),  # codeword route, weights past 255
+            lambda: repetition_code(3, 260),
+        ],
+        ids=["k0_q2", "k0_q5", "s0_q3", "s0_q2", "hamming_7_4", "k1_s3", "q5", "repetition_300", "ternary_repetition_260"],
+    )
+    def test_against_reference_codewords(self, build):
+        code = build()
+        with only_expected_route(code):
+            distance = min_distance(code)
+        assert distance == min((w.weight for w in reference_codewords(code) if w.weight), default=INFINITE_DISTANCE)
+
+    def test_long_codes_of_known_distance(self):
+        assert min_distance(repetition_code(2, 300)) == 300
+        assert min_distance(even_weight_code(300)) == 2
+
+    @pytest.mark.parametrize("q, n, s", [(2, 300, 6), (3, 257, 3), (2, 256, 7), (2, 300, 293), (3, 270, 265)])
+    def test_long_codes_against_the_word_list(self, q, n, s):
+        # Weights past 255 on both routes, against the span's words weighed one by one.
+        rng = random.Random(n + s)
+        code = LinearCode(q, n, tuple(FqVector(q, tuple(rng.randrange(q) for _ in range(n))) for _ in range(s)))
+        slots = code._slots
+        if s < code.dimension:
+            want = codes._distance_from_dual(Counter(slots.weights(codes._span(slots, code._rref[0]))), q, n, s)
+        else:
+            want = min(slots.weights(codes._span(slots, modq.kernel_basis(*code._rref, slots))[1:]))
+        with only_expected_route(code):
+            assert min_distance(code) == want
+
+    @pytest.mark.parametrize(
+        "build, budget, message",
+        [
+            (lambda: classical_code("hamming_15_11_3")[0], 15, "dual-word enumeration of a [15, 11] code needs 2^4 table entries, exceeding the budget of 15"),
+            (lambda: make_code(2, ("1100", "0110", "0011")), 1, "codeword enumeration of a [4, 1] code needs 2^1 table entries, exceeding the budget of 1"),
+            (lambda: repetition_code(2, 300), 1, "codeword enumeration of a [300, 1] code needs 2^1 table entries, exceeding the budget of 1"),
+            (lambda: even_weight_code(300), 1, "dual-word enumeration of a [300, 299] code needs 2^1 table entries, exceeding the budget of 1"),
+            (lambda: LinearCode(2, 5, ()), 31, "codeword enumeration of a [5, 5] code needs 2^5 table entries, exceeding the budget of 31"),
+            (lambda: make_code(2, ("10", "01")), 0, "codeword enumeration of a [2, 0] code needs 2^0 table entries, exceeding the budget of 0"),
+        ],
+        ids=["dual", "codewords", "repetition_300", "even_weight_300", "s0", "k0"],
+    )
+    def test_budget_refusals_keep_their_messages(self, monkeypatch, build, budget, message):
+        code = build()
+
+        def refuse(*args):
+            raise AssertionError("weighed a span over the budget")
+
+        monkeypatch.setattr(codes, "_span_weights", refuse)
+        with pytest.raises(BudgetError) as info:
+            min_distance(code, budget=budget)
+        assert str(info.value) == message + "; raise the budget to proceed"
+
+
 def test_public_api_holds_no_test_oracles():
     import gvgraph
 
@@ -453,6 +529,24 @@ class TestPchkFormat:
     def test_rejections(self, text, message):
         with pytest.raises(PchkFormatError, match=message):
             parse_pchk(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# gvpchk v1\nq 1\nn 2\ns 0\n", "q must be prime, got 1"),
+            ("# gvpchk v1\nq 1\nn 2\ns 1\n0 0\n", "q must be prime, got 1"),
+            ("# gvpchk v1\nq -3\nn 0\ns 1\n\n", "q must be prime, got -3"),
+            ("# gvpchk v1\nq 2\nn 0\ns 0\n", "n must be positive, got 0"),
+            ("# gvpchk v1\nq 2\nn 0\ns 1\n\n", "n must be positive, got 0"),
+            ("# gvpchk v1\nq 3\nn 0\ns 2\n\n\n", "n must be positive, got 0"),
+        ],
+        ids=["q1", "q1_rows", "q_negative_rows", "n0", "n0_row", "n0_rows"],
+    )
+    def test_one_message_per_field_fault(self, text, message):
+        # q < 2 and n = 0 are named by the code's own checks, with rows or without.
+        with pytest.raises(PchkFormatError) as info:
+            parse_pchk(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "q, rows, bad",
@@ -595,7 +689,7 @@ class TestParserEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(pchk_like_texts())
-    @example(f"{PCHK_MAGIC}\nq 1\nn 2\ns 1\n0 0\n")  # the row vector's q check comes first
+    @example(f"{PCHK_MAGIC}\nq 1\nn 2\ns 1\n0 0\n")  # q < 2 with rows: the code's q check, as without rows
     @example(f"{PCHK_MAGIC}\nq 2\nn 0\ns 1\n\n")
     def test_malformed_texts(self, text):
         assert parse_outcome(parse_pchk, text) == parse_outcome(reference_parse_pchk, text)

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,54 @@ def test_binary_rref_on_a_dense_matrix():
         assert [slots.unpack(x) for x in packed] == want_rows
         assert cols == want_cols
         assert not any(x & slots.high for x in packed)
+
+
+def span_weights_list(slots, basis):
+    """The weights of ``_span``'s words, one at a time: what ``_span_weights`` must give."""
+    return list(slots.weights(modq._span(slots, basis)))
+
+
+class TestSpanWeights:
+    """``_span_weights`` against the words of ``_span`` weighed one by one, in order."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19])
+    def test_random_spans(self, q):
+        # w is 2 to 6 bits a slot (q = 17 and 19: 6): n = 8 words fill whole
+        # bytes, n = 1, 5, 7 and 33 words end inside a byte.  The basis words
+        # are drawn with repeats from zero, all-(q-1) and random words.
+        rng = random.Random(q)
+        for n in (1, 5, 7, 8, 12, 33):
+            slots = _Slots(q, n)
+            assert (slots.w * n % 8 == 0) == (n == 8 or (n == 12 and slots.w % 2 == 0))
+            words = [0, slots.pack([q - 1] * n)] + [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(4)]
+            for k in range(5 if q <= 7 else 4):
+                basis = [rng.choice(words) for _ in range(k)]
+                weights = modq._span_weights(slots, basis)
+                assert type(weights) is bytes
+                assert list(weights) == span_weights_list(slots, basis), (n, k)
+
+    def test_no_basis_word_is_one_zero_weight(self):
+        for q, n in ((2, 1), (3, 8), (19, 300)):
+            assert list(modq._span_weights(_Slots(q, n), [])) == [0]
+
+    @pytest.mark.parametrize("q, n", [(2, 255), (2, 256), (2, 300), (3, 256), (5, 260), (17, 257)])
+    def test_weights_past_255(self, q, n):
+        rng = random.Random(n)
+        slots = _Slots(q, n)
+        basis = [slots.pack([1] * n), slots.pack([q - 1] * (n - 1) + [0])] + [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(2)]
+        weights = modq._span_weights(slots, basis)
+        assert list(weights) == span_weights_list(slots, basis)
+        assert max(weights) == n
+        assert (type(weights) is bytes) == (n < 256)
+
+    @pytest.mark.parametrize("fields", [1, 2, 3, 4, 7, 9, 25])
+    @pytest.mark.parametrize("q", [2, 3, 5, 17])
+    def test_many_chunks(self, monkeypatch, q, fields):
+        # A bundle of at most ``fields`` words, shifted by every combination
+        # of the remaining words: one chunk per combination.
+        monkeypatch.setattr(modq, "_WEIGH_FIELDS", fields)
+        rng = random.Random(q * 100 + fields)
+        for n in (4, 9, 300):
+            slots = _Slots(q, n)
+            basis = [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(5 if q <= 3 else 3)]
+            assert list(modq._span_weights(slots, basis)) == span_weights_list(slots, basis)
