@@ -10,8 +10,8 @@ Minimum distance from the smaller side
 
 A [n, k] code with s = n - k parity rows has q^k codewords and q^s dual
 words (the span of the parity rows).  ``min_distance`` weighs every word of
-the smaller side at once (``modq._span_weights``, "Packed rows" below), as
-one weight per word in one ``bytes`` object.  When k <= s it weighs the
+the smaller side (``modq._span_weights``, "Packed rows" below), as one
+weight per word in one ``bytes`` object.  When k <= s it weighs the
 codewords, spanned by a kernel basis, and the distance is the least j >= 1
 that occurs among those bytes (``j in weights``, one byte search per j).
 When s < k it weighs the dual words, spanned by the stored RREF rows,
@@ -51,19 +51,21 @@ row operations (``modq.rref``: one XOR per row operation for q = 2, else
 one guarded add-and-reduce with a stored multiple of the pivot row) and
 keeps the packed rows.  A word's weight is the number of its nonzero slots.
 
-``min_distance`` builds no int per word of the span it weighs.
-``modq._span_weights`` holds up to ``modq._WEIGH_FIELDS`` words as one
-int, one byte-aligned field per word, and grows it by a few whole-int
-operations per basis word: the basis word times a constant with 1 in every
-field, XORed (q = 2) or added and reduced (q > 2) into every field at once,
-then shifted past the fields so far.  Its weights come from the int's bytes:
-for q > 2 the guard bits first mark the nonzero slots, then each byte
-becomes its popcount (``bytes.translate``) and the counts of a field's
-bytes are summed by adding one int per byte position.  A larger span is
-weighed in chunks: every combination of the remaining basis words is added
-to the whole bundle of the first ones.  ``codewords`` still builds the word
-list (``modq._span``, one add per word and multiple), since it returns
-every word.
+``modq._span_weights`` weighs a span a chunk at a time: the first basis
+words span a bundle of at most ``modq._WEIGH_BYTES`` bytes of words, and
+every combination of the remaining basis words is added to the whole
+bundle.  Words of up to ``modq._PACKED_BYTES`` bytes build no int of
+their own: the chunk is one int, one byte-aligned field per word,
+grown by a few whole-int operations per basis word (the basis word times a
+constant with 1 in every field, XORed for q = 2 or added and reduced into
+every field at once, then shifted past the fields so far).  Its weights
+come from the int's bytes: for q > 2 the guard bits first mark the nonzero
+slots, then each byte becomes its popcount (``bytes.translate``) and the
+counts of a field's bytes are summed by adding one int per byte position.
+Longer words cost more in those sums than an int each, so they are built
+one int each, a chunk at a time, and weighed in turn.  ``codewords``
+still builds the whole word list (``modq._span``, one add per word and
+multiple), since it returns every word.
 
 The file format ``gvpchk v1`` is plain UTF-8 text with LF newlines:
 

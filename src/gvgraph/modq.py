@@ -35,7 +35,6 @@ every nonzero lead digit is invertible (pow(a, -1, q)).
 
 from __future__ import annotations
 
-import sys
 from array import array
 from functools import cached_property
 from operator import lshift
@@ -166,9 +165,15 @@ def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> l
     return words
 
 
-# The most words ``_span_weights`` holds in one int: a larger span is weighed
-# in chunks of this many words or fewer.
-_WEIGH_FIELDS = 1 << 12
+# The most bytes of words in one chunk of ``_span_weights``: a larger span
+# is weighed in chunks, with about ten ints of a chunk's size alive at once.
+_WEIGH_BYTES = 1 << 16
+
+# The longest word, in bytes, that ``_span_weights`` weighs in a packed
+# chunk.  Packed, a word costs about 9 ns per byte (sums by byte position);
+# as an int of its own about 0.12 us (timed at q = 2, n = 128), so from
+# 12 to 16 bytes on (q = 2: n = 48 to 64) one int per word is as fast.
+_PACKED_BYTES = 16
 
 # Byte x to the number of its set bits.
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
@@ -178,11 +183,16 @@ _ARRAY_TYPES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
 
 
 def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
-    """The weight of every word of ``_span(slots, basis)``, in that order,
-    with no Python int per word.
+    """The weight of every word of ``_span(slots, basis)``, in that order.
 
-    The span is held as one int, word i in the i-th byte-aligned field of
-    ``nbytes`` bytes.  Each basis word b grows it in a few whole-int
+    The first basis words span a bundle of words that fits in
+    ``_WEIGH_BYTES`` bytes; every combination of the remaining words, in
+    ``_span`` order, is added to the whole bundle to give one chunk of the
+    span, which is weighed and dropped before the next.
+
+    A word of at most ``_PACKED_BYTES`` bytes builds no Python int of its
+    own.  The chunk is one int, word i in the i-th byte-aligned field of
+    ``nbytes`` bytes.  Each basis word b grows the bundle in a few whole-int
     operations: b (for q > 2 each multiple of b) times ``ones``, 1 in every
     field, is XORed or added and reduced, as ``_Slots.add`` does, into all
     fields at once, and the result is shifted past the fields so far.  To
@@ -191,17 +201,24 @@ def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
     and a field's byte counts are summed by adding the ``nbytes`` ints that
     hold the counts at one byte position of every field.  The sum of a
     field is its weight, at most n, so no field carries into the next.
+    Longer words are built one int each, a chunk at a time, and weighed by
+    ``_Slots.weights``.
 
-    The first basis words form a bundle of at most ``_WEIGH_FIELDS`` words;
-    every combination of the remaining words, in ``_span`` order, is added
-    to the whole bundle and weighed as one chunk.  The weights are bytes for
-    n < 256, else an ``array`` of items wide enough for n.
+    The weights are bytes for n < 256, else an ``array`` of items wide
+    enough for n.  A packed chunk holds at most 64 slots a word, since a
+    slot takes at least 2 bits, so its weights fit in bytes.
     """
     q, shift = slots.q, slots.w - 1
-    nbytes = max(1, (slots.w * slots.n + 7) // 8)  # bytes per field
-    inner, fields = 0, q  # fields: the words of a bundle of one more basis word
-    while inner < len(basis) and fields <= _WEIGH_FIELDS:
+    nbytes = max(1, (slots.w * slots.n + 7) // 8)  # bytes per word
+    inner, fields = 0, 1  # fields: the words of a bundle of the first inner basis words
+    while inner < len(basis) and fields * q * nbytes <= _WEIGH_BYTES:
         inner, fields = inner + 1, fields * q
+    outer = _span(slots, basis[inner:])
+    if nbytes > _PACKED_BYTES:
+        weights = array(next(t for size, t in _ARRAY_TYPES if 256**size > slots.n))
+        for word in outer:
+            weights.fromlist(list(slots.weights(_span(slots, basis[:inner], (word,)))))  # faster than extend
+        return weights.tobytes() if weights.itemsize == 1 else weights
     bundle, ones, bits = 0, 1, 8 * nbytes  # bits: the bundle's width
     for vec in basis[:inner]:
         if q == 2:
@@ -216,9 +233,8 @@ def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
         bits *= q
     if q > 2:
         bias, high, nz = slots.bias * ones, slots.high * ones, slots.nz * ones
-    width, typecode = (1, "B") if slots.n < 256 else next((size, t) for size, t in _ARRAY_TYPES if 256**size > slots.n)
     chunks = []
-    for word in _span(slots, basis[inner:]) if inner < len(basis) else (0,):
+    for word in outer:
         chunk = bundle
         if q == 2:
             chunk ^= word * ones
@@ -228,24 +244,9 @@ def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
                 chunk -= (((chunk + bias) & high) >> shift) * q
             chunk = (chunk + nz) & high
         counts = chunk.to_bytes(bits // 8, "little").translate(_POPCOUNT)
-        total = sum(int.from_bytes(_widen(counts[j::nbytes], width), "little") for j in range(nbytes))
-        chunks.append(total.to_bytes(bits // 8 // nbytes * width, "little"))
-    weights = b"".join(chunks)
-    if width == 1:
-        return weights
-    wide = array(typecode, weights)
-    if sys.byteorder == "big":
-        wide.byteswap()
-    return wide
-
-
-def _widen(lane: bytes, width: int) -> bytes | bytearray:
-    """Each byte of ``lane`` as a little-endian number of ``width`` bytes."""
-    if width == 1:
-        return lane
-    wide = bytearray(len(lane) * width)
-    wide[::width] = lane
-    return wide
+        total = sum(int.from_bytes(counts[j::nbytes], "little") for j in range(nbytes))
+        chunks.append(total.to_bytes(fields, "little"))
+    return b"".join(chunks)
 
 
 def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:

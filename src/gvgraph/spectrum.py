@@ -103,7 +103,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, binomial, krawtchouk, krawtchouk_row
 from .errors import check_budget
-from .modq import _Slots, _span, _span_weights
+from .modq import _Slots, _span
 from .vectors import FqVector
 
 __all__ = [
@@ -466,7 +466,7 @@ class SpectrumTable:
         if self.edges is not None:
             slots = _Slots(self.params.q, len(self.edges))
             columns = _edge_columns(slots, self.edges, self.params.n)
-            values = _edge_values(slots, _span_weights(slots, [columns[col] for col in reversed(self.free_cols)]))
+            values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
         return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
@@ -490,12 +490,12 @@ def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], n: int) -> li
     return [slots.pack(column) for column in zip(*edges)] if edges else [0] * n
 
 
-def _edge_values(slots: _Slots, weights: Iterable[int]) -> tuple[int, ...]:
-    """q * Z - m for every packed m-digit word y of weight w, read from w as
-    q * (m - w) - m: m + 1 value objects in all."""
+def _edge_values(slots: _Slots, words: Iterable[int]) -> tuple[int, ...]:
+    """q * Z - m for every packed m-digit word y, Z the number of zero digits
+    of y, read from the weight of y: m + 1 value objects in all."""
     q, m = slots.q, slots.n
     by_weight = [(q - 1) * m - q * w for w in range(m + 1)]
-    return tuple(map(by_weight.__getitem__, weights))
+    return tuple(map(by_weight.__getitem__, slots.weights(words)))
 
 
 def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -503,7 +503,7 @@ def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: 
 
     Right to left, a free column whose column of the words is not yet in
     the span of the columns kept so far is kept, and the span grows by it
-    (``codes._span``), so the span's words come out in pattern order.
+    (``modq._span``), so the span's words come out in pattern order.
     """
     slots = _Slots(params.q, len(edges))
     columns = _edge_columns(slots, edges, params.n)
@@ -513,7 +513,7 @@ def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: 
             cols.append(col)
             size, words = len(words), _span(slots, [columns[col]], words)
             seen.update(islice(words, size, None))
-    return tuple(reversed(cols)), _edge_values(slots, slots.weights(words))
+    return tuple(reversed(cols)), _edge_values(slots, words)
 
 
 def edge_level(params: GraphParams, pivots: tuple[FqVector, ...], edges: tuple[tuple[int, ...], ...]) -> SpectrumTable:

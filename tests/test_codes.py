@@ -362,9 +362,12 @@ class TestMinDistanceOnBothRoutes:
         assert min_distance(repetition_code(2, 300)) == 300
         assert min_distance(even_weight_code(300)) == 2
 
-    @pytest.mark.parametrize("q, n, s", [(2, 300, 6), (3, 257, 3), (2, 256, 7), (2, 300, 293), (3, 270, 265)])
+    @pytest.mark.parametrize(
+        "q, n, s", [(2, 300, 6), (3, 257, 3), (2, 256, 7), (2, 300, 293), (3, 270, 265), (2, 100, 7), (2, 100, 90), (5, 40, 3), (5, 40, 34)]
+    )
     def test_long_codes_against_the_word_list(self, q, n, s):
-        # Weights past 255 on both routes, against the span's words weighed one by one.
+        # Words of more than 16 bytes, weighed one int each, on both routes
+        # (weights past 255 from n = 256), against the span's words weighed one by one.
         rng = random.Random(n + s)
         code = LinearCode(q, n, tuple(FqVector(q, tuple(rng.randrange(q) for _ in range(n))) for _ in range(s)))
         slots = code._slots

@@ -1,6 +1,8 @@
 """Packed RREF and kernel basis against the list oracle on digit tuples."""
 
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,14 +132,48 @@ class TestSpanWeights:
         assert max(weights) == n
         assert (type(weights) is bytes) == (n < 256)
 
-    @pytest.mark.parametrize("fields", [1, 2, 3, 4, 7, 9, 25])
+    @pytest.mark.parametrize("packed", [16, 0])
+    @pytest.mark.parametrize("cap", [1, 2, 5, 9, 40, 100, 400, 4000])
     @pytest.mark.parametrize("q", [2, 3, 5, 17])
-    def test_many_chunks(self, monkeypatch, q, fields):
-        # A bundle of at most ``fields`` words, shifted by every combination
-        # of the remaining words: one chunk per combination.
-        monkeypatch.setattr(modq, "_WEIGH_FIELDS", fields)
-        rng = random.Random(q * 100 + fields)
+    def test_many_chunks(self, monkeypatch, q, cap, packed):
+        # A bundle of at most ``cap`` bytes of words, shifted by every
+        # combination of the remaining words: one chunk per combination.
+        # n = 300 words are weighed one int each; so are n = 4 and 9 when
+        # no word counts as short (``_PACKED_BYTES`` = 0).
+        monkeypatch.setattr(modq, "_WEIGH_BYTES", cap)
+        monkeypatch.setattr(modq, "_PACKED_BYTES", packed)
+        rng = random.Random(q * 100 + cap)
         for n in (4, 9, 300):
             slots = _Slots(q, n)
             basis = [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(5 if q <= 3 else 3)]
             assert list(modq._span_weights(slots, basis)) == span_weights_list(slots, basis)
+
+    @pytest.mark.parametrize("q, n", [(2, 3000), (3, 1500), (2, 600_000)])
+    def test_long_words(self, q, n):
+        # Under the real cap a bundle holds 2^6 words of 3,000 2-bit slots
+        # (750 bytes) or 3^3 words of 1,500 3-bit slots (563 bytes); a word
+        # of 600,000 slots (150,000 bytes) overfills the cap alone, so each
+        # chunk is one word.
+        rng = random.Random(n)
+        slots = _Slots(q, n)
+        k = 8 if n < 10_000 else 2
+        basis = [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(k)]
+        assert list(modq._span_weights(slots, basis)) == span_weights_list(slots, basis)
+
+    @pytest.mark.parametrize("q, n, k", [(2, 40, 16), (3, 20, 10), (2, 2000, 13)])
+    def test_memory_stays_near_the_cap(self, q, n, k):
+        # 2^16 words of 10 bytes, 3^10 of 8 bytes, 2^13 of 500 bytes: as a
+        # list of ints they would take 2.9, 2.4 and 4.7 MB.  About ten ints
+        # of a chunk's size are alive at once, each at most the cap.
+        rng = random.Random(n)
+        slots = _Slots(q, n)
+        basis = [slots.pack([rng.randrange(q) for _ in range(n)]) for _ in range(k)]
+        tracemalloc.start()
+        try:
+            weights = modq._span_weights(slots, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(weights) == q**k
+        out = len(weights) * (weights.itemsize if isinstance(weights, array) else 1)
+        assert peak < 16 * modq._WEIGH_BYTES + out
