@@ -32,9 +32,9 @@ of the least-index outer sum.  The pivot is checked by reading the value
 at its type's position (``_Types.position``), so a level that hands off
 to edges builds no code -> value lookup.  The edgeless last level
 computes no argmin.  Every level is typed until it
-hands off to edge levels, below; the descent builds no dense table, which
-only ``densify`` makes, to print a level.  Budgets are checked against q^n
-before level 0, the size of a dense level 0.
+hands off to edge levels, below: a level is typed or edges, and its
+``values`` are only what ``densify`` adds to print it.  Budgets are checked
+against q^n before level 0, the number of its indices.
 
 Edge levels
 -----------

@@ -1,9 +1,10 @@
 """Shared error types and the table-entry budget."""
 
-# Default cap on materialized table / enumeration entries.  Dense spectrum
-# tables, codeword enumerations and explicit graph builds refuse to allocate
-# more entries than this; the CLI exposes --budget to override it.  At the
-# ~21 bytes per level-0 entry a dense descent peaks at, 2^26 is ~1.4 GiB.
+# Default cap on table / enumeration entries: the q^n indices of a descent's
+# level 0 (checked before it starts, although its typed and edge levels hold
+# far fewer entries), the q^(n-t) rows ``spectrum --level t`` prints, and the
+# codewords or dual words ``verify`` weighs.  The CLI exposes --budget to
+# override it.
 DEFAULT_BUDGET = 2**26
 
 

@@ -17,11 +17,12 @@ canonical when chosen, so it is zero at every earlier pivot column, and the
 t pivot columns are distinct.  Each coset is named by its canonical
 representative: the unique member that is zero at every pivot column, which
 is also the base-q smallest member (digit 1 most significant).  The other
-n - t columns are the free columns.  A dense table (``values``) stores one
-exact integer per canonical representative, ordered by the base-q number
-formed by the free digits; that ordering agrees with lexicographic order on
-the vectors, so "first index attaining the minimum" is exactly the smallest
-argmin vector.
+n - t columns are the free columns.  A representative's dense index is the
+base-q number formed by its free digits; that ordering agrees with
+lexicographic order on the vectors, so "first index attaining the minimum"
+is exactly the smallest argmin vector.  A level is held typed or as edges,
+never one value per index: ``values``, one exact integer per dense index,
+is only the expansion ``densify`` adds for ``entries`` to print a level.
 
 Types
 -----
@@ -84,8 +85,7 @@ entries after the zero index.  The argmin (``min_eigenvalue``) is derived
 from that value only when asked for.  On a typed level the nonzero types
 holding it are counted and found with ``tuple.index``, and the least dense
 index among them is read from the halves at those positions alone.  On an
-edge level it is the vector of the first pattern holding it; on a table
-that ``densify`` built to print a level, the first dense index holding it.
+edge level it is the vector of the first pattern holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
@@ -94,7 +94,7 @@ use and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, islice
 from math import comb, prod
@@ -133,6 +133,15 @@ def _free_cols(n: int, pivots: Iterable[FqVector]) -> tuple[int, ...]:
     """Every column of n but the pivots' leading columns, in increasing order."""
     pivot_cols = set(map(_lead_col, pivots))
     return tuple(c for c in range(n) if c not in pivot_cols)
+
+
+def _vector_at(params: GraphParams, cols: Sequence[int], index: int) -> FqVector:
+    """The vector holding ``index``'s base-q digits at ``cols`` (the last one
+    least significant) and 0 elsewhere."""
+    q, digits = params.q, [0] * params.n
+    for col in reversed(cols):
+        index, digits[col] = divmod(index, q)
+    return FqVector(q, tuple(digits))
 
 
 def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
@@ -307,12 +316,12 @@ class _Types:
 class SpectrumTable:
     """Exact integer eigenvalues of a descent-level graph, indexed by characters.
 
-    The level is named by its ``pivots``.  Either ``weight_values`` (typed:
-    one entry per type in code order, which at level 0 is one per weight)
-    or ``values`` (dense: one entry per canonical coset representative,
-    built only by ``densify``) is set; an edge level sets ``edges`` too, and
-    its ``weight_values`` hold one entry per pattern (see "Edge levels"
-    above).
+    The level is named by its ``pivots``.  ``weight_values`` holds one
+    entry per type in code order (typed; at level 0 one per weight), or,
+    when ``edges`` is set too, one entry per pattern (see "Edge levels"
+    above); every query reads these.  ``values`` (one entry per canonical
+    coset representative) is set only by ``densify`` and read only by
+    ``entries``, to print a level.
     """
 
     params: GraphParams
@@ -327,9 +336,7 @@ class SpectrumTable:
 
     @property
     def kind(self) -> str:
-        """The representation: "dense", "typed" or "edges"."""
-        if self.values is not None:
-            return "dense"
+        """The representation: "typed" or "edges"."""
         return "typed" if self.edges is None else "edges"
 
     @cached_property
@@ -351,8 +358,6 @@ class SpectrumTable:
     @property
     def degree(self) -> int:
         """Eigenvalue of the zero character: the regular degree of the level graph."""
-        if self.values is not None:
-            return self.values[0]
         assert self.weight_values is not None
         return self.weight_values[0]
 
@@ -365,11 +370,7 @@ class SpectrumTable:
         """Canonical representative at a dense-table position."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for table of size {self.size}")
-        q, n = self.params.q, self.params.n
-        digits = [0] * n
-        for col in reversed(self.free_cols):
-            index, digits[col] = divmod(index, q)
-        return FqVector(q, tuple(digits))
+        return _vector_at(self.params, self.free_cols, index)
 
     def index_of(self, v: FqVector) -> int:
         """Dense-table position of a canonical representative: its free digits, base q."""
@@ -384,13 +385,11 @@ class SpectrumTable:
         return idx
 
     def value_of(self, v: FqVector) -> int:
-        """Eigenvalue at a canonical representative, in any representation.
+        """Eigenvalue at a canonical representative.
 
         On an edge level it is q * Z - m, with Z counted word by word.
         """
-        idx = self.index_of(v)  # refuses a non-canonical vector
-        if self.values is not None:
-            return self.values[idx]
+        self.index_of(v)  # refuses a non-canonical vector
         if self.edges is not None:
             q = self.params.q
             zeros = sum(1 for c in self.edges if sum(map(mul, c, v.digits)) % q == 0)
@@ -408,7 +407,7 @@ class SpectrumTable:
     @cached_property
     def min_value(self) -> int:
         """Least eigenvalue over the nonzero indices (the degree if none): one scan, no argmin."""
-        vals = self.weight_values if self.values is None else self.values
+        vals = self.weight_values
         assert vals is not None
         return min(islice(vals, 1, None), default=vals[0])
 
@@ -423,30 +422,25 @@ class SpectrumTable:
 
     @cached_property
     def _minimum(self) -> tuple[int, FqVector]:
-        value = self.min_value
-        if self.values is not None:
-            index = self.values.index(value, 1) if self.size > 1 else 0
-        elif self.edges is not None:
-            if len(self.weight_values) == 1:  # no edge: every value is 0
+        value, vals = self.min_value, self.weight_values
+        if self.edges is not None:
+            if len(vals) == 1:  # no edge: every value is 0
                 return value, self.vector_at(1 if self.size > 1 else 0)
-            return value, self._pattern_vector(self.weight_values.index(value, 1))
-        else:
-            # Only the positions after 0 that hold the minimum are visited:
-            # counted first, so each index() call is known to find one.
-            vals = self.weight_values
-            ties, i, tied = vals.count(value) - (vals[0] == value), 0, []
-            for _ in range(ties):
-                i = vals.index(value, i + 1)
-                tied.append(i)
-            outer, inner = self.types.least_halves()
-            width = len(inner)
-            index = min((outer[i // width] + inner[i % width] for i in tied), default=0)
-        return value, self.vector_at(index)
+            return value, _vector_at(self.params, self.pattern_cols, vals.index(value, 1))
+        # Only the positions after 0 that hold the minimum are visited:
+        # counted first, so each index() call is known to find one.
+        ties, i, tied = vals.count(value) - (vals[0] == value), 0, []
+        for _ in range(ties):
+            i = vals.index(value, i + 1)
+            tied.append(i)
+        outer, inner = self.types.least_halves()
+        width = len(inner)
+        return value, self.vector_at(min((outer[i // width] + inner[i % width] for i in tied), default=0))
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
         """(canonical representative, eigenvalue) pairs in index order."""
         if self.values is None:
-            raise ValueError("entries() requires a dense table; call densify() first")
+            raise ValueError("entries() requires the values that densify() adds")
         for i, lam in enumerate(self.values):
             yield self.vector_at(i), lam
 
@@ -458,10 +452,10 @@ class SpectrumTable:
             yield w, lam, self.multiplicity_for_weight(w)
 
     def densify(self, budget: int | None = None) -> "SpectrumTable":
-        """Expand a typed table to one entry per canonical representative."""
+        """This table with ``values`` set, one per canonical representative, for ``entries``;
+        every query still reads the table's own ``weight_values`` and ``edges``."""
         if self.values is not None:
             return self
-        assert self.weight_values is not None
         _check_dense(self.params, self.level, budget)
         if self.edges is not None:
             slots = _Slots(self.params.q, len(self.edges))
@@ -469,20 +463,13 @@ class SpectrumTable:
             values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
-        return SpectrumTable(params=self.params, pivots=self.pivots, values=values)
+        return replace(self, values=values)
 
     @cached_property
     def pattern_cols(self) -> tuple[int, ...]:
         """An edge level's pattern columns (see "Edge levels" above)."""
         assert self.edges is not None
         return _patterns(self.params, self.edges, self.free_cols)[0]
-
-    def _pattern_vector(self, index: int) -> FqVector:
-        """The vector holding the digits of pattern ``index`` at the pattern columns, 0 elsewhere."""
-        q, digits = self.params.q, [0] * self.params.n
-        for col in reversed(self.pattern_cols):
-            index, digits[col] = divmod(index, q)
-        return FqVector(q, tuple(digits))
 
 
 def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], n: int) -> list[int]:

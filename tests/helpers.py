@@ -11,9 +11,10 @@ doubling loop, the former list RREF and kernel basis on digit tuples, the
 former ``entropy_q`` (``reference_entropy``), the former shift-sum
 ``_Slots.pack`` (``reference_pack``) and the former digit-by-digit
 ``parse_pchk`` (``reference_parse_pchk``).
-The dense route (``dense_descend``, ``dense_descent``) runs Algorithm 1 on
-dense tables through ``reference_average``: the second route the typed and
-edge levels are compared against.  The vector helpers at the top (rank
+The dense route (``dense_minimum``, ``dense_descend``, ``dense_descent``)
+runs Algorithm 1 on dense values through ``reference_average``, with its own
+argmin scan, degree and pivot lookup: the second route the typed and edge
+levels are compared against.  The vector helpers at the top (rank
 order, distances, supports, independent sets) are the test-only parts of
 the former ``FqVector`` and ``codes`` API.
 """
@@ -29,10 +30,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound, select_pivot
+from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound
 from gvgraph.codes import PCHK_MAGIC, _header_int
 from gvgraph.combinat import is_prime
-from gvgraph.descent import _check_pivot
 from gvgraph.errors import DivisibilityError, PchkFormatError, check_budget
 from gvgraph.spectrum import RealEigenvector, _lead_col
 
@@ -512,15 +512,28 @@ def reference_average(vals, q, tail, level):
     return tuple(out)
 
 
+def dense_minimum(table):
+    """The least of ``table.densify().values`` after the zero index (the
+    degree if none) and the first index holding it, by a scan of the values."""
+    values = table.densify().values
+    value = min(values[1:], default=values[0])
+    return value, table.vector_at(values.index(value, 1) if len(values) > 1 else 0)
+
+
 def dense_descend(table, pivot):
-    """The next level's dense table, by ``reference_average`` of the dense ``table``.
+    """The next level's dense values, by ``reference_average`` of ``table.densify().values``,
+    as a table that sets ``values`` alone.
 
     The pivot is checked as the descent checks it (nonzero, canonical, at
-    the level minimum); ``tail`` holds the monic pivot's free digits after
-    its leading column.
+    the level minimum), the value at it looked up by its index; ``tail``
+    holds the monic pivot's free digits after its leading column.
     """
     table = table.densify()
-    _check_pivot(table, pivot)
+    if pivot.is_zero:
+        raise ValueError("pivot must be nonzero")
+    value, least = table.values[table.index_of(pivot)], dense_minimum(table)[0]
+    if value != least:
+        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {least}")
     q, free = table.params.q, table.free_cols
     lead = free.index(_lead_col(pivot))
     inv = pow(pivot.digits[free[lead]], -1, q)
@@ -530,17 +543,18 @@ def dense_descend(table, pivot):
 
 
 def dense_descent(params):
-    """Algorithm 1 on dense tables: ``[(table, record)]`` for t = 0..s, as
-    ``list(descend(params))`` gives them, each pivot the dense argmin and
-    each next level ``dense_descend``."""
+    """Algorithm 1 on dense values: ``[(table, record)]`` for t = 0..s, as
+    ``list(descend(params))`` gives them, each pivot the ``dense_minimum``,
+    each degree ``values[0]`` and each next level ``dense_descend``."""
     table, minima, levels = build_spectrum_level0(params).densify(), [], []
-    while table.min_value:
-        pivot, value = select_pivot(table), table.min_value
+    value, pivot = dense_minimum(table)
+    while value:
         minima.append(value)
         orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
         bound = descent_bound(params, minima)
-        levels.append((table, LevelRecord(table.level, pivot, value, table.degree, bound, orthogonal)))
+        levels.append((table, LevelRecord(table.level, pivot, value, table.values[0], bound, orthogonal)))
         table = dense_descend(table, pivot)
+        value, pivot = dense_minimum(table)
     return levels + [(table, None)]
 
 

@@ -141,7 +141,7 @@ def test_criterion_05_descent_ground_truth():
                     vt_idx = np.nonzero(in_subspace)[0]
                     assert len(vt_idx) == q ** (n - t)
 
-                    degree = table.degree
+                    degree = table.values[0]
                     st_idx = vt_idx[(weights[vt_idx] >= 1) & (weights[vt_idx] <= d - 1)]
                     assert len(st_idx) == degree
 

@@ -7,6 +7,7 @@ import logging
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -393,6 +394,20 @@ class TestVerifyCommand:
         r = run_cli("verify", str(out), "-d", "4")
         assert r.returncode == 0
         assert "min_distance: infinity" in r.stdout
+
+    def test_huge_code_prints_its_exact_size(self, tmp_path):
+        # The even-weight [14300, 14299, 2] code has 2^14299 codewords: 4,305
+        # digits, past the 4,300 that int's str() refuses.
+        path = tmp_path / "even.pchk"
+        path.write_text("# gvpchk v1\nq 2\nn 14300\ns 1\n" + " ".join(["1"] * 14300) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", str(path), "-d", "2"])
+        lines = out.getvalue().splitlines()
+        assert code == 0
+        assert lines[:3] + lines[4:] == ["q: 2", "n: 14300", "dimension: 14299", "min_distance: 2"]
+        size = lines[3].removeprefix("codewords: ")
+        assert len(size) == 4305 and int(Decimal(size)) == 2**14299
 
 
 class TestSweepCommand:

@@ -29,6 +29,7 @@ from helpers import (
     character_sum_oracle,
     dense_descend,
     dense_descent,
+    dense_minimum,
     dot,
     enumerate_all,
     reference_descent,
@@ -78,7 +79,7 @@ class TestSpectrumDescend:
         p = GraphParams(2, 7, 3)
         table = build_spectrum_level0(p).densify()
         level1 = dense_descend(table, FqVector(2, (0, 0, 0, 1, 1, 1, 1)))
-        assert level1.degree == 12  # (28 + (-4)) / 2
+        assert level1.values[0] == 12  # (28 + (-4)) / 2
         assert level1.size == 64
         assert sum(level1.values) == 0
         assert sum(v * v for v in level1.values) == 64 * 12
@@ -268,7 +269,7 @@ class TestDescend:
         expected = build_spectrum_level0(params).densify()
         for (table, _), rec in zip(levels, trace.levels + (None,)):
             assert table.values is None
-            assert table.densify() == expected
+            assert table.densify().values == expected.values
             if rec is not None:
                 expected = dense_descend(expected, rec.pivot)
 
@@ -415,7 +416,7 @@ class TestTypedLevels:
         # against the descent with and without its edge levels.
         for cell in DENSE_ROUTE_CELLS[q]:
             levels = dense_levels(cell)
-            want = (len(levels) - 1, levels[-1][0].degree, tuple(rec for _, rec in levels[:-1]))
+            want = (len(levels) - 1, levels[-1][0].values[0], tuple(rec for _, rec in levels[:-1]))
             assert trace_key(run_algorithm1(GraphParams(*cell))) == want, cell
             with monkeypatch.context() as patch:
                 patch.setattr(descent_module, "_edge_route", no_edges)
@@ -430,8 +431,8 @@ class TestTypedLevels:
         for table, want in zip(typed, dense):
             assert table.values is None
             assert len(table.weight_values) == table.types.count
-            assert table.densify() == want.densify()
-            assert table.min_eigenvalue() == want.min_eigenvalue()
+            assert table.densify().values == want.values
+            assert table.min_eigenvalue() == dense_minimum(want)
 
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
     def test_ties_across_types_take_the_smallest_vector(self, cell):
@@ -444,7 +445,7 @@ class TestTypedLevels:
             for _ in range(20):
                 vals = tuple(rng.randint(-3, 0) for _ in range(table.types.count))
                 doctored = dataclasses.replace(table, weight_values=vals)
-                assert doctored.min_eigenvalue() == doctored.densify().min_eigenvalue()
+                assert doctored.min_eigenvalue() == dense_minimum(doctored)
                 most_tied = max(most_tied, vals[1:].count(min(vals[1:])))
         assert most_tied > 3
 
@@ -599,8 +600,8 @@ class TestEdgeLevels:
             assert [rec for _, rec in edged] == [rec for _, rec in dense], cell
             for (table, _), (want, _) in zip(edged, dense):
                 assert table.kind == ("edges" if table.level else "typed")
-                assert table.densify() == want, (cell, table.level)
-                assert table.min_eigenvalue() == want.min_eigenvalue()
+                assert table.densify().values == want.values, (cell, table.level)
+                assert table.min_eigenvalue() == dense_minimum(want)
 
     @pytest.mark.parametrize("cell", [(2, 9, 4), (2, 10, 5), (3, 6, 4), (5, 4, 3), (7, 4, 3)])
     def test_edges_are_the_monic_low_weight_codewords(self, monkeypatch, cell):
@@ -657,8 +658,8 @@ class TestEdgeLevels:
                 level = edge_level(params, table.pivots, tuple(words))
                 dense = level.densify()
                 assert dense.values == tuple(level.value_of(level.vector_at(i)) for i in range(level.size))
-                assert level.min_value == dense.min_value
-                assert level.min_eigenvalue() == dense.min_eigenvalue()
+                assert level.min_value == dense_minimum(level)[0]
+                assert level.min_eigenvalue() == dense_minimum(level)
 
     def test_doctored_edge_sets_raise(self, monkeypatch):
         # (2, 20, 5) enumerates its edges at level 8 and filters them at level 9.
@@ -689,6 +690,33 @@ class TestEdgeLevels:
             _descend_edges(level, FqVector.zero(2, 18))
         with pytest.raises(ValueError, match="canonical"):
             _descend_edges(level, level.pivots[0])
+
+
+class TestDensify:
+    """``densify`` adds only the rows ``spectrum --level t`` prints."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_densified_levels_answer_as_their_source_and_print_the_dense_rows(self, monkeypatch, q):
+        # Every typed level (kept typed to the end) and every edge level (on
+        # edges from level 1) of the small cells, gapped layouts included.
+        gapped = False
+        for n in range(1, MAX_DIGITS[q] + 1):
+            for d in range(1, n + 2):
+                params = GraphParams(q, n, d)
+                dense = [want for want, _ in dense_levels((q, n, d))]
+                for tables in (typed_levels(params), [table for table, _ in edged_levels(monkeypatch, params)]):
+                    assert len(tables) == len(dense), (n, d)
+                    for table, want in zip(tables, dense):
+                        full = table.densify()
+                        assert (full.kind, full.degree, full.min_value, full.min_eigenvalue()) == (
+                            table.kind, table.degree, table.min_value, table.min_eigenvalue()
+                        ), (n, d, table.level)
+                        # At most 16 representatives: an edge level's value_of counts word by word.
+                        vectors = [table.vector_at(i) for i in range(0, table.size, -(-table.size // 16))]
+                        assert list(map(full.value_of, vectors)) == list(map(table.value_of, vectors))
+                        assert list(full.entries()) == list(want.entries()), (n, d, table.level)
+                        gapped |= table.kind == "typed" and table.types.gapped
+        assert gapped == (q > 2)
 
 
 @st.composite
