@@ -9,6 +9,7 @@ value; output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -17,7 +18,6 @@ import logging
 import os
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor
 
@@ -82,6 +82,23 @@ SWEEP_FIELDS = [
 ]
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's int-to-str digit limit (4,300 digits by default)
+    while computed values are formatted, and restore it after; parsing input
+    keeps the limit.  The limit is process-wide, so two threads must not
+    format at once."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _frac_str(value: Fraction | None) -> str | None:
     return None if value is None else str(value)
 
@@ -143,12 +160,14 @@ def _bound_report(params: GraphParams, budget: int | None) -> tuple[BoundReport,
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     report, _ = _bound_report(GraphParams(args.q, args.n, args.d), args.budget)
-    payload = _report_dict(report)
-    if args.json:
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        fields = [k for k in SWEEP_FIELDS if k not in ("status", "runtime_seconds")]
-        _emit(_csv_text(fields, [payload]), args.output)
+    with _all_digits():
+        payload = _report_dict(report)
+        if args.json:
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            fields = [k for k in SWEEP_FIELDS if k not in ("status", "runtime_seconds")]
+            text = _csv_text(fields, [payload])
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -206,10 +225,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = read_pchk(args.pchk)
     distance = min_distance(code, budget=args.budget)
     shown = "infinity" if distance == INFINITE_DISTANCE else str(distance)
-    # Decimal prints q^k exactly past the 4,300 digits that int's str() refuses.
-    sys.stdout.write(
-        f"q: {code.q}\nn: {code.n}\ndimension: {code.dimension}\ncodewords: {Decimal(code.size)!s}\nmin_distance: {shown}\n"
-    )
+    with _all_digits():
+        text = f"q: {code.q}\nn: {code.n}\ndimension: {code.dimension}\ncodewords: {code.size}\nmin_distance: {shown}\n"
+    sys.stdout.write(text)
     return EXIT_OK if distance >= args.d else EXIT_VERIFY_FAILED
 
 
@@ -239,7 +257,8 @@ def _sweep_cell(cell: tuple[int, int, int, int | None]) -> dict:
     params = GraphParams(q, n, d)
     start = time.perf_counter()
     report, status = _bound_report(params, budget)
-    row = _report_dict(report)
+    with _all_digits():
+        row = _report_dict(report)
     row["status"] = status
     row["runtime_seconds"] = f"{time.perf_counter() - start:.3f}"
     return row
@@ -271,11 +290,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
-    if args.format == "json":
-        ordered = [{k: row.get(k) for k in SWEEP_FIELDS} for row in rows]
-        _atomic_write_text(args.output, json.dumps(ordered, indent=2) + "\n")
-    else:
-        _atomic_write_text(args.output, _csv_text(SWEEP_FIELDS, rows))
+    with _all_digits():
+        if args.format == "json":
+            ordered = [{k: row.get(k) for k in SWEEP_FIELDS} for row in rows]
+            text = json.dumps(ordered, indent=2) + "\n"
+        else:
+            text = _csv_text(SWEEP_FIELDS, rows)
+    _atomic_write_text(args.output, text)
     return EXIT_OK
 
 

@@ -165,6 +165,32 @@ def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> l
     return words
 
 
+def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[int]:
+    """Every combination of 1 to ``most`` of the packed ``basis`` words whose
+    first nonzero coefficient is 1, those of fewer words first.
+
+    A frontier holds the combinations of k words, each with the index of the
+    next basis word it may be extended by, and grows by every nonzero
+    multiple of each such word.
+    """
+    q, high, shift = slots.q, slots.high, slots.w - 1
+    # Per basis word, its multiples 1..q-1 as (m, m + bias): x + m reduces
+    # to x + m - (((x + m + bias) & high) >> shift) * q.
+    multiples = [[(m, m + slots.bias) for m in slots.multiples(vec)] for vec in basis]
+    frontier = [(mult[0][0], j + 1) for j, mult in enumerate(multiples)]
+    found: list[int] = []
+    for k in range(1, most + 1):
+        found += [word for word, _ in frontier]
+        if k < most:
+            frontier = [
+                (word + m - (((word + mb) & high) >> shift) * q, j + 1)
+                for word, start in frontier
+                for j in range(start, len(multiples))
+                for m, mb in multiples[j]
+            ]
+    return found
+
+
 # The most bytes of words in one chunk of ``_span_weights``: a larger span
 # is weighed in chunks, with about ten ints of a chunk's size alive at once.
 _WEIGH_BYTES = 1 << 16

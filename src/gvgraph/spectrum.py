@@ -52,17 +52,42 @@ mixed-radix with each class's histogram count, and ``value_of`` reads
 values themselves when every code below the type count is a type, else a
 dict, the codes being gapped, which happens only for q > 2) is built only
 where whole maps are read: ``densify`` indexes it with the code of every
-dense index, the descent with the parent code of every next-level type.
+dense index, ``next_level`` with the parent code of every next-level type.
 The smallest vector of a type fills each class's columns with the class's
 digits in increasing order, so the least dense index of every type is an
 outer sum of per-class lists as well, kept as halves too
 (``least_halves``).
 
+``next_level`` first checks the pivot: nonzero, canonical and at the level
+minimum, its value read by type position, so a typed level that hands off
+to edge levels (below) builds no code -> value lookup.  The q parents
+v + r * pivot of a next-level type v are types of this level: each
+next-level class sits inside one class here, shifted by r times the
+pivot's digit there, while the pivot column holds r times the pivot's
+leading digit.  So the next level's classes are these split by the
+pivot's digit (``_split``), and the parent codes of its types are, per r,
+an outer sum of short per-class lists, kept as its two halves
+(``_parent_codes``).  Each of the q slabs of parent values is read through
+the code -> value lookup straight from those halves (one addition and one
+lookup per type; no list of parent codes is built).  The slabs are summed
+type by type with ``map(operator.add, ...)``, and each sum is looked up in
+a dict of exact quotients (``_exact_means``): a sum is divided, with
+``divmod``, the first time it occurs, and a nonzero remainder raises
+DivisibilityError naming that sum, the first offending one in type order.
+Every later occurrence reuses the stored quotient, so a level holds one
+int object per distinct eigenvalue (a few dozen) instead of one per type.
+
 Edge levels
 -----------
-An edge table (``edges``) keeps the m monic words E of the level's
-connection set, sorted, and lam(v) = q * Z(v) - m with Z(v) the number of
-words c with <c, v> = 0 (see ``descent``, "Edge levels").  Z depends on v
+Level t is the Cayley graph on C_t = {x : <x, p_i> = 0 for every pivot},
+with connection set S_t, the words of C_t of weight 1..d-1, so |S_t| is
+the level degree D_t.  An edge table (``edges``) keeps the m = D_t / (q-1)
+monic words E of S_t, sorted.  Since the sum of z^(a x) over a in F_q^* is
+q - 1 for x = 0 and -1 otherwise,
+
+    lam(v) = q * Z(v) - m,    Z(v) = #{c in E : <c, v> = 0},
+
+so a level with few edges is known from E alone.  Z depends on v
 only through its pattern y = (<c, v>)_c, the combination of the columns of
 E weighted by v's digits.  The free columns whose column of E is not in
 the span of the free columns to their right are the pattern columns; there are r = rank E of them, and each of the q^r
@@ -79,6 +104,19 @@ y is a packed m-digit word (``modq``, "Row format"), each column of E is
 packed once, and Z is m less the weight of y.  ``densify`` forms the
 pattern of every dense index the same way, and ``value_of`` counts Z word
 by word.
+
+On an edge level ``next_level`` keeps the words orthogonal to the pivot:
+E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
+q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
+level t+1 and m from its recursion degree (``_edge_route``).  The route is
+decided from the split classes and their type count alone, before any
+layout is built.  Level t+1's words are then found among its
+V_q(n-t-1, d-1) free-digit patterns of weight below d
+(``_low_weight_words``), and its q^r <= q^m patterns replace an average
+over count types.  Every later level is an edge level.  The descent checks
+(q-1) * |E_t| against the recursion degree, as it checks a typed level's
+zero-character value, and the pivot check counts the pivot's Z word by
+word (``value_of``), which must give the pattern minimum.
 
 The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
@@ -98,12 +136,12 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, islice
 from math import comb, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, binomial, krawtchouk, krawtchouk_row
-from .errors import check_budget
-from .modq import _Slots, _span
+from .errors import DivisibilityError, check_budget
+from .modq import _monic_combinations, _Slots, _span, kernel_basis, rref
 from .vectors import FqVector
 
 __all__ = [
@@ -142,12 +180,6 @@ def _vector_at(params: GraphParams, cols: Sequence[int], index: int) -> FqVector
     for col in reversed(cols):
         index, digits[col] = divmod(index, q)
     return FqVector(q, tuple(digits))
-
-
-def _check_dense(params: GraphParams, level: int, budget: int | None) -> None:
-    """Refuse a dense level table of q^(n - level) entries over the budget."""
-    q, n = params.q, params.n
-    check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{params.d})")
 
 
 # Least size of _outer_sum's inner list: 16 to 256 timed the same on the
@@ -312,6 +344,107 @@ class _Types:
         return _outer_halves(parts[::-1])
 
 
+class _Quotients(dict):
+    """Eigenvalue sums mapped to their exact quotients by q, one object per value."""
+
+    def __init__(self, q: int, level: int) -> None:
+        super().__init__()
+        self.q = q
+        self.level = level
+
+    def __missing__(self, total: int) -> int:
+        div, rem = divmod(total, self.q)
+        if rem:
+            raise DivisibilityError(
+                f"level {self.level}: eigenvalue sum {total} is not divisible by {self.q}"
+            )
+        self[total] = div
+        return div
+
+
+def _exact_means(slabs: Sequence[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
+    """Entry-by-entry sums of the q slabs, each divided exactly by q."""
+    sums: Iterator[int] = iter(slabs[0])
+    for slab in slabs[1:]:
+        sums = map(add, sums, slab)
+    return tuple(map(_Quotients(q, level).__getitem__, sums))
+
+
+def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[tuple[Sequence[int], list[int]]]:
+    """Per r, the parent type code of ``v + r * pivot`` for every type v of
+    the next level, in its type order, as ``_outer_halves``."""
+    q, lead = parent.q, _lead_col(pivot)
+    codes_of = {key: codes for codes, (key, _) in zip(parent.digit_codes, parent.classes)}
+    lead_codes = next(codes for codes, (_, cols) in zip(parent.digit_codes, parent.classes) if lead in cols)
+    parts: list[list[list[int]]] = [[] for _ in range(q)]
+    # v is zero at the pivot column, so v + r * pivot holds r * lead digit there.
+    starts = [lead_codes[r * pivot.digits[lead] % q] for r in range(q)]
+    for (key, cols), radices in zip(reversed(types.classes), reversed(types.radices)):
+        codes, a, f = codes_of[key[:-1]], key[-1], len(cols)
+        # Slot s counts digit s (any nonzero digit in the zero class, where
+        # every nonzero digit adds the same code); in the parent such a
+        # column holds s + r*a, a zero column r*a.  So a class with a = 0
+        # gives every r the same list, and a code of 0 for its zero columns.
+        if not a:
+            shared = _weighted(f, codes[1 : len(radices) + 1])
+            for part in parts:
+                part.append(shared)
+            continue
+        for r, part in enumerate(parts):
+            shift = r * a % q
+            rotated = codes[shift:] + codes[:shift]
+            starts[r] += f * rotated[0]
+            part.append(_weighted(f, [x - rotated[0] for x in rotated[1:]]))
+    return [_outer_halves(part, start) for part, start in zip(parts, starts)]
+
+
+def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
+    """Refuse a pivot that is zero, not canonical or not at the level minimum."""
+    q, n = table.params.q, table.params.n
+    if pivot.q != q or pivot.n != n:
+        raise ValueError("pivot parameters do not match the table")
+    if pivot.is_zero:
+        raise ValueError("pivot must be nonzero")
+    value = table.value_of(pivot)  # refuses a non-canonical pivot
+    if value != table.min_value:
+        raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
+
+
+def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> bool:
+    """Whether level ``level`` of degree ``degree``, ``count`` types if typed,
+    is built from its edges: both q^m and V_q(n - level, d - 1) at most
+    ``count``, m = degree / (q - 1).  Bit lengths are compared first, so q^m
+    is formed only when it is small."""
+    q, free, radius = params.q, params.n - level, params.d - 1
+    m = degree // (q - 1)
+    if m * (q.bit_length() - 1) >= count.bit_length() or q**m > count:
+        return False
+    return sum(comb(free, i) * (q - 1) ** i for i in range(min(radius, free) + 1)) <= count
+
+
+def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tuple[tuple[int, ...], ...]:
+    """The monic words of weight 1..d-1 orthogonal to every pivot, sorted.
+
+    A word is fixed by its free digits (its pivot-column digits are a linear
+    image of them, the kernel basis of the pivots' RREF), and its free
+    weight is at most its weight.  So the free digit patterns of weight
+    1..d-1 whose first nonzero digit is 1, one per class of nonzero
+    multiples, are summed as packed words (``modq._monic_combinations``),
+    and the words of weight at most d-1 are kept, each scaled to be monic.
+    """
+    q, n, d = params.q, params.n, params.d
+    slots = _Slots(q, n)
+    basis = kernel_basis(*rref([slots.pack(p.digits) for p in pivots], slots), slots)
+    found = _monic_combinations(slots, basis, d - 1)
+    words = []
+    for word, weight in zip(found, slots.weights(found)):
+        if weight < d:
+            digits = slots.unpack(word)
+            inv = pow(next(filter(None, digits)), -1, q)
+            words.append(digits if inv == 1 else tuple(inv * x % q for x in digits))
+    return tuple(sorted(words))
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
     """Exact integer eigenvalues of a descent-level graph, indexed by characters.
@@ -456,7 +589,8 @@ class SpectrumTable:
         every query still reads the table's own ``weight_values`` and ``edges``."""
         if self.values is not None:
             return self
-        _check_dense(self.params, self.level, budget)
+        q, n, level = self.params.q, self.params.n, self.level
+        check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{self.params.d})")
         if self.edges is not None:
             slots = _Slots(self.params.q, len(self.edges))
             columns = _edge_columns(slots, self.edges, self.params.n)
@@ -464,6 +598,30 @@ class SpectrumTable:
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
         return replace(self, values=values)
+
+    def next_level(self, pivot: FqVector, degree: int) -> "SpectrumTable":
+        """The level below along ``pivot``, of recursion degree ``degree``.
+
+        ``pivot`` must be a canonical representative attaining this level's
+        minimum.  An edge level keeps its words orthogonal to the pivot.  A
+        typed level is built from its low-weight words when ``_edge_route``
+        says so, else as one exact mean of q parents per type; a nonzero
+        remainder raises DivisibilityError naming the first offending sum
+        in type order.
+        """
+        _check_pivot(self, pivot)
+        params, pivots = self.params, self.pivots + (pivot,)
+        q = params.q
+        if self.edges is not None:
+            return edge_level(params, pivots, tuple(c for c in self.edges if sum(map(mul, c, pivot.digits)) % q == 0))
+        classes = _split(self.types.classes, pivot)
+        if _edge_route(params, len(pivots), degree, _type_count(q, classes)):
+            return edge_level(params, pivots, _low_weight_words(params, pivots))
+        types, by = _Types(q, classes), self._by_code
+        slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in _parent_codes(self.types, types, pivot)]
+        out = SpectrumTable(params=params, pivots=pivots, weight_values=_exact_means(slabs, q, self.level))
+        vars(out).update(types=types, free_cols=types.free_cols)  # the cached layout, built once per level
+        return out
 
     @cached_property
     def pattern_cols(self) -> tuple[int, ...]:

@@ -209,23 +209,35 @@ class TestBudgetRefusalsAtAnySize:
         assert list(tmp_path.iterdir()) == []
 
     def test_bounds_at_large_n_reports_without_the_descent(self):
-        argv = ["bounds", "-q", "2", "-n", "3000", "-d", "1500", "--json"]
-        out = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        assert code == 0
-        assert time.perf_counter() - start < 10.0
-        report = json.loads(out.getvalue())
-        assert report["s"] is None and report["lambda_min"] < 0
+        # (2, 14299, 3) prints exact values past the interpreter's 4,300-digit
+        # int-to-str limit, which holds again once they are printed.
+        limit = sys.get_int_max_str_digits()
+        for q, n, d in [(2, 3000, 1500), (2, 14299, 3)]:
+            argv = ["bounds", "-q", str(q), "-n", str(n), "-d", str(d), "--json"]
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0
+            assert time.perf_counter() - start < 10.0
+            assert sys.get_int_max_str_digits() == limit
+            with cli._all_digits():
+                report = json.loads(out.getvalue())
+                assert Fraction(report["gv"]) == build_bound_report(GraphParams(q, n, d)).gv
+            assert report["s"] is None and report["lambda_min"] < 0
 
-    @pytest.mark.parametrize("n", [20000000, 100000000])
+    @pytest.mark.parametrize("n", [20000000, 100000000, pytest.param("9" * 5000, id="5000-digits")])
     def test_verify_huge_header(self, tmp_path, n):
         path = tmp_path / "huge.pchk"
         path.write_text(f"# gvpchk v1\nq 3\nn {n}\ns 0\n")
         code, elapsed, err = self.main_timed(["verify", str(path), "-d", "3"])
-        assert code == 3, err
-        assert f"needs 3^{n} table entries" in err
+        if isinstance(n, str):
+            # Parsing keeps the int-from-str digit limit that printing lifts.
+            assert code == 2, err
+            assert "line 3:" in err and "is not an integer" in err
+        else:
+            assert code == 3, err
+            assert f"needs 3^{n} table entries" in err
         assert elapsed < 5.0
 
 
@@ -472,6 +484,20 @@ class TestSweepCommand:
 
         assert strip_runtime(seq) == strip_runtime(par)
         assert any(row["asymptotic_rate"] for row in csv.DictReader(seq.read_text().splitlines()))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cells_past_the_digit_limit_keep_their_rows(self, tmp_path, jobs):
+        # Each row's exact values pass the 4,300-digit int-to-str limit,
+        # formatted in the worker and written by the parent.
+        out = tmp_path / "s.csv"
+        r = run_cli("sweep", "-q", "2", "-n", "14299:14300", "-d", "3:3", "-o", str(out), "--jobs", jobs)
+        assert r.returncode == 0, r.stderr
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(x["n"], x["status"]) for x in rows] == [("14299", "skipped"), ("14300", "skipped")]
+        with cli._all_digits():
+            for row in rows:
+                assert Fraction(row["gv"]) == build_bound_report(GraphParams(2, int(row["n"]), 3)).gv
+                assert len(row["gv"]) > 4300
 
     def test_sweep_takes_each_logarithm_once(self, tmp_path):
         combinat._ln.cache_clear()

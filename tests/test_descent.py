@@ -20,10 +20,8 @@ from gvgraph import (
     run_algorithm1,
     select_pivot,
 )
-from gvgraph import descent as descent_module
 from gvgraph import spectrum as spectrum_module
-from gvgraph.descent import _descend_edges, _descend_types
-from gvgraph.spectrum import _split, _Types, edge_level
+from gvgraph.spectrum import edge_level
 from helpers import (
     all_vectors,
     character_sum_oracle,
@@ -274,20 +272,20 @@ class TestDescend:
                 expected = dense_descend(expected, rec.pivot)
 
     def test_stopping_early_descends_no_further(self, monkeypatch):
-        # Levels 0 and 1 of (2, 10, 4) are averaged typed, level 2 is never built.
+        # Levels 0 and 1 of (2, 10, 4) are averaged typed, level 3 is never built.
         averaged = []
-        for name in ("_descend_types", "_descend_edges"):
-            real = getattr(descent_module, name)
+        real = spectrum_module.SpectrumTable.next_level
 
-            def counting(table, pivot, *layout, real=real, name=name):
-                averaged.append((table.level, name))
-                return real(table, pivot, *layout)
+        def counting(table, pivot, degree):
+            out = real(table, pivot, degree)
+            averaged.append((table.level, out.kind))
+            return out
 
-            monkeypatch.setattr(descent_module, name, counting)
+        monkeypatch.setattr(spectrum_module.SpectrumTable, "next_level", counting)
         for table, _ in descend(GraphParams(2, 10, 4)):
             if table.level == 2:
                 break
-        assert averaged == [(0, "_descend_types"), (1, "_descend_types")]
+        assert averaged == [(0, "typed"), (1, "typed")]
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_no_level_is_dense(self, monkeypatch, q):
@@ -385,12 +383,12 @@ def no_edges(*args):
 
 def typed_levels(params):
     """Every level of the descent, kept typed to the end."""
-    old = descent_module._edge_route
-    descent_module._edge_route = no_edges
+    old = spectrum_module._edge_route
+    spectrum_module._edge_route = no_edges
     try:
         return [table for table, _ in descend(params)]
     finally:
-        descent_module._edge_route = old
+        spectrum_module._edge_route = old
 
 
 # The cells below 6 * 10^4 entries, for the comparisons with the dense route.
@@ -419,7 +417,7 @@ class TestTypedLevels:
             want = (len(levels) - 1, levels[-1][0].values[0], tuple(rec for _, rec in levels[:-1]))
             assert trace_key(run_algorithm1(GraphParams(*cell))) == want, cell
             with monkeypatch.context() as patch:
-                patch.setattr(descent_module, "_edge_route", no_edges)
+                patch.setattr(spectrum_module, "_edge_route", no_edges)
                 assert trace_key(run_algorithm1(GraphParams(*cell))) == want, cell
 
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4), (3, 7, 5)])
@@ -459,18 +457,18 @@ class TestTypedLevels:
         vals[bumped] += 1
         doctored = dataclasses.replace(level1, weight_values=tuple(vals))
         with pytest.raises(DivisibilityError, match="level 1: eigenvalue sum -?[0-9]+ is not divisible by 2"):
-            _descend_types(doctored, pivot, _Types(2, _split(level1.types.classes, pivot)))
+            doctored.next_level(pivot, (level1.degree + value) // 2)
 
     def test_typed_pivot_checks(self):
         level1 = typed_levels(GraphParams(2, 7, 3))[1]
-        # The checks refuse the pivot before the layout is read.
-        layout = _Types(2, _split(level1.types.classes, select_pivot(level1)))
+        # The checks refuse the pivot before the next level's layout is built.
+        degree = (level1.degree + level1.min_value) // 2
         with pytest.raises(ValueError, match="nonzero"):
-            _descend_types(level1, FqVector.zero(2, 7), layout)
+            level1.next_level(FqVector.zero(2, 7), degree)
         with pytest.raises(ValueError, match="canonical"):
-            _descend_types(level1, FqVector(2, (0, 0, 0, 1, 0, 0, 0)), layout)
+            level1.next_level(FqVector(2, (0, 0, 0, 1, 0, 0, 0)), degree)
         with pytest.raises(ValueError, match="not the level minimum"):
-            _descend_types(level1, FqVector(2, (1, 0, 0, 0, 0, 0, 0)), layout)
+            level1.next_level(FqVector(2, (1, 0, 0, 0, 0, 0, 0)), degree)
 
     def test_large_dense_tables_are_never_built(self, monkeypatch):
         # The dense route would build 2^22 entries at level 0.  Typed to the
@@ -485,7 +483,7 @@ class TestTypedLevels:
                 built.append((self.level, len(self.values)))
 
         monkeypatch.setattr(spectrum_module.SpectrumTable, "__init__", recording)
-        monkeypatch.setattr(descent_module, "_edge_route", no_edges)
+        monkeypatch.setattr(spectrum_module, "_edge_route", no_edges)
         for cell in [(2, 22, 5), (2, 14, 4)]:
             assert {table.kind for table, _ in descend(GraphParams(*cell))} == {"typed"}
         assert built == []
@@ -584,7 +582,7 @@ def always_edges(*args):
 def edged_levels(monkeypatch, params):
     """Every level of the descent, on edges from level 1 on."""
     with monkeypatch.context() as patch:
-        patch.setattr(descent_module, "_edge_route", always_edges)
+        patch.setattr(spectrum_module, "_edge_route", always_edges)
         return list(descend(params))
 
 
@@ -634,7 +632,7 @@ class TestEdgeLevels:
                 if 0 < weight(v) < d and all(dot(v, row, q) == 0 for row in rows) and next(x for x in v if x) == 1
             ]
             pivots = tuple(FqVector(q, row) for row in rows)
-            assert list(descent_module._low_weight_words(GraphParams(*cell), pivots)) == want, rows
+            assert list(spectrum_module._low_weight_words(GraphParams(*cell), pivots)) == want, rows
 
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
     def test_pattern_values_and_argmin_match_direct_counts(self, cell):
@@ -663,8 +661,8 @@ class TestEdgeLevels:
 
     def test_doctored_edge_sets_raise(self, monkeypatch):
         # (2, 20, 5) enumerates its edges at level 8 and filters them at level 9.
-        real_words = descent_module._low_weight_words
-        monkeypatch.setattr(descent_module, "_low_weight_words", lambda params, pivots: real_words(params, pivots)[1:])
+        real_words = spectrum_module._low_weight_words
+        monkeypatch.setattr(spectrum_module, "_low_weight_words", lambda params, pivots: real_words(params, pivots)[1:])
         with pytest.raises(RuntimeError, match="level 8: zero-character eigenvalue 5 disagrees with the degree recursion value 6"):
             run_algorithm1(GraphParams(2, 20, 5))
         monkeypatch.undo()
@@ -672,7 +670,7 @@ class TestEdgeLevels:
         def dropping(params, pivots, edges):
             return edge_level(params, pivots, edges[1:] if len(pivots) == 9 else edges)
 
-        monkeypatch.setattr(descent_module, "edge_level", dropping)
+        monkeypatch.setattr(spectrum_module, "edge_level", dropping)
         with pytest.raises(RuntimeError, match="level 9: zero-character eigenvalue 0 disagrees with the degree recursion value 1"):
             run_algorithm1(GraphParams(2, 20, 5))
 
@@ -684,12 +682,13 @@ class TestEdgeLevels:
         # One word fewer and the pattern values kept: the pivot's Z, counted
         # word by word, no longer gives the pattern minimum.
         doctored = dataclasses.replace(level, edges=level.edges[1:])
+        degree = (level.degree + level.min_value) // 2
         with pytest.raises(ValueError, match="not the level minimum"):
-            _descend_edges(doctored, pivot)
+            doctored.next_level(pivot, degree)
         with pytest.raises(ValueError, match="nonzero"):
-            _descend_edges(level, FqVector.zero(2, 18))
+            level.next_level(FqVector.zero(2, 18), degree)
         with pytest.raises(ValueError, match="canonical"):
-            _descend_edges(level, level.pivots[0])
+            level.next_level(level.pivots[0], degree)
 
 
 class TestDensify:
