@@ -1,5 +1,11 @@
 """Command-line interface: bounds, spectrum, construct, verify, sweep.
 
+``main`` hands a command's argv straight to that command's own parser, the
+subparser ``build_parser`` made for it, so one call parses its argv once.
+The full parser reads only an argv that starts with no command name (empty,
+``-h``, or an unknown command), which it answers with its usage, help or
+command list.
+
 Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
 3 budget refusal.  All rationals are serialized as exact "p/q" strings
 (plain integers when the denominator is 1) and re-parse to the identical
@@ -309,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's parser by name, for ``main``; ``sub.choices`` fills as
+    # the commands are added below.
+    parser.commands = sub.choices
 
     def add_params(p: argparse.ArgumentParser) -> None:
         p.add_argument("-q", type=int, required=True, help="prime alphabet size")
@@ -365,7 +374,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     log.addHandler(_STDERR_HANDLER)  # a no-op once added
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -14,10 +14,10 @@ the smaller side (``modq._span_weights``, "Packed rows" below), as one
 weight per word in one ``bytes`` object.  When k <= s it weighs the
 codewords, spanned by a kernel basis, and the distance is the least j >= 1
 that occurs among those bytes (``j in weights``, one byte search per j).
-When s < k it weighs the dual words, spanned by the stored RREF rows,
-instead, counts their weights (B_x words of weight x, ``weights.count(x)``
-for each x that occurs) and applies the MacWilliams transform (MacWilliams
-& Sloane, ch. 5):
+When s < k it weighs the dual words instead, spanned by the echelon rows
+that the rank check kept (the RREF rows span the same words), counts their
+weights (B_x words of weight x, ``weights.count(x)`` for each x that
+occurs) and applies the MacWilliams transform (MacWilliams & Sloane, ch. 5):
 
     A_j = q^-s * sum_x B_x * K_j(x; n, q),
 
@@ -46,10 +46,14 @@ for 2 <= q <= 16); any other row, and any row outside [0, q), is read digit
 by digit, which packs it or raises the row's format error.  ``LinearCode``
 holds its parity rows as these words and builds ``FqVector`` rows only when
 ``parity_rows`` is read, which ``verify`` never does; a code built from
-``FqVector`` rows keeps them.  It reduces the rows to their RREF by packed
-row operations (``modq.rref``: one XOR per row operation for q = 2, else
-one guarded add-and-reduce with a stored multiple of the pivot row) and
-keeps the packed rows.  A word's weight is the number of its nonzero slots.
+``FqVector`` rows keeps them.  It checks the rank by the forward
+elimination alone (``modq.forward_eliminate``: one XOR per row operation
+for q = 2, else one guarded add-and-reduce with a stored multiple of the
+pivot row) and keeps the echelon rows, whose span is the dual words.  The
+RREF, by the back substitution on those rows (``modq.back_substitute``),
+is formed on first read, for the kernel basis that ``codewords`` and the
+codeword route of ``min_distance`` span.  A word's weight is the number of
+its nonzero slots.
 
 ``modq._span_weights`` weighs a span a chunk at a time: the first basis
 words span a bundle of at most ``modq._WEIGH_BYTES`` bytes of words, and
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
@@ -93,7 +98,7 @@ from itertools import islice
 from .combinat import is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
-from .modq import _Slots, _span, _span_weights, kernel_basis, rank, rref  # noqa: F401
+from .modq import _Negatives, _Slots, _span, _span_weights, back_substitute, forward_eliminate, kernel_basis, rank  # noqa: F401
 from .vectors import FqVector
 
 __all__ = [
@@ -130,7 +135,7 @@ class LinearCode:
     n: int
     _rows: tuple[int, ...]
     _slots: _Slots = field(repr=False, compare=False)
-    _rref: tuple[list[int], list[int]] = field(repr=False, compare=False)
+    _pivots: list[tuple[int, int, _Negatives | None]] = field(repr=False, compare=False)
 
     def __init__(self, q: int, n: int, parity_rows: tuple[FqVector, ...]) -> None:
         parity_rows = tuple(parity_rows)
@@ -151,10 +156,15 @@ class LinearCode:
         return code
 
     def _reduce(self, q: int, n: int, rows: list[int], slots: _Slots) -> None:
-        echelon = rref(rows, slots)
-        if len(echelon[0]) != len(rows):
+        pivots = forward_eliminate(rows, slots)
+        if len(pivots) != len(rows):
             raise ValueError(f"parity rows are linearly dependent: rank below s = {len(rows)}")
-        vars(self).update(q=q, n=n, _rows=tuple(rows), _slots=slots, _rref=echelon)
+        vars(self).update(q=q, n=n, _rows=tuple(rows), _slots=slots, _pivots=pivots)
+
+    @cached_property
+    def _rref(self) -> tuple[list[int], list[int]]:
+        """The parity rows' RREF and pivot columns, for a kernel basis."""
+        return back_substitute(self._pivots, self._slots)
 
     @cached_property
     def parity_rows(self) -> tuple[FqVector, ...]:
@@ -207,7 +217,10 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
     else:
         check_budget(q, k, budget, f"codeword enumeration of a [{n}, {k}] code")
     slots = code._slots
-    weights = _span_weights(slots, code._rref[0] if s < k else kernel_basis(*code._rref, slots))
+    if s < k:  # the echelon rows span the dual words, as the RREF rows do
+        weights = _span_weights(slots, [row for _, row, _ in code._pivots])
+    else:
+        weights = _span_weights(slots, kernel_basis(*code._rref, slots))
     # Bytes are searched once per weight value; an array of wider weights
     # (n >= 256), whose searches compare item by item, is scanned once.
     narrow = isinstance(weights, bytes)
@@ -252,6 +265,13 @@ def _header_int(line: str, key: str, lineno: int) -> int:
     try:
         return int(parts[1])
     except ValueError:
+        # Python 3.10.7 on refuses to read a decimal integer of more digits
+        # than a limit; such a token is named by its size, not echoed.
+        token = parts[1]
+        digits = token[1:] if token[0] in "+-" else token
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and len(digits) > limit and digits.isascii() and digits.isdigit():
+            raise PchkFormatError(f"line {lineno}: the integer has {len(digits)} digits, more than the limit of {limit}") from None
         raise PchkFormatError(f"line {lineno}: {parts[1]!r} is not an integer") from None
 
 

@@ -26,11 +26,19 @@ bits.
 
 Row operations
 --------------
-The lead column of a nonzero word is its lowest set slot.  ``rref``
+The lead column of a nonzero word is its lowest set slot.  A row operation
 eliminates digit c of a row with the monic pivot row p by adding
 (q - c) * p: for q = 2 one XOR, for other q one guarded add-and-reduce with
-that multiple, formed on first use and kept with p.  q prime guarantees
-every nonzero lead digit is invertible (pow(a, -1, q)).
+that multiple, formed on first use and kept with p (``_Negatives``).  q
+prime guarantees every nonzero lead digit is invertible (pow(a, -1, q)).
+
+``rref`` runs in two phases.  The forward elimination
+(``forward_eliminate``) reduces each row by the pivot rows so far and keeps
+the rows that stay nonzero, made monic: their count is the rank, so this
+phase alone is the rank check, and the rows it keeps span the row space.
+The back substitution (``back_substitute``) then clears each lead column
+from the rows before it, with the multiples the forward phase stored, and
+sorts the rows by lead column.  Only a kernel basis needs the second phase.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from functools import cached_property
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["kernel_basis", "rank", "rref"]
+__all__ = ["back_substitute", "forward_eliminate", "kernel_basis", "rank", "rref"]
 
 
 # Digit byte x < 32 to its character in base 32; every other byte to "!",
@@ -133,7 +141,7 @@ class _Slots:
         out = 0
         while c:
             if c & 1:
-                out = self.add(out, word)
+                out = self.add(out, word) if out else word
             c >>= 1
             if c:
                 word = self.add(word, word)
@@ -275,34 +283,52 @@ def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
     return b"".join(chunks)
 
 
-def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form of the packed ``rows`` mod q.
+class _Negatives(dict):
+    """For a monic pivot row and q > 2: digit c to (m, m + bias), m = (q - c) * row.
 
-    Returns (rref_rows, pivot_cols), sorted by pivot column; zero rows are
-    dropped, each surviving row has a leading 1 in a distinct pivot column
-    and zeros in every other row's pivot column.
+    Adding m clears digit c from the row's lead slot, as ``x + m -
+    (((x + m + bias) & high) >> (w - 1)) * q``; each pair is formed on first
+    use (``_Slots.scale``), so a huge q costs only the digits met.
+    """
+
+    def __init__(self, slots: _Slots, row: int) -> None:
+        self.slots, self.row = slots, row
+        self[slots.q - 1] = (row, row + slots.bias)
+
+    def __missing__(self, c: int) -> tuple[int, int]:
+        m = self.slots.scale(self.row, self.slots.q - c)
+        pair = self[c] = (m, m + self.slots.bias)
+        return pair
+
+
+def forward_eliminate(rows: Sequence[int], slots: _Slots) -> list[tuple[int, int, _Negatives | None]]:
+    """Forward elimination of the packed ``rows`` mod q: the rank check.
+
+    Each row is reduced by the pivot rows so far, in insertion order; a row
+    that falls to zero is dropped, and any other is made monic and becomes
+    the next pivot row.  Returns one (offset, row, negatives) per pivot row,
+    in insertion order: the bit offset of its lead slot, the row, and for
+    q > 2 its ``_Negatives`` (None for q = 2, where clearing is one XOR).
+    The rows span the rows given, and each is zero in the lead columns of
+    the rows before it.
     """
     q, w, mask = slots.q, slots.w, slots.mask
-    echelon: list[int] = []  # the pivot rows so far, each zero in the others' lead columns
-    # Per pivot row: the bit offset of its lead slot, the row as inserted, and
-    # {c: (q - c) * that row}, which clears digit c from its lead slot.
-    pivots: list[tuple[int, int, dict[int, int]]] = []
-
-    def minus(inserted: int, negs: dict[int, int], c: int) -> int:
-        if c == q - 1:  # always for q = 2, where the add is one XOR
-            return inserted
-        if c not in negs:
-            negs[c] = slots.scale(inserted, q - c)
-        return negs[c]
-
+    if q > 2 and rows:  # the n-slot constants, built only for rows to reduce
+        high, shift = slots.high, w - 1
+    pivots: list[tuple[int, int, _Negatives | None]] = []
     for row in rows:
-        # The rows as inserted, in insertion order, clear every lead column:
-        # a pivot row changes after insertion only by multiples of later
-        # pivot rows, whose lead columns this loop clears after it.
-        for offset, inserted, negs in pivots:
-            c = (row >> offset) & mask
-            if c:
-                row = slots.add(row, minus(inserted, negs, c))
+        # Pivot j is zero in the lead columns of pivots i < j, so clearing
+        # them in insertion order leaves every lead column clear.
+        if q == 2:
+            for offset, pivot, _ in pivots:
+                if row >> offset & 1:
+                    row ^= pivot
+        else:
+            for offset, _, negatives in pivots:
+                c = (row >> offset) & mask
+                if c:
+                    m, mb = negatives[c]
+                    row += m - (((row + mb) & high) >> shift) * q
         if not row:
             continue
         offset = (row & -row).bit_length() - 1
@@ -310,19 +336,49 @@ def rref(rows: Iterable[int], slots: _Slots) -> tuple[list[int], list[int]]:
         c = (row >> offset) & mask
         if c != 1:
             row = slots.scale(row, pow(c, -1, q))
-        fresh: dict[int, int] = {}
-        for i, other in enumerate(echelon):
-            c = (other >> offset) & mask
+        pivots.append((offset, row, _Negatives(slots, row) if q > 2 else None))
+    return pivots
+
+
+def back_substitute(pivots: list[tuple[int, int, _Negatives | None]], slots: _Slots) -> tuple[list[int], list[int]]:
+    """The reduced row-echelon form of ``forward_eliminate``'s pivot rows.
+
+    Each pivot row, as the forward phase left it, clears its lead column
+    from the rows before it, with the multiples stored beside it: it is zero
+    in their lead columns, so no column cleared before is set again.
+    Returns (rref_rows, pivot_cols), sorted by pivot column; each row has a
+    leading 1 in its pivot column and zeros in every other row's.
+    """
+    q, mask = slots.q, slots.mask
+    if q > 2 and pivots:
+        high, shift = slots.high, slots.w - 1
+    echelon = [row for _, row, _ in pivots]
+    for j, (offset, pivot, negatives) in enumerate(pivots):
+        for i in range(j):
+            c = (echelon[i] >> offset) & mask
             if c:
-                echelon[i] = slots.add(other, minus(row, fresh, c))
-        echelon.append(row)
-        pivots.append((offset, row, fresh))
-    order = sorted(range(len(echelon)), key=lambda i: pivots[i][0])
-    return [echelon[i] for i in order], [pivots[i][0] // w for i in order]
+                if q == 2:
+                    echelon[i] ^= pivot
+                else:
+                    m, mb = negatives[c]
+                    echelon[i] += m - (((echelon[i] + mb) & high) >> shift) * q
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i][0])
+    return [echelon[i] for i in order], [pivots[i][0] // slots.w for i in order]
 
 
-def rank(rows: Iterable[int], slots: _Slots) -> int:
-    return len(rref(rows, slots)[0])
+def rref(rows: Sequence[int], slots: _Slots) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form of the packed ``rows`` mod q: the forward
+    elimination, then the back substitution.
+
+    Returns (rref_rows, pivot_cols), sorted by pivot column; zero rows are
+    dropped, each surviving row has a leading 1 in a distinct pivot column
+    and zeros in every other row's pivot column.
+    """
+    return back_substitute(forward_eliminate(rows, slots), slots)
+
+
+def rank(rows: Sequence[int], slots: _Slots) -> int:
+    return len(forward_eliminate(rows, slots))
 
 
 def kernel_basis(rref_rows: list[int], pivot_cols: list[int], slots: _Slots) -> list[int]:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -232,9 +233,11 @@ class TestBudgetRefusalsAtAnySize:
         path.write_text(f"# gvpchk v1\nq 3\nn {n}\ns 0\n")
         code, elapsed, err = self.main_timed(["verify", str(path), "-d", "3"])
         if isinstance(n, str):
-            # Parsing keeps the int-from-str digit limit that printing lifts.
+            # Parsing keeps the int-from-str digit limit that printing lifts;
+            # the message names the size and the limit, and echoes no digits.
             assert code == 2, err
-            assert "line 3:" in err and "is not an integer" in err
+            assert f"line 3: the integer has 5000 digits, more than the limit of {sys.get_int_max_str_digits()}" in err
+            assert len(err) < 200
         else:
             assert code == 3, err
             assert f"needs 3^{n} table entries" in err
@@ -595,5 +598,68 @@ def test_main_calls_share_one_parser(monkeypatch, tmp_path):
             assert cli.main(["verify", str(path), "-d", "3"]) == 0
         assert "min_distance: 3" in out.getvalue()
         assert len(built) == 1 and cli._parser() is built[0]
+        # A fresh parser comes with a fresh command table, which the next call reads.
+        commands = cli._parser().commands
+        cli._parser.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(path), "-d", "3"]) == 0
+        assert len(built) == 2 and cli._parser() is built[1]
+        assert cli._parser().commands["verify"] is not commands["verify"]
     finally:
         cli._parser.cache_clear()
+
+
+def main_exit(argv):
+    """(exit code, stdout, stderr) of one ``main`` call that exits through argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_argv_is_parsed_once(monkeypatch, tmp_path):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return real(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    path = tmp_path / "h.pchk"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["construct", "-q", "2", "-n", "7", "-d", "3", "-o", str(path)]) == 0
+        assert cli.main(["verify", str(path), "-d", "3"]) == 0
+    assert calls == ["gvgraph construct", "gvgraph verify"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        ([], 2, 2, "error: the following arguments are required: command"),
+        (["-h"], 0, 1, "{bounds,spectrum,construct,verify,sweep}"),
+        (["no-such-command"], 2, 2, "error: argument command: invalid choice: 'no-such-command'"),
+    ],
+    ids=["empty", "help", "unknown-command"],
+)
+def test_argv_without_a_command_goes_to_the_full_parser(argv, code, stream, text):
+    got = main_exit(argv)
+    assert got[0] == code
+    assert got[stream].startswith("usage: gvgraph [-h] {bounds,spectrum,construct,verify,sweep} ...\n")
+    assert text in got[stream]
+
+
+@pytest.mark.parametrize("command", ["bounds", "spectrum", "construct", "verify", "sweep"])
+def test_command_help_is_the_full_parsers(command):
+    # The help the full parser prints for ``<command> -h``, byte for byte.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args([command, "-h"])
+    assert exit_.value.code == 0
+    assert main_exit([command, "-h"]) == (0, out.getvalue(), "")
+
+
+def test_unknown_option_after_a_command_exits_2(tmp_path):
+    code, out, err = main_exit(["verify", str(tmp_path / "h.pchk"), "-d", "3", "--bogus"])
+    assert code == 2 and out == ""
+    assert err == "usage: gvgraph verify [-h] -d D [--budget BUDGET] pchk\ngvgraph verify: error: unrecognized arguments: --bogus\n"

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -218,22 +219,33 @@ class TestPackedEnumeration:
         assert distance == least_nonzero_weight(code)
         assert distance >= params.d
 
-    def test_verify_computes_one_rref(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, d, backward",
+        [(HAMMING_ROWS, 3, 0), (("1100", "0110", "0011"), 4, 1)],
+        ids=["dual", "codewords"],
+    )
+    def test_verify_eliminates_forward_once(self, monkeypatch, tmp_path, rows, d, backward):
+        # One forward elimination per verify, the rank check; the back
+        # substitution runs only where a kernel basis is needed.
         calls = []
-        real = modq.rref
 
-        def counted(rows, slots):
-            calls.append(len(rows))
-            return real(rows, slots)
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(modq, "rref", counted)
-        monkeypatch.setattr(codes, "rref", counted)
-        path = tmp_path / "h.pchk"
-        write_pchk(str(path), make_code(2, HAMMING_ROWS))
+            return call
+
+        for name in ("forward_eliminate", "back_substitute"):
+            counted_phase = counted(name, getattr(modq, name))
+            monkeypatch.setattr(modq, name, counted_phase)
+            monkeypatch.setattr(codes, name, counted_phase)
+        path = tmp_path / "code.pchk"
+        write_pchk(str(path), make_code(2, rows))
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", str(path), "-d", "3"]) == 0
-        assert calls == [3]
+            assert cli.main(["verify", str(path), "-d", str(d)]) == 0
+        assert calls == ["forward_eliminate"] + ["back_substitute"] * backward
 
 
 def classical_code(name):
@@ -532,6 +544,24 @@ class TestPchkFormat:
     def test_rejections(self, text, message):
         with pytest.raises(PchkFormatError, match=message):
             parse_pchk(text)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("9" * 5000, "the integer has 5000 digits, more than the limit of {limit}"),
+            ("-" + "9" * 4301, "the integer has 4301 digits, more than the limit of {limit}"),
+            ("9" * 4999 + "x", repr("9" * 4999 + "x") + " is not an integer"),
+            ("+-9", "'+-9' is not an integer"),
+            ("x", "'x' is not an integer"),
+        ],
+        ids=["past-limit", "signed-past-limit", "long-non-integer", "two-signs", "non-integer"],
+    )
+    def test_header_integer_messages(self, token, message):
+        # Only a well-formed integer past the int-from-str digit limit is
+        # named by its size; every other non-integer is echoed as before.
+        with pytest.raises(PchkFormatError) as info:
+            parse_pchk(f"# gvpchk v1\nq 2\nn {token}\ns 0\n")
+        assert str(info.value) == "line 3: " + message.format(limit=sys.get_int_max_str_digits())
 
     @pytest.mark.parametrize(
         "text, message",

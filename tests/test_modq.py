@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,13 +17,16 @@ PRIMES = [2, 3, 5, 7, 13, 17, 257]
 
 
 @st.composite
-def matrices(draw):
-    """(q, n, rows): random rows, some zero, some combinations of rows drawn before them."""
-    q = draw(st.sampled_from(PRIMES))
+def matrices(draw, primes=PRIMES, max_span=None):
+    """(q, n, rows): random rows, some zero, some combinations of rows drawn
+    before them.  With ``max_span``, at most log_q(max_span) rows are drawn
+    before the combinations, so the rows span at most that many words."""
+    q = draw(st.sampled_from(primes))
     n = draw(st.integers(1, 9))
     # Extreme digits often, so slot sums reach 2q - 2.
     digit = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
-    rows = draw(st.lists(st.tuples(*[digit] * n), max_size=6))
+    most = 6 if max_span is None else max(r for r in range(7) if q**r <= max_span)
+    rows = draw(st.lists(st.tuples(*[digit] * n), max_size=most))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         a, b = draw(digit), draw(digit)
@@ -52,6 +56,25 @@ class TestPackedRows:
         assert [slots.unpack(x) for x in basis] == reference_kernel_basis(want_rows, want_cols, q, n)
         # Every word stays reduced: no guard bit is left set.
         assert not any(x & slots.high for x in packed + basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(primes=[2, 3, 5, 7], max_span=4096))
+    @example((2, 4, []))
+    @example((7, 3, [(1, 2, 3), (2, 4, 6), (0, 6, 1), (3, 0, 0)]))  # a row twice a row before it
+    def test_forward_then_backward_is_the_rref(self, case):
+        # The forward phase keeps one row per unit of rank; the back
+        # substitution brings those rows to the RREF; and the echelon rows
+        # span words of the same weights as the RREF rows, which is what
+        # the dual route of ``codes.min_distance`` weighs.
+        q, n, rows = case
+        slots = _Slots(q, n)
+        want_rows, want_cols = reference_rref(rows, q)
+        pivots = modq.forward_eliminate([slots.pack(row) for row in rows], slots)
+        assert len(pivots) == len(want_rows)
+        packed, cols = modq.back_substitute(pivots, slots)
+        assert [slots.unpack(x) for x in packed] == want_rows and cols == want_cols
+        echelon = [row for _, row, _ in pivots]
+        assert Counter(modq._span_weights(slots, echelon)) == Counter(modq._span_weights(slots, packed))
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(PRIMES).flatmap(lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=9))))
