@@ -143,14 +143,14 @@ def _report_dict(report: BoundReport) -> dict:
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+    """A header of ``fieldnames``, then each row's values in that order:
+    None as an empty field, a list of descent bounds joined by ";"."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
     for row in rows:
-        flat = dict(row)
-        if isinstance(flat.get("descent_bounds"), list):
-            flat["descent_bounds"] = ";".join(flat["descent_bounds"])
-        writer.writerow({k: ("" if flat.get(k) is None else flat.get(k)) for k in fieldnames})
+        values = [row.get(k) for k in fieldnames]
+        writer.writerow(["" if v is None else ";".join(v) if isinstance(v, list) else v for v in values])
     return buf.getvalue()
 
 
@@ -187,8 +187,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if level == 0:
         table = build_spectrum_level0(params)
         writer.writerow(["weight", "eigenvalue", "multiplicity"])
-        for weight, eigenvalue, multiplicity in table.weight_rows():
-            writer.writerow([weight, eigenvalue, multiplicity])
+        with _all_digits():
+            writer.writerows(table.weight_rows())
     else:
         for table, _ in descend(params, budget=args.budget):
             if table.level == level:

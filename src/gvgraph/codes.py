@@ -89,13 +89,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 
-from .combinat import is_prime, krawtchouk_column
+from .combinat import _cached, is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
 from .modq import _Negatives, _Slots, _span, _span_weights, back_substitute, forward_eliminate, kernel_basis, rank  # noqa: F401
@@ -161,12 +159,12 @@ class LinearCode:
             raise ValueError(f"parity rows are linearly dependent: rank below s = {len(rows)}")
         vars(self).update(q=q, n=n, _rows=tuple(rows), _slots=slots, _pivots=pivots)
 
-    @cached_property
+    @_cached
     def _rref(self) -> tuple[list[int], list[int]]:
         """The parity rows' RREF and pivot columns, for a kernel basis."""
         return back_substitute(self._pivots, self._slots)
 
-    @cached_property
+    @_cached
     def parity_rows(self) -> tuple[FqVector, ...]:
         return tuple(FqVector(self.q, self._slots.unpack(row)) for row in self._rows)
 
@@ -239,13 +237,41 @@ def format_pchk(code: LinearCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Names tried for a temp file before giving up, as ``tempfile.mkstemp`` does.
+_TEMP_TRIES = 10000
+
+
+def _temp_name() -> str:
+    """A fresh name for a temp file: ``.gvgraph-<random hex>.tmp``."""
+    return f".gvgraph-{os.urandom(6).hex()}.tmp"
+
+
 def _atomic_write_text(path: str, text: str) -> None:
-    """Write UTF-8 text with LF newlines to a temp file beside ``path``, then rename it over ``path``."""
+    """Write UTF-8 text with LF newlines to a temp file beside ``path``, then rename it over ``path``.
+
+    The temp file is created as ``tempfile.mkstemp`` creates one, with
+    ``O_CREAT | O_EXCL`` and mode 0600, so a name that exists is skipped,
+    never overwritten; its bytes go out by ``os.write``, with no text
+    wrapper.  On any failure the temp file is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvgraph-", suffix=".tmp")
+    data = memoryview(text.encode("utf-8"))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for _ in range(_TEMP_TRIES):
+        tmp = os.path.join(directory, _temp_name())
+        try:
+            fd = os.open(tmp, flags, 0o600)
+        except FileExistsError:
+            continue
+        break
+    else:
+        raise FileExistsError(f"no unused temp file name in {directory}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

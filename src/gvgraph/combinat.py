@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -33,6 +33,31 @@ __all__ = [
     "krawtchouk_column",
     "krawtchouk_row",
 ]
+
+
+class _cached:
+    """A computed attribute, kept in the instance ``__dict__`` on first read.
+
+    It is ``functools.cached_property`` without the lock that Python 3.11
+    takes on every first read.  Like it, it is a non-data descriptor (a
+    kept value is read straight from the instance) that writes the
+    ``__dict__`` directly, so it works on frozen dataclasses.  Every owner
+    is immutable and its values deterministic, so two threads that race on
+    a first read compute the same value twice, which is harmless.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -111,7 +136,7 @@ class GraphParams:
         return self.d == self.n + 1
 
     # Computed on first use, so a refusal of a huge n stays cheap.
-    @cached_property
+    @_cached
     def degree(self) -> int:
         """Regular degree of the graph: one less than the ball volume at d-1."""
         return ball_volume(self, self.d - 1) - 1

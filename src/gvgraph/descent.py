@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from time import perf_counter
 from typing import Iterator
 
@@ -118,19 +119,21 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
                 f"level {t}: zero-character eigenvalue {table.degree} "
                 f"disagrees with the degree recursion value {degree}"
             )
-        value, kind = table.min_value, table.kind
-        held = table.edges if kind == "edges" else table.weight_values
-        log.debug(
-            "level %d: %s, %d %s, lambda_min %d, degree %d, %.6f s",
-            t, kind, len(held), "monic edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
-        )
+        value = table.min_value
+        if log.isEnabledFor(logging.DEBUG):
+            kind = table.kind
+            held = table.edges if kind == "edges" else table.weight_values
+            log.debug(
+                "level %d: %s, %d %s, lambda_min %d, degree %d, %.6f s",
+                t, kind, len(held), "monic edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
+            )
         if value == 0:
             if degree != 0:
                 raise RuntimeError(f"level {t}: minimum eigenvalue 0 but degree {degree} != 0")
             yield table, None
             return
         pivot = select_pivot(table)
-        orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
+        orthogonal = not any(sum(map(mul, pivot.digits, prev.digits)) % q for prev in table.pivots)
         minima.append(value)
         yield table, LevelRecord(
             t=t,

@@ -39,14 +39,27 @@ phase alone is the rank check, and the rows it keeps span the row space.
 The back substitution (``back_substitute``) then clears each lead column
 from the rows before it, with the multiples the forward phase stored, and
 sorts the rows by lead column.  Only a kernel basis needs the second phase.
+
+Combinations
+------------
+``_monic_combinations`` lists the combinations of 1 to k basis words whose
+first nonzero coefficient is 1, fewer words first, for the low-weight word
+search of an edge level (``spectrum``, "Edge levels").  For q > 2 a
+frontier of (word, next index) pairs grows by every nonzero multiple of
+each later basis word, one guarded add-and-reduce each
+(``_add_frontier``).  For q = 2 the one multiple is the word itself and
+the add is XOR, so the frontier is one list per next index, and each list
+of the next frontier is one ``map`` of ``basis[j].__xor__`` over the lists
+before it (``_xor_frontier``): no tuple per word and no n-slot constant.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
+
+from .combinat import _cached
 
 __all__ = ["back_substitute", "forward_eliminate", "kernel_basis", "rank", "rref"]
 
@@ -67,20 +80,20 @@ class _Slots:
 
     # The n-slot constants are built on first use: a code with no parity
     # rows may state a huge n that the budget check refuses later.
-    @cached_property
+    @_cached
     def ones(self) -> int:
         """1 at the bottom of every slot."""
         return ((1 << (self.w * self.n)) - 1) // self.mask
 
-    @cached_property
+    @_cached
     def high(self) -> int:
         return self.ones << (self.w - 1)
 
-    @cached_property
+    @_cached
     def bias(self) -> int:
         return self.ones * ((1 << (self.w - 1)) - self.q)
 
-    @cached_property
+    @_cached
     def nz(self) -> int:
         return self.ones * ((1 << (self.w - 1)) - 1)
 
@@ -175,7 +188,13 @@ def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> l
 
 def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[int]:
     """Every combination of 1 to ``most`` of the packed ``basis`` words whose
-    first nonzero coefficient is 1, those of fewer words first.
+    first nonzero coefficient is 1, those of fewer words first: the q = 2
+    frontier (``_xor_frontier``) or the add-and-reduce one (``_add_frontier``)."""
+    return _xor_frontier(basis, most) if slots.q == 2 else _add_frontier(slots, basis, most)
+
+
+def _add_frontier(slots: _Slots, basis: Sequence[int], most: int) -> list[int]:
+    """``_monic_combinations`` for any q.
 
     A frontier holds the combinations of k words, each with the index of the
     next basis word it may be extended by, and grows by every nonzero
@@ -196,6 +215,30 @@ def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[
                 for j in range(start, len(multiples))
                 for m, mb in multiples[j]
             ]
+    return found
+
+
+def _xor_frontier(basis: Sequence[int], most: int) -> list[int]:
+    """``_monic_combinations`` for q = 2, where the one multiple of a word is
+    the word and adding is XOR.
+
+    The frontier is one list per next index: list j holds the combinations
+    that may be extended by ``basis[j:]``, so the next frontier's list
+    j + 1 is ``basis[j]`` XORed onto lists 0 to j.  No tuple is built per
+    word, and no n-slot constant.
+    """
+    groups: list[list[int]] = [[]] + [[vec] for vec in basis]
+    found: list[int] = []
+    for k in range(1, most + 1):
+        for group in groups:
+            found += group
+        if k < most:
+            extendable: list[int] = []
+            grown: list[list[int]] = [[]]
+            for group, vec in zip(groups, basis):
+                extendable += group
+                grown.append(list(map(vec.__xor__, extendable)))
+            groups = grown
     return found
 
 

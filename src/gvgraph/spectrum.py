@@ -54,17 +54,24 @@ dict, the codes being gapped, which happens only for q > 2) is built only
 where whole maps are read: ``densify`` indexes it with the code of every
 dense index, ``next_level`` with the parent code of every next-level type.
 The smallest vector of a type fills each class's columns with the class's
-digits in increasing order, so the least dense index of every type is an
-outer sum of per-class lists as well, kept as halves too
-(``least_halves``).
+digits in increasing order, so its dense index is a sum of one term per
+class, and a tied type's term per class is read at its histogram rank
+(``least_index``).
 
-``next_level`` first checks the pivot: nonzero, canonical and at the level
-minimum, its value read by type position, so a typed level that hands off
-to edge levels (below) builds no code -> value lookup.  The q parents
-v + r * pivot of a next-level type v are types of this level: each
-next-level class sits inside one class here, shifted by r times the
-pivot's digit there, while the pivot column holds r times the pivot's
-leading digit.  So the next level's classes are these split by the
+A level is handed its layout by the level that builds it: its pivot
+columns (the one new column is the pivot's leading column, found once),
+its free columns and, when typed, its classes and type count.  So a level
+step finds no pivot column again and counts no types twice; only a table
+made from its pivots alone (as ``dataclasses.replace`` makes one) derives
+its layout from them, on first use.
+
+``next_level`` first checks the pivot: nonzero, canonical (zero at every
+pivot column) and at the level minimum, its value read by type position,
+so a typed level that hands off to edge levels (below) builds no code ->
+value lookup.  The q parents v + r * pivot of a next-level type v are
+types of this level: each next-level class sits inside one class here,
+shifted by r times the pivot's digit there, while the pivot column holds
+r times the pivot's leading digit.  So the next level's classes are these split by the
 pivot's digit (``_split``), and the parent codes of its types are, per r,
 an outer sum of short per-class lists, kept as its two halves
 (``_parent_codes``).  Each of the q slabs of parent values is read through
@@ -110,7 +117,8 @@ E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
 q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
 level t+1 and m from its recursion degree (``_edge_route``).  The route is
 decided from the split classes and their type count alone, before any
-layout is built.  Level t+1's words are then found among its
+layout is built, and ``edge_level`` is handed the pivot columns, from
+which it reads the free columns.  Level t+1's words are then found among its
 V_q(n-t-1, d-1) free-digit patterns of weight below d
 (``_low_weight_words``), and its q^r <= q^m patterns replace an average
 over count types.  Every later level is an edge level.  The descent checks
@@ -122,24 +130,25 @@ The minimum comes first: ``min_value`` is one C-level ``min`` over the
 entries after the zero index.  The argmin (``min_eigenvalue``) is derived
 from that value only when asked for.  On a typed level the nonzero types
 holding it are counted and found with ``tuple.index``, and the least dense
-index among them is read from the halves at those positions alone.  On an
-edge level it is the vector of the first pattern holding it.
+index among them is read from their positions alone.  On an edge level it
+is the vector of the first pattern holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
-use and kept.
+use and kept, with no lock (``combinat._cached``): a race computes the same
+value twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
-from itertools import accumulate, chain, islice
-from math import comb, prod
+from functools import cache
+from itertools import accumulate, islice, repeat
+from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import GraphParams, binomial, krawtchouk, krawtchouk_row
+from .combinat import GraphParams, _cached, binomial, krawtchouk, krawtchouk_row
 from .errors import DivisibilityError, check_budget
 from .modq import _monic_combinations, _Slots, _span, kernel_basis, rref
 from .vectors import FqVector
@@ -167,10 +176,10 @@ def _lead_col(v: FqVector) -> int:
     return v.digits.index(next(filter(None, v.digits)))
 
 
-def _free_cols(n: int, pivots: Iterable[FqVector]) -> tuple[int, ...]:
-    """Every column of n but the pivots' leading columns, in increasing order."""
-    pivot_cols = set(map(_lead_col, pivots))
-    return tuple(c for c in range(n) if c not in pivot_cols)
+def _free_cols(n: int, pivot_cols: Iterable[int]) -> tuple[int, ...]:
+    """Every column of n but ``pivot_cols``, in increasing order."""
+    skip = set(pivot_cols)
+    return tuple(c for c in range(n) if c not in skip)
 
 
 def _vector_at(params: GraphParams, cols: Sequence[int], index: int) -> FqVector:
@@ -178,6 +187,8 @@ def _vector_at(params: GraphParams, cols: Sequence[int], index: int) -> FqVector
     least significant) and 0 elsewhere."""
     q, digits = params.q, [0] * params.n
     for col in reversed(cols):
+        if not index:  # every digit left is 0
+            break
         index, digits[col] = divmod(index, q)
     return FqVector(q, tuple(digits))
 
@@ -237,22 +248,34 @@ def _ranks(f: int, slots: int) -> dict[tuple[int, ...], int]:
     return {h: i for i, h in enumerate(_histograms(f, slots))}
 
 
-def _weighted(f: int, weights: Sequence[int]) -> list[int]:
+@cache
+def _slot_columns(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
+    """Per slot, its count in every histogram of ``_histograms(f, slots)``, in that order."""
+    return tuple(zip(*_histograms(f, slots)))
+
+
+def _weighted(f: int, weights: Sequence[int]) -> Sequence[int]:
     """``sum(map(mul, h, weights))`` for every histogram h of
-    ``_histograms(f, len(weights))``, in that order."""
+    ``_histograms(f, len(weights))``, in that order: a ``range`` for one
+    slot, else one ``map`` over each slot's column of counts."""
     if len(weights) == 1:  # the histograms (0,), (1,), ..., (f,)
-        return [k * weights[0] for k in range(f + 1)]
-    return [sum(map(mul, h, weights)) for h in _histograms(f, len(weights))]
+        step = weights[0]
+        return range(0, step * (f + 1), step) if step else [0] * (f + 1)
+    columns = _slot_columns(f, len(weights))
+    out: Iterable[int] = map(mul, columns[0], repeat(weights[0]))
+    for column, weight in zip(columns[1:], weights[1:]):
+        out = map(add, out, map(mul, column, repeat(weight)))
+    return list(out)
 
 
 _Classes = list[tuple[tuple[int, ...], list[int]]]
 
 
-def _split(classes: _Classes, pivot: FqVector) -> _Classes:
+def _split(classes: _Classes, pivot: FqVector, lead: int) -> _Classes:
     """The next level's classes: each class split by the pivot's digit on
-    it, less the pivot column.  Keys extend the parent keys, so the split
-    classes come out in key order."""
-    lead, digits = _lead_col(pivot), pivot.digits
+    it, less the pivot's leading column ``lead``.  Keys extend the parent
+    keys, so the split classes come out in key order."""
+    digits = pivot.digits
     out = []
     for key, cols in classes:
         parts: dict[int, list[int]] = {}
@@ -266,7 +289,11 @@ def _split(classes: _Classes, pivot: FqVector) -> _Classes:
 def _type_count(q: int, classes: _Classes) -> int:
     """The number of types: per class, the histograms of its columns over
     its slots (q - 1, one in the zero class)."""
-    return prod(comb(len(cols) + s, s) for key, cols in classes for s in [q - 1 if any(key) else 1])
+    count = 1
+    for key, cols in classes:
+        slots = q - 1 if any(key) else 1
+        count *= comb(len(cols) + slots, slots)
+    return count
 
 
 class _Types:
@@ -277,25 +304,29 @@ class _Types:
     less significant than class j+1's.  ``digit_codes[j][b]`` is what one
     column of class j holding digit b adds to a type code.  Level 0 has the
     one class ``((), every column)``; ``_split`` gives each next level's.
+    The free columns and the type count are handed in by the level that
+    builds this one, which already holds them.
     """
 
-    def __init__(self, q: int, classes: _Classes) -> None:
-        self.q, self.classes = q, classes
-        self.free_cols = tuple(sorted(chain.from_iterable(cols for _, cols in classes)))
-        self.count = _type_count(q, classes)
+    def __init__(self, q: int, classes: _Classes, free_cols: tuple[int, ...], count: int) -> None:
+        self.q, self.classes, self.free_cols, self.count = q, classes, free_cols, count
         # Per class: the slot radices and the code one column adds per digit;
         # slot s (1-based) counts digit s, or every nonzero digit in the zero class.
         self.radices: list[list[int]] = []
         self.digit_codes: list[list[int]] = []
         radix = 1
         for key, cols in classes:
-            f = len(cols)
-            slot_of = list(range(q)) if any(key) else [0] + [1] * (q - 1)
-            slots = slot_of[-1]
-            radices = [radix * (f + 1) ** s for s in range(slots)]
-            radix *= (f + 1) ** slots
+            base = len(cols) + 1  # a slot counts 0 to len(cols) columns
+            if any(key):
+                radices = [radix]
+                for _ in range(q - 2):
+                    radices.append(radices[-1] * base)
+                codes = [0, *radices]
+            else:
+                radices, codes = [radix], [0] + [radix] * (q - 1)
+            radix = radices[-1] * base
             self.radices.append(radices)
-            self.digit_codes.append([0] + [radices[s - 1] for s in slot_of[1:]])
+            self.digit_codes.append(codes)
         # Codes skip the histograms that overfill a class exactly when the
         # code space is larger than the type count.
         self.gapped = radix != self.count
@@ -315,33 +346,49 @@ class _Types:
         digits: its histogram ranks in ``_histograms``, one per class,
         combined mixed-radix (class j+1 more significant)."""
         pos, scale = 0, 1
-        for radices, (key, cols) in zip(self.radices, self.classes):
+        for radices, (_, cols) in zip(self.radices, self.classes):
             held = [digits[c] for c in cols]
-            hist = tuple(map(held.count, range(1, self.q))) if any(key) else (len(held) - held.count(0),)
-            ranks = _ranks(len(cols), len(radices))
-            pos += scale * ranks[hist]
-            scale *= len(ranks)
+            if len(radices) == 1:  # one slot, counting every nonzero digit: histogram (k,) has rank k
+                pos += scale * (len(held) - held.count(0))
+                scale *= len(held) + 1
+            else:
+                ranks = _ranks(len(cols), len(radices))
+                pos += scale * ranks[tuple(map(held.count, range(1, self.q)))]
+                scale *= len(ranks)
         return pos
 
-    def least_halves(self) -> tuple[Sequence[int], list[int]]:
-        """Least dense index of every type, in type order, as ``_outer_halves``.
+    def least_index(self, positions: Iterable[int]) -> int:
+        """The least dense index of the types at ``positions`` (0 if none).
 
         The smallest vector of a type fills each class's columns with the
         class's digits in increasing order, so its index is a sum of one
         term per class: the sum over s >= 1 of the place values of the
-        class's last T_s columns, where T_s counts its digits >= s.
+        class's last T_s columns, where T_s counts its digits >= s.  Each
+        class lists that term for every one of its histograms, in
+        ``_histograms`` order, and a position is read class by class, least
+        significant first, as the rank of each class's histogram there.
         """
-        place = {col: self.q**e for e, col in enumerate(reversed(self.free_cols))}
-        parts = []
+        place, value = {}, 1
+        for col in reversed(self.free_cols):
+            place[col], value = value, value * self.q
+        terms = []
         for radices, (_, cols) in zip(self.radices, self.classes):
             suffix = list(accumulate(map(place.__getitem__, reversed(cols)), initial=0))
             if len(radices) == 1:  # T_1 is the one count k, so the term is suffix[k]
-                parts.append(suffix)
+                terms.append(suffix)
             else:
                 # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
                 hists = _histograms(len(cols), len(radices))
-                parts.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
-        return _outer_halves(parts[::-1])
+                terms.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
+        least = None
+        for pos in positions:
+            index = 0
+            for term in terms:
+                pos, rank = divmod(pos, len(term))
+                index += term[rank]
+            if least is None or index < least:
+                least = index
+        return 0 if least is None else least
 
 
 class _Quotients(dict):
@@ -370,10 +417,11 @@ def _exact_means(slabs: Sequence[Iterable[int]], q: int, level: int) -> tuple[in
     return tuple(map(_Quotients(q, level).__getitem__, sums))
 
 
-def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[tuple[Sequence[int], list[int]]]:
+def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> list[tuple[Sequence[int], list[int]]]:
     """Per r, the parent type code of ``v + r * pivot`` for every type v of
-    the next level, in its type order, as ``_outer_halves``."""
-    q, lead = parent.q, _lead_col(pivot)
+    the next level, in its type order, as ``_outer_halves``; ``lead`` is the
+    pivot's leading column."""
+    q = parent.q
     codes_of = {key: codes for codes, (key, _) in zip(parent.digit_codes, parent.classes)}
     lead_codes = next(codes for codes, (_, cols) in zip(parent.digit_codes, parent.classes) if lead in cols)
     parts: list[list[list[int]]] = [[] for _ in range(q)]
@@ -398,8 +446,9 @@ def _parent_codes(parent: _Types, types: _Types, pivot: FqVector) -> list[tuple[
     return [_outer_halves(part, start) for part, start in zip(parts, starts)]
 
 
-def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
-    """Refuse a pivot that is zero, not canonical or not at the level minimum."""
+def _check_pivot(table: SpectrumTable, pivot: FqVector) -> int:
+    """Refuse a pivot that is zero, not canonical or not at the level minimum;
+    else return its leading column."""
     q, n = table.params.q, table.params.n
     if pivot.q != q or pivot.n != n:
         raise ValueError("pivot parameters do not match the table")
@@ -408,6 +457,7 @@ def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
     value = table.value_of(pivot)  # refuses a non-canonical pivot
     if value != table.min_value:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
+    return _lead_col(pivot)
 
 
 def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> bool:
@@ -472,17 +522,25 @@ class SpectrumTable:
         """The representation: "typed" or "edges"."""
         return "typed" if self.edges is None else "edges"
 
-    @cached_property
+    # The layout: a level built by ``next_level`` or ``edge_level`` is
+    # handed its pivot columns and free columns (a typed one its types too),
+    # so these are computed only for a level built from its pivots alone.
+    @_cached
+    def _pivot_cols(self) -> tuple[int, ...]:
+        """Each pivot's leading column, in pivot order."""
+        return tuple(map(_lead_col, self.pivots))
+
+    @_cached
     def free_cols(self) -> tuple[int, ...]:
         """Every column but the pivot columns, in increasing order."""
-        return _free_cols(self.params.n, self.pivots)
+        return _free_cols(self.params.n, self._pivot_cols)
 
-    @cached_property
+    @_cached
     def types(self) -> _Types:
         classes: _Classes = [((), list(range(self.params.n)))]
-        for pivot in self.pivots:
-            classes = _split(classes, pivot)
-        return _Types(self.params.q, classes)
+        for pivot, lead in zip(self.pivots, self._pivot_cols):
+            classes = _split(classes, pivot, lead)
+        return _Types(self.params.q, classes, self.free_cols, _type_count(self.params.q, classes))
 
     @property
     def size(self) -> int:
@@ -505,16 +563,20 @@ class SpectrumTable:
             raise ValueError(f"index {index} out of range for table of size {self.size}")
         return _vector_at(self.params, self.free_cols, index)
 
+    def _canonical_digits(self, v: FqVector) -> tuple[int, ...]:
+        """The digits of ``v``, refused unless it is a canonical representative
+        here: zero at every pivot column."""
+        if v.q != self.params.q or v.n != self.params.n:
+            raise ValueError("vector parameters do not match the table")
+        if any(map(v.digits.__getitem__, self._pivot_cols)):
+            raise ValueError(f"{v} is not a canonical representative (nonzero at a pivot column)")
+        return v.digits
+
     def index_of(self, v: FqVector) -> int:
         """Dense-table position of a canonical representative: its free digits, base q."""
-        q = self.params.q
-        if v.q != q or v.n != self.params.n:
-            raise ValueError("vector parameters do not match the table")
-        if any(v.digits[_lead_col(p)] for p in self.pivots):
-            raise ValueError(f"{v} is not a canonical representative (nonzero at a pivot column)")
-        idx = 0
+        q, digits, idx = self.params.q, self._canonical_digits(v), 0
         for col in self.free_cols:
-            idx = idx * q + v.digits[col]
+            idx = idx * q + digits[col]
         return idx
 
     def value_of(self, v: FqVector) -> int:
@@ -522,22 +584,22 @@ class SpectrumTable:
 
         On an edge level it is q * Z - m, with Z counted word by word.
         """
-        self.index_of(v)  # refuses a non-canonical vector
+        digits = self._canonical_digits(v)
         if self.edges is not None:
             q = self.params.q
-            zeros = sum(1 for c in self.edges if sum(map(mul, c, v.digits)) % q == 0)
+            zeros = sum(1 for c in self.edges if sum(map(mul, c, digits)) % q == 0)
             return q * zeros - len(self.edges)
         assert self.weight_values is not None
-        return self.weight_values[self.types.position(v.digits)]
+        return self.weight_values[self.types.position(digits)]
 
-    @cached_property
-    def _by_code(self) -> list[int] | dict[int, int]:
+    @_cached
+    def _by_code(self) -> tuple[int, ...] | dict[int, int]:
         """Type code -> value of a typed table: a dict if the codes are gapped,
-        else the values as a list (its ``__getitem__`` beats a tuple's)."""
+        else the values themselves, each at its code."""
         assert self.weight_values is not None
-        return dict(zip(self.types.codes(), self.weight_values)) if self.types.gapped else list(self.weight_values)
+        return dict(zip(self.types.codes(), self.weight_values)) if self.types.gapped else self.weight_values
 
-    @cached_property
+    @_cached
     def min_value(self) -> int:
         """Least eigenvalue over the nonzero indices (the degree if none): one scan, no argmin."""
         vals = self.weight_values
@@ -553,7 +615,7 @@ class SpectrumTable:
         """
         return self._minimum
 
-    @cached_property
+    @_cached
     def _minimum(self) -> tuple[int, FqVector]:
         value, vals = self.min_value, self.weight_values
         if self.edges is not None:
@@ -566,9 +628,7 @@ class SpectrumTable:
         for _ in range(ties):
             i = vals.index(value, i + 1)
             tied.append(i)
-        outer, inner = self.types.least_halves()
-        width = len(inner)
-        return value, self.vector_at(min((outer[i // width] + inner[i % width] for i in tied), default=0))
+        return value, _vector_at(self.params, self.free_cols, self.types.least_index(tied))
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
         """(canonical representative, eigenvalue) pairs in index order."""
@@ -609,21 +669,25 @@ class SpectrumTable:
         remainder raises DivisibilityError naming the first offending sum
         in type order.
         """
-        _check_pivot(self, pivot)
-        params, pivots = self.params, self.pivots + (pivot,)
+        lead = _check_pivot(self, pivot)
+        params, pivots, pivot_cols = self.params, self.pivots + (pivot,), self._pivot_cols + (lead,)
         q = params.q
         if self.edges is not None:
-            return edge_level(params, pivots, tuple(c for c in self.edges if sum(map(mul, c, pivot.digits)) % q == 0))
-        classes = _split(self.types.classes, pivot)
-        if _edge_route(params, len(pivots), degree, _type_count(q, classes)):
-            return edge_level(params, pivots, _low_weight_words(params, pivots))
-        types, by = _Types(q, classes), self._by_code
-        slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in _parent_codes(self.types, types, pivot)]
+            edges = tuple(c for c in self.edges if sum(map(mul, c, pivot.digits)) % q == 0)
+            return edge_level(params, pivots, edges, pivot_cols)
+        classes = _split(self.types.classes, pivot, lead)
+        count = _type_count(q, classes)
+        if _edge_route(params, len(pivots), degree, count):
+            return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols)
+        free_cols = tuple(c for c in self.free_cols if c != lead)
+        types, by = _Types(q, classes, free_cols, count), self._by_code
+        parents = _parent_codes(self.types, types, pivot, lead)
+        slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
         out = SpectrumTable(params=params, pivots=pivots, weight_values=_exact_means(slabs, q, self.level))
-        vars(out).update(types=types, free_cols=types.free_cols)  # the cached layout, built once per level
+        vars(out).update(_pivot_cols=pivot_cols, free_cols=free_cols, types=types)  # the layout, built once per level
         return out
 
-    @cached_property
+    @_cached
     def pattern_cols(self) -> tuple[int, ...]:
         """An edge level's pattern columns (see "Edge levels" above)."""
         assert self.edges is not None
@@ -661,12 +725,21 @@ def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: 
     return tuple(reversed(cols)), _edge_values(slots, words)
 
 
-def edge_level(params: GraphParams, pivots: tuple[FqVector, ...], edges: tuple[tuple[int, ...], ...]) -> SpectrumTable:
-    """The level named by ``pivots`` from its monic edge words, one value per pattern."""
-    free_cols = _free_cols(params.n, pivots)
+def edge_level(
+    params: GraphParams,
+    pivots: tuple[FqVector, ...],
+    edges: tuple[tuple[int, ...], ...],
+    pivot_cols: tuple[int, ...] | None = None,
+) -> SpectrumTable:
+    """The level named by ``pivots`` from its monic edge words, one value per
+    pattern; ``pivot_cols``, the pivots' leading columns, is found from the
+    pivots if not given."""
+    if pivot_cols is None:
+        pivot_cols = tuple(map(_lead_col, pivots))
+    free_cols = _free_cols(params.n, pivot_cols)
     cols, values = _patterns(params, edges, free_cols)
     table = SpectrumTable(params=params, pivots=pivots, weight_values=values, edges=edges)
-    vars(table).update(free_cols=free_cols, pattern_cols=cols)  # the cached layout, built once
+    vars(table).update(_pivot_cols=pivot_cols, free_cols=free_cols, pattern_cols=cols)  # the layout, built once
     return table
 
 

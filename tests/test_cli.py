@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import logging
+import math
 import subprocess
 import sys
 import time
@@ -130,6 +131,26 @@ class TestSpectrumCommand:
         assert rows[0]["vector"] == "0000000"
         assert int(rows[0]["eigenvalue"]) == 12
         assert min(int(x["eigenvalue"]) for x in rows) == -4
+
+    def test_level0_prints_past_the_int_to_str_limit(self):
+        # With Python's least limit of 640 digits, C(2200, 1100) (661 digits)
+        # would not print; the rows are formatted with the limit lifted, and
+        # the limit holds again afterwards.
+        n, old = 2200, sys.get_int_max_str_digits()
+        out = io.StringIO()
+        sys.set_int_max_str_digits(640)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["spectrum", "-q", "2", "-n", str(n), "-d", "3"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0
+        rows = list(csv.DictReader(out.getvalue().splitlines()))
+        assert len(rows) == n + 1
+        assert [int(x["weight"]) for x in rows] == list(range(n + 1))
+        assert [int(x["multiplicity"]) for x in rows] == [math.comb(n, w) for w in range(n + 1)]
+        assert len(rows[n // 2]["multiplicity"]) > 640
 
     def test_level_beyond_termination_exits_2(self):
         r = run_cli("spectrum", "-q", "2", "-n", "4", "-d", "2", "--level", "2")

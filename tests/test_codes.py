@@ -2,8 +2,11 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import random
+import stat
 import sys
+import tempfile
 from collections import Counter
 from unittest import mock
 
@@ -619,6 +622,42 @@ class TestPchkFormat:
         write_pchk(str(path), code)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.pchk"]
         assert leftovers == []
+
+    def test_failed_rename_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.pchk"
+        path.write_bytes(b"old bytes\n")
+
+        def failing(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(codes.os, "replace", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            write_pchk(str(path), make_code(2, HAMMING_ROWS))
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.pchk"]
+
+    def test_an_existing_temp_name_is_skipped_not_overwritten(self, tmp_path, monkeypatch):
+        taken = tmp_path / ".gvgraph-taken.tmp"
+        taken.write_bytes(b"someone else's\n")
+        names = iter([taken.name, ".gvgraph-free.tmp"])
+        monkeypatch.setattr(codes, "_temp_name", lambda: next(names))
+        codes._atomic_write_text(str(tmp_path / "out.txt"), "new text\n")
+        assert taken.read_bytes() == b"someone else's\n"
+        assert (tmp_path / "out.txt").read_bytes() == b"new text\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
+
+    def test_written_file_has_the_mode_mkstemp_gives(self, tmp_path):
+        fd, reference = tempfile.mkstemp(dir=tmp_path)
+        os.close(fd)
+        path = tmp_path / "out.pchk"
+        write_pchk(str(path), make_code(2, HAMMING_ROWS))
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+
+    def test_written_bytes_are_the_utf8_text(self, tmp_path):
+        path = tmp_path / "out.txt"
+        text = "q,n\n2,\u00e9\n" * 1000
+        codes._atomic_write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def parse_outcome(parse, text):

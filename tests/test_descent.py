@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import logging
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -345,7 +346,7 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     q, n, _ = cell
     kinds = [table.kind for table, _ in descend(GraphParams(*cell))]
     table_cls = spectrum_module.SpectrumTable
-    real_least = spectrum_module._Types.least_halves
+    real_least = spectrum_module._Types.least_index
     events = []
 
     def counted(name, kind):
@@ -359,13 +360,13 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
         prop.__set_name__(table_cls, name)
         monkeypatch.setattr(table_cls, name, prop)
 
-    def least(types):
+    def least(types, positions):
         events.append(("least", n - len(types.free_cols), "typed"))
-        return real_least(types)
+        return real_least(types, positions)
 
     counted("min_value", "value")
     counted("_minimum", "argmin")
-    monkeypatch.setattr(spectrum_module._Types, "least_halves", least)
+    monkeypatch.setattr(spectrum_module._Types, "least_index", least)
     trace = run_algorithm1(GraphParams(*cell))
     assert len(kinds) == trace.s + 1
     assert set(kinds) <= {"typed", "edges"}
@@ -374,6 +375,28 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     assert [e for e in events if e[0] == "least"] == [("least", t, "typed") for t in range(trace.s) if kinds[t] == "typed"]
     if cell in [(2, 18, 4), (3, 11, 4)]:
         assert kinds[trace.s] == "edges"
+
+
+@pytest.mark.parametrize("cell", [(3, 11, 4), (2, 20, 5)])
+def test_each_level_step_derives_its_layout_once(monkeypatch, cell):
+    # A level is handed its pivot columns, free columns and type count by
+    # the level that builds it.  (3, 11, 4) runs four typed levels, the last
+    # one gapped, and (2, 20, 5) eight; each then hands off to edge levels.
+    counts = Counter()
+    for name in ("_lead_col", "_type_count", "_low_weight_words"):
+        def counting(*args, _real=getattr(spectrum_module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spectrum_module, name, counting)
+    tables = [table for table, _ in descend(GraphParams(*cell))]
+    kinds = [table.kind for table in tables]
+    handoffs = sum(pair == ("typed", "edges") for pair in zip(kinds, kinds[1:]))
+    assert handoffs == 1 and kinds[-1] == "edges"
+    assert counts["_lead_col"] <= len(tables[-1].pivots)
+    # Once per typed level, and once more for the level that hands off.
+    assert counts["_type_count"] == kinds.count("typed") + handoffs
+    assert counts["_low_weight_words"] == handoffs
 
 
 def no_edges(*args):
@@ -506,11 +529,10 @@ class TestTypedLevels:
                     first = {}
                     for index, code in enumerate(codes):
                         first.setdefault(position[code], index)
-                    outer, inner = types.least_halves()
-                    assert len(outer) * len(inner) == types.count
-                    width = len(inner)
-                    least = [outer[i // width] + inner[i % width] for i in range(types.count)]
+                    least = [types.least_index([i]) for i in range(types.count)]
+                    assert len(set(least)) == types.count
                     assert least == [first[i] for i in range(types.count)]
+                    assert types.least_index(range(types.count)) == 0
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_tied_types_and_positions_match_the_dense_level(self, q):
@@ -667,8 +689,8 @@ class TestEdgeLevels:
             run_algorithm1(GraphParams(2, 20, 5))
         monkeypatch.undo()
 
-        def dropping(params, pivots, edges):
-            return edge_level(params, pivots, edges[1:] if len(pivots) == 9 else edges)
+        def dropping(params, pivots, edges, *layout):
+            return edge_level(params, pivots, edges[1:] if len(pivots) == 9 else edges, *layout)
 
         monkeypatch.setattr(spectrum_module, "edge_level", dropping)
         with pytest.raises(RuntimeError, match="level 9: zero-character eigenvalue 0 disagrees with the degree recursion value 1"):

@@ -1,5 +1,6 @@
 """Packed RREF and kernel basis against the list oracle on digit tuples."""
 
+import math
 import random
 import tracemalloc
 from array import array
@@ -200,3 +201,25 @@ class TestSpanWeights:
         assert len(weights) == q**k
         out = len(weights) * (weights.itemsize if isinstance(weights, array) else 1)
         assert peak < 16 * modq._WEIGH_BYTES + out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=7))),
+    st.integers(1, 4),
+)
+def test_xor_frontier_matches_the_add_and_reduce_frontier(cell, most):
+    # Second route for q = 2: the general frontier's guarded add reduces
+    # two binary digits as XOR does, so both give one multiset of words,
+    # and both list the combinations of fewer words first.
+    n, rows = cell
+    slots = _Slots(2, n)
+    basis = [slots.pack(row) for row in rows]
+    xor, added = modq._xor_frontier(basis, most), modq._add_frontier(slots, basis, most)
+    assert modq._monic_combinations(slots, basis, most) == xor
+    assert len(xor) == len(added) == sum(math.comb(len(basis), k) for k in range(1, most + 1))
+    start = 0
+    for k in range(1, most + 1):
+        end = start + math.comb(len(basis), k)
+        assert Counter(xor[start:end]) == Counter(added[start:end]), k
+        start = end
