@@ -20,7 +20,6 @@ from .bounds import (
 from .codes import (
     INFINITE_DISTANCE,
     LinearCode,
-    codewords,
     format_pchk,
     min_distance,
     read_pchk,
@@ -59,7 +58,6 @@ __all__ = [
     "binomial",
     "build_bound_report",
     "build_spectrum_level0",
-    "codewords",
     "descend",
     "descent_bound",
     "eigenvalue_level0",

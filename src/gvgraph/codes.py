@@ -51,9 +51,9 @@ elimination alone (``modq.forward_eliminate``: one XOR per row operation
 for q = 2, else one guarded add-and-reduce with a stored multiple of the
 pivot row) and keeps the echelon rows, whose span is the dual words.  The
 RREF, by the back substitution on those rows (``modq.back_substitute``),
-is formed on first read, for the kernel basis that ``codewords`` and the
-codeword route of ``min_distance`` span.  A word's weight is the number of
-its nonzero slots.
+is formed on first read, for the kernel basis that the codeword route of
+``min_distance`` spans.  A word's weight is the number of its nonzero
+slots.
 
 ``modq._span_weights`` weighs a span a chunk at a time: the first basis
 words span a bundle of at most ``modq._WEIGH_BYTES`` bytes of words, and
@@ -67,9 +67,7 @@ come from the int's bytes: for q > 2 the guard bits first mark the nonzero
 slots, then each byte becomes its popcount (``bytes.translate``) and the
 counts of a field's bytes are summed by adding one int per byte position.
 Longer words cost more in those sums than an int each, so they are built
-one int each, a chunk at a time, and weighed in turn.  ``codewords``
-still builds the whole word list (``modq._span``, one add per word and
-multiple), since it returns every word.
+one int each, a chunk at a time, and weighed in turn.
 
 The file format ``gvpchk v1`` is plain UTF-8 text with LF newlines:
 
@@ -96,13 +94,12 @@ from itertools import islice
 from .combinat import _cached, is_prime, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
-from .modq import _Negatives, _Slots, _span, _span_weights, back_substitute, forward_eliminate, kernel_basis, rank  # noqa: F401
+from .modq import _Negatives, _Slots, _span_weights, back_substitute, forward_eliminate, kernel_basis, rank  # noqa: F401
 from .vectors import FqVector
 
 __all__ = [
     "INFINITE_DISTANCE",
     "LinearCode",
-    "codewords",
     "format_pchk",
     "min_distance",
     "read_pchk",
@@ -181,13 +178,6 @@ class LinearCode:
         return self.q**self.dimension
 
 
-def codewords(code: LinearCode, budget: int | None = None) -> list[FqVector]:
-    """All q^(n-s) vectors orthogonal to every parity row, zero included."""
-    check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
-    slots = code._slots
-    return [FqVector(code.q, slots.unpack(x)) for x in _span(slots, kernel_basis(*code._rref, slots))]
-
-
 def _distance_from_dual(dual_weights: dict[int, int], q: int, n: int, s: int) -> int:
     """Least j >= 1 with A_j > 0, A_j the MacWilliams transform of the q^s dual
     words' weight counts ``dual_weights`` (module docstring).  The code must
@@ -252,7 +242,8 @@ def _atomic_write_text(path: str, text: str) -> None:
     The temp file is created as ``tempfile.mkstemp`` creates one, with
     ``O_CREAT | O_EXCL`` and mode 0600, so a name that exists is skipped,
     never overwritten; its bytes go out by ``os.write``, with no text
-    wrapper.  On any failure the temp file is removed.
+    wrapper.  On any failure the temp file is removed, and a failure to
+    create it names ``path``, not the temp name.
     """
     directory = os.path.dirname(os.path.abspath(path))
     data = memoryview(text.encode("utf-8"))
@@ -263,6 +254,9 @@ def _atomic_write_text(path: str, text: str) -> None:
             fd = os.open(tmp, flags, 0o600)
         except FileExistsError:
             continue
+        except OSError as exc:
+            exc.filename = path
+            raise
         break
     else:
         raise FileExistsError(f"no unused temp file name in {directory}")

@@ -58,12 +58,14 @@ digits in increasing order, so its dense index is a sum of one term per
 class, and a tied type's term per class is read at its histogram rank
 (``least_index``).
 
-A level is handed its layout by the level that builds it: its pivot
-columns (the one new column is the pivot's leading column, found once),
-its free columns and, when typed, its classes and type count.  So a level
-step finds no pivot column again and counts no types twice; only a table
-made from its pivots alone (as ``dataclasses.replace`` makes one) derives
-its layout from them, on first use.
+A level's layout is four fields, built once with the level: its pivot
+columns, its free columns and, when typed, its types (classes and type
+count), or, on edges, its pattern columns.  ``build_spectrum_level0``
+builds level 0's (no pivot column, and the one class of every column);
+``next_level`` and ``edge_level`` build each next level's from the level
+above, the one new pivot column being the pivot's leading column, found
+once.  ``dataclasses.replace`` (so ``densify``) keeps the layout, so no
+level derives it from its pivots or counts its types twice.
 
 ``next_level`` first checks the pivot: nonzero, canonical (zero at every
 pivot column) and at the level minimum, its value read by type position,
@@ -117,9 +119,9 @@ E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
 q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
 level t+1 and m from its recursion degree (``_edge_route``).  The route is
 decided from the split classes and their type count alone, before any
-layout is built, and ``edge_level`` is handed the pivot columns, from
-which it reads the free columns.  Level t+1's words are then found among its
-V_q(n-t-1, d-1) free-digit patterns of weight below d
+types are built, and ``edge_level`` is handed the pivot and free columns,
+from which it finds the pattern columns.  Level t+1's words are then
+found among its V_q(n-t-1, d-1) free-digit patterns of weight below d
 (``_low_weight_words``), and its q^r <= q^m patterns replace an average
 over count types.  Every later level is an edge level.  The descent checks
 (q-1) * |E_t| against the recursion degree, as it checks a typed level's
@@ -141,7 +143,7 @@ value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import accumulate, islice, repeat
 from math import comb
@@ -174,12 +176,6 @@ def eigenvalue_level0(params: GraphParams, weight: int) -> int:
 def _lead_col(v: FqVector) -> int:
     """Column of the first nonzero digit of ``v``."""
     return v.digits.index(next(filter(None, v.digits)))
-
-
-def _free_cols(n: int, pivot_cols: Iterable[int]) -> tuple[int, ...]:
-    """Every column of n but ``pivot_cols``, in increasing order."""
-    skip = set(pivot_cols)
-    return tuple(c for c in range(n) if c not in skip)
 
 
 def _vector_at(params: GraphParams, cols: Sequence[int], index: int) -> FqVector:
@@ -446,9 +442,8 @@ def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> 
     return [_outer_halves(part, start) for part, start in zip(parts, starts)]
 
 
-def _check_pivot(table: SpectrumTable, pivot: FqVector) -> int:
-    """Refuse a pivot that is zero, not canonical or not at the level minimum;
-    else return its leading column."""
+def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
+    """Refuse a pivot that is zero, not canonical or not at the level minimum."""
     q, n = table.params.q, table.params.n
     if pivot.q != q or pivot.n != n:
         raise ValueError("pivot parameters do not match the table")
@@ -457,7 +452,6 @@ def _check_pivot(table: SpectrumTable, pivot: FqVector) -> int:
     value = table.value_of(pivot)  # refuses a non-canonical pivot
     if value != table.min_value:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
-    return _lead_col(pivot)
 
 
 def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> bool:
@@ -504,7 +498,10 @@ class SpectrumTable:
     when ``edges`` is set too, one entry per pattern (see "Edge levels"
     above); every query reads these.  ``values`` (one entry per canonical
     coset representative) is set only by ``densify`` and read only by
-    ``entries``, to print a level.
+    ``entries``, to print a level.  ``pivot_cols``, ``free_cols``, ``types``
+    (typed) and ``pattern_cols`` (edges) are the layout (see "Types"
+    above), passed in by whoever builds the level and left out of
+    comparisons.
     """
 
     params: GraphParams
@@ -512,6 +509,10 @@ class SpectrumTable:
     values: tuple[int, ...] | None = None
     weight_values: tuple[int, ...] | None = None
     edges: tuple[tuple[int, ...], ...] | None = None
+    pivot_cols: tuple[int, ...] = field(kw_only=True, compare=False, repr=False)
+    free_cols: tuple[int, ...] = field(kw_only=True, compare=False, repr=False)
+    types: _Types | None = field(default=None, kw_only=True, compare=False, repr=False)
+    pattern_cols: tuple[int, ...] | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -521,26 +522,6 @@ class SpectrumTable:
     def kind(self) -> str:
         """The representation: "typed" or "edges"."""
         return "typed" if self.edges is None else "edges"
-
-    # The layout: a level built by ``next_level`` or ``edge_level`` is
-    # handed its pivot columns and free columns (a typed one its types too),
-    # so these are computed only for a level built from its pivots alone.
-    @_cached
-    def _pivot_cols(self) -> tuple[int, ...]:
-        """Each pivot's leading column, in pivot order."""
-        return tuple(map(_lead_col, self.pivots))
-
-    @_cached
-    def free_cols(self) -> tuple[int, ...]:
-        """Every column but the pivot columns, in increasing order."""
-        return _free_cols(self.params.n, self._pivot_cols)
-
-    @_cached
-    def types(self) -> _Types:
-        classes: _Classes = [((), list(range(self.params.n)))]
-        for pivot, lead in zip(self.pivots, self._pivot_cols):
-            classes = _split(classes, pivot, lead)
-        return _Types(self.params.q, classes, self.free_cols, _type_count(self.params.q, classes))
 
     @property
     def size(self) -> int:
@@ -568,7 +549,7 @@ class SpectrumTable:
         here: zero at every pivot column."""
         if v.q != self.params.q or v.n != self.params.n:
             raise ValueError("vector parameters do not match the table")
-        if any(map(v.digits.__getitem__, self._pivot_cols)):
+        if any(map(v.digits.__getitem__, self.pivot_cols)):
             raise ValueError(f"{v} is not a canonical representative (nonzero at a pivot column)")
         return v.digits
 
@@ -669,29 +650,25 @@ class SpectrumTable:
         remainder raises DivisibilityError naming the first offending sum
         in type order.
         """
-        lead = _check_pivot(self, pivot)
-        params, pivots, pivot_cols = self.params, self.pivots + (pivot,), self._pivot_cols + (lead,)
+        _check_pivot(self, pivot)
+        lead = _lead_col(pivot)
+        params, pivots, pivot_cols = self.params, self.pivots + (pivot,), self.pivot_cols + (lead,)
+        free_cols = tuple(c for c in self.free_cols if c != lead)
         q = params.q
         if self.edges is not None:
             edges = tuple(c for c in self.edges if sum(map(mul, c, pivot.digits)) % q == 0)
-            return edge_level(params, pivots, edges, pivot_cols)
+            return edge_level(params, pivots, edges, pivot_cols, free_cols)
         classes = _split(self.types.classes, pivot, lead)
         count = _type_count(q, classes)
         if _edge_route(params, len(pivots), degree, count):
-            return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols)
-        free_cols = tuple(c for c in self.free_cols if c != lead)
+            return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols, free_cols)
         types, by = _Types(q, classes, free_cols, count), self._by_code
         parents = _parent_codes(self.types, types, pivot, lead)
         slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
-        out = SpectrumTable(params=params, pivots=pivots, weight_values=_exact_means(slabs, q, self.level))
-        vars(out).update(_pivot_cols=pivot_cols, free_cols=free_cols, types=types)  # the layout, built once per level
-        return out
-
-    @_cached
-    def pattern_cols(self) -> tuple[int, ...]:
-        """An edge level's pattern columns (see "Edge levels" above)."""
-        assert self.edges is not None
-        return _patterns(self.params, self.edges, self.free_cols)[0]
+        values = _exact_means(slabs, q, self.level)
+        return SpectrumTable(
+            params, pivots, weight_values=values, pivot_cols=pivot_cols, free_cols=free_cols, types=types
+        )
 
 
 def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], n: int) -> list[int]:
@@ -729,18 +706,15 @@ def edge_level(
     params: GraphParams,
     pivots: tuple[FqVector, ...],
     edges: tuple[tuple[int, ...], ...],
-    pivot_cols: tuple[int, ...] | None = None,
+    pivot_cols: tuple[int, ...],
+    free_cols: tuple[int, ...],
 ) -> SpectrumTable:
-    """The level named by ``pivots`` from its monic edge words, one value per
-    pattern; ``pivot_cols``, the pivots' leading columns, is found from the
-    pivots if not given."""
-    if pivot_cols is None:
-        pivot_cols = tuple(map(_lead_col, pivots))
-    free_cols = _free_cols(params.n, pivot_cols)
-    cols, values = _patterns(params, edges, free_cols)
-    table = SpectrumTable(params=params, pivots=pivots, weight_values=values, edges=edges)
-    vars(table).update(_pivot_cols=pivot_cols, free_cols=free_cols, pattern_cols=cols)  # the layout, built once
-    return table
+    """The level named by ``pivots``, of pivot columns ``pivot_cols`` and free
+    columns ``free_cols``, from its monic edge words: one value per pattern."""
+    pattern_cols, values = _patterns(params, edges, free_cols)
+    return SpectrumTable(
+        params, pivots, weight_values=values, edges=edges, pivot_cols=pivot_cols, free_cols=free_cols, pattern_cols=pattern_cols
+    )
 
 
 def build_spectrum_level0(params: GraphParams) -> SpectrumTable:
@@ -749,8 +723,11 @@ def build_spectrum_level0(params: GraphParams) -> SpectrumTable:
     The row is K_{d-1}(w - 1; n - 1, q) - 1 for w >= 1 by the Krawtchouk
     recurrence in x, after the regular degree at w = 0.
     """
-    row = krawtchouk_row(params.d - 1, params.n - 1, params.q)
-    return SpectrumTable(params=params, weight_values=(params.degree, *(k - 1 for k in row)))
+    q, cols = params.q, tuple(range(params.n))
+    row = krawtchouk_row(params.d - 1, params.n - 1, q)
+    classes: _Classes = [((), list(cols))]
+    types = _Types(q, classes, cols, _type_count(q, classes))
+    return SpectrumTable(params, weight_values=(params.degree, *(k - 1 for k in row)), pivot_cols=(), free_cols=cols, types=types)
 
 
 @dataclass(frozen=True)

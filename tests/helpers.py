@@ -522,7 +522,7 @@ def dense_minimum(table):
 
 def dense_descend(table, pivot):
     """The next level's dense values, by ``reference_average`` of ``table.densify().values``,
-    as a table that sets ``values`` alone.
+    as a table that sets ``values`` and its pivot and free columns alone.
 
     The pivot is checked as the descent checks it (nonzero, canonical, at
     the level minimum), the value at it looked up by its index; ``tail``
@@ -539,7 +539,9 @@ def dense_descend(table, pivot):
     inv = pow(pivot.digits[free[lead]], -1, q)
     tail = [inv * pivot.digits[c] % q for c in free[lead + 1 :]]
     values = reference_average(table.values, q, tail, table.level)
-    return SpectrumTable(params=table.params, pivots=table.pivots + (pivot,), values=values)
+    return SpectrumTable(
+        table.params, table.pivots + (pivot,), values, pivot_cols=table.pivot_cols + (free[lead],), free_cols=free[:lead] + free[lead + 1 :]
+    )
 
 
 def dense_descent(params):

@@ -684,3 +684,17 @@ def test_unknown_option_after_a_command_exits_2(tmp_path):
     code, out, err = main_exit(["verify", str(tmp_path / "h.pchk"), "-d", "3", "--bogus"])
     assert code == 2 and out == ""
     assert err == "usage: gvgraph verify [-h] -d D [--budget BUDGET] pchk\ngvgraph verify: error: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "-q", "2", "-n", "4", "-d", "3"], ["sweep", "-q", "2", "-n", "4", "-d", "2:3"]], ids=["construct", "sweep"]
+)
+def test_a_write_into_a_missing_directory_names_the_given_path(tmp_path, argv):
+    # The temp file beside the output cannot be created: the error names the
+    # path given, not the temp file's random name, and leaves no temp file.
+    path = str(tmp_path / "missing" / "out.txt")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv + ["-o", path]) == 2
+    assert err.getvalue() == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert list(tmp_path.rglob("*.tmp")) == []

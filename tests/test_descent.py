@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import logging
 import random
 from collections import Counter
@@ -310,7 +311,7 @@ class TestDescend:
 
 
 class TestCosetIndexing:
-    """A level's free columns and indexing, derived from its pivots alone."""
+    """A level's layout and indexing, checked against its pivots by second routes."""
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_every_level_of_every_small_cell(self, q):
@@ -332,6 +333,51 @@ class TestCosetIndexing:
                     for pivot in pivots:
                         with pytest.raises(ValueError, match="canonical"):
                             table.index_of(pivot)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_each_level_holds_the_layout_it_was_built_with(self, monkeypatch, q):
+        # Default levels (typed, then edges in the larger cells) and levels
+        # on edges from level 1 on, so both layouts are met in every cell.
+        for n in range(1, MAX_DIGITS[q] + 1):
+            for d in range(1, n + 2):
+                params = GraphParams(q, n, d)
+                for table, _ in list(descend(params)) + edged_levels(monkeypatch, params):
+                    pivots = table.pivots
+                    assert table.pivot_cols == tuple(next(i for i, x in enumerate(p.digits) if x) for p in pivots)
+                    ranked = reference_rref([p.digits for p in pivots], q)[1]
+                    assert sorted(table.pivot_cols) == ranked
+                    assert table.free_cols == tuple(c for c in range(n) if c not in ranked)
+                    if table.kind == "typed":
+                        assert table.pattern_cols is None
+                        groups = {}
+                        for col in table.free_cols:
+                            groups.setdefault(tuple(p.digits[col] for p in pivots), []).append(col)
+                        classes = sorted(groups.items())
+                        assert table.types.classes == classes, (n, d, table.level)
+                        # A type: the weight on the zero class, the sorted digits on any other.
+                        seen = set()
+                        for v in itertools.product(range(q), repeat=len(table.free_cols)):
+                            at = dict(zip(table.free_cols, v))
+                            seen.add(tuple(
+                                sum(1 for c in cols if at[c]) if not any(key) else tuple(sorted(at[c] for c in cols))
+                                for key, cols in classes
+                            ))
+                        assert table.types.count == len(seen), (n, d, table.level)
+                        kept = table.types
+                    else:
+                        assert table.types is None
+                        # Right to left, the free columns at which the rank of the words' columns grows.
+                        right, grows = [], []
+                        for col in reversed(table.free_cols):
+                            right.append(tuple(word[col] for word in table.edges))
+                            if len(reference_rref(right, q)[0]) > len(grows):
+                                grows.append(col)
+                        assert table.pattern_cols == tuple(reversed(grows)), (n, d, table.level)
+                        kept = table.pattern_cols
+                    same = dataclasses.replace(table, weight_values=table.weight_values)
+                    for copy in (same, table.densify()):
+                        assert (copy.types, copy.pattern_cols)[table.kind == "edges"] is kept
+                        assert copy.pivot_cols is table.pivot_cols and copy.free_cols is table.free_cols
 
 
 @pytest.mark.parametrize("cell", [(2, 10, 4), (2, 9, 3), (3, 5, 3), (5, 4, 3), (2, 18, 4), (3, 11, 4)])
@@ -675,7 +721,7 @@ class TestEdgeLevels:
                         word = [(x + c * y) % q for x, y in zip(word, vec)]
                     if any(word):
                         words.append(tuple(word))
-                level = edge_level(params, table.pivots, tuple(words))
+                level = edge_level(params, table.pivots, tuple(words), table.pivot_cols, table.free_cols)
                 dense = level.densify()
                 assert dense.values == tuple(level.value_of(level.vector_at(i)) for i in range(level.size))
                 assert level.min_value == dense_minimum(level)[0]
