@@ -28,13 +28,7 @@ from .codes import (
 from .combinat import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
 from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
-from .spectrum import (
-    RealEigenvector,
-    SpectrumTable,
-    build_spectrum_level0,
-    eigenvalue_level0,
-    real_eigenvector,
-)
+from .spectrum import SpectrumTable, build_spectrum_level0, eigenvalue_level0
 from .vectors import FqVector
 
 __version__ = "0.1.0"
@@ -51,7 +45,6 @@ __all__ = [
     "LevelRecord",
     "LinearCode",
     "PchkFormatError",
-    "RealEigenvector",
     "SpectrumTable",
     "asymptotic_gv",
     "ball_volume",
@@ -70,7 +63,6 @@ __all__ = [
     "krawtchouk",
     "min_distance",
     "read_pchk",
-    "real_eigenvector",
     "run_algorithm1",
     "select_pivot",
     "sufficient_dimension",

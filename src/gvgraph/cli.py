@@ -9,7 +9,8 @@ command list.
 Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
 3 budget refusal.  All rationals are serialized as exact "p/q" strings
 (plain integers when the denominator is 1) and re-parse to the identical
-value; output files are written atomically (temp file + rename).
+value; output files are written atomically (temp file + rename), into a
+directory checked before the command's work starts (``_check_output``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import io
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -109,6 +112,22 @@ def _frac_str(value: Fraction | None) -> str | None:
     return None if value is None else str(value)
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse ``path``, before any work, if its directory is missing or is
+    not a directory, with the error ``_atomic_write_text`` raises there,
+    which names ``path``.  That write keeps its own handling, since the
+    directory can vanish in between; None (stdout) passes."""
+    if path is None:
+        return
+    try:
+        is_dir = stat.S_ISDIR(os.stat(os.path.dirname(os.path.abspath(path))).st_mode)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    if not is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -165,7 +184,9 @@ def _bound_report(params: GraphParams, budget: int | None) -> tuple[BoundReport,
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report, _ = _bound_report(GraphParams(args.q, args.n, args.d), args.budget)
+    params = GraphParams(args.q, args.n, args.d)
+    _check_output(args.output)
+    report, _ = _bound_report(params, args.budget)
     with _all_digits():
         payload = _report_dict(report)
         if args.json:
@@ -182,6 +203,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     level = args.level
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
+    _check_output(args.output)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if level == 0:
@@ -209,6 +231,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     params = GraphParams(args.q, args.n, args.d)
+    _check_output(args.output)
     trace = run_algorithm1(params, budget=args.budget)
     code = LinearCode(params.q, params.n, trace.parity_rows)
     write_pchk(args.output, code)
@@ -286,6 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     log.warning("skipping invalid cell (q=%d, n=%d, d=%d): %s", q, n, d, exc)
                     continue
                 cells.append((q, n, d, args.budget))
+    _check_output(args.output)
     # The pool starts all its workers at the first task.
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from time import perf_counter
 from typing import Iterator
 
@@ -49,7 +48,6 @@ class LevelRecord:
     lambda_min: int
     degree: int
     bound: Fraction
-    pivot_orthogonal: bool
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,6 @@ class DescentTrace:
     @property
     def parity_rows(self) -> tuple[FqVector, ...]:
         return tuple(rec.pivot for rec in self.levels)
-
-    @property
-    def lambda_history(self) -> tuple[int, ...]:
-        return tuple(rec.lambda_min for rec in self.levels)
-
-    @property
-    def degree_history(self) -> tuple[int, ...]:
-        return tuple(rec.degree for rec in self.levels)
 
     @property
     def bounds(self) -> tuple[Fraction, ...]:
@@ -133,16 +123,8 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
             yield table, None
             return
         pivot = select_pivot(table)
-        orthogonal = not any(sum(map(mul, pivot.digits, prev.digits)) % q for prev in table.pivots)
         minima.append(value)
-        yield table, LevelRecord(
-            t=t,
-            pivot=pivot,
-            lambda_min=value,
-            degree=degree,
-            bound=descent_bound(params, minima),
-            pivot_orthogonal=orthogonal,
-        )
+        yield table, LevelRecord(t=t, pivot=pivot, lambda_min=value, degree=degree, bound=descent_bound(params, minima))
         start = perf_counter()
         total = degree + (q - 1) * value
         degree, rem = divmod(total, q)

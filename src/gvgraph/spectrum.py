@@ -65,7 +65,9 @@ builds level 0's (no pivot column, and the one class of every column);
 ``next_level`` and ``edge_level`` build each next level's from the level
 above, the one new pivot column being the pivot's leading column, found
 once.  ``dataclasses.replace`` (so ``densify``) keeps the layout, so no
-level derives it from its pivots or counts its types twice.
+level derives it from its pivots or counts its types twice.  The types
+hold no copy of the free columns: the table passes its own to the two
+type methods that walk the dense order (``dense_codes``, ``least_index``).
 
 ``next_level`` first checks the pivot: nonzero, canonical (zero at every
 pivot column) and at the level minimum, its value read by type position,
@@ -150,18 +152,12 @@ from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import GraphParams, _cached, binomial, krawtchouk, krawtchouk_row
+from .combinat import GraphParams, _cached, krawtchouk, krawtchouk_row
 from .errors import DivisibilityError, check_budget
 from .modq import _monic_combinations, _Slots, _span, kernel_basis, rref
 from .vectors import FqVector
 
-__all__ = [
-    "RealEigenvector",
-    "SpectrumTable",
-    "build_spectrum_level0",
-    "eigenvalue_level0",
-    "real_eigenvector",
-]
+__all__ = ["SpectrumTable", "build_spectrum_level0", "eigenvalue_level0"]
 
 
 def eigenvalue_level0(params: GraphParams, weight: int) -> int:
@@ -300,12 +296,13 @@ class _Types:
     less significant than class j+1's.  ``digit_codes[j][b]`` is what one
     column of class j holding digit b adds to a type code.  Level 0 has the
     one class ``((), every column)``; ``_split`` gives each next level's.
-    The free columns and the type count are handed in by the level that
-    builds this one, which already holds them.
+    The type count is handed in by the level that builds this one, which
+    already holds it; the free columns stay with the table, which passes
+    them to the two methods that read them in dense order.
     """
 
-    def __init__(self, q: int, classes: _Classes, free_cols: tuple[int, ...], count: int) -> None:
-        self.q, self.classes, self.free_cols, self.count = q, classes, free_cols, count
+    def __init__(self, q: int, classes: _Classes, count: int) -> None:
+        self.q, self.classes, self.count = q, classes, count
         # Per class: the slot radices and the code one column adds per digit;
         # slot s (1-based) counts digit s, or every nonzero digit in the zero class.
         self.radices: list[list[int]] = []
@@ -332,10 +329,10 @@ class _Types:
         parts = [_weighted(len(cols), radices) for radices, (_, cols) in zip(self.radices, self.classes)]
         return _outer_sum(parts[::-1])
 
-    def dense_codes(self) -> list[int]:
+    def dense_codes(self, free_cols: Sequence[int]) -> list[int]:
         """Type code of every dense index: an outer sum of one list per free column."""
         code_of = {col: codes for codes, (_, cols) in zip(self.digit_codes, self.classes) for col in cols}
-        return _outer_sum([code_of[col] for col in self.free_cols])
+        return _outer_sum([code_of[col] for col in free_cols])
 
     def position(self, digits: Sequence[int]) -> int:
         """Position in type order of the type of a representative with these
@@ -353,8 +350,8 @@ class _Types:
                 scale *= len(ranks)
         return pos
 
-    def least_index(self, positions: Iterable[int]) -> int:
-        """The least dense index of the types at ``positions`` (0 if none).
+    def least_index(self, free_cols: Sequence[int], positions: Iterable[int]) -> int:
+        """The least dense index, over ``free_cols``, of the types at ``positions`` (0 if none).
 
         The smallest vector of a type fills each class's columns with the
         class's digits in increasing order, so its index is a sum of one
@@ -365,7 +362,7 @@ class _Types:
         significant first, as the rank of each class's histogram there.
         """
         place, value = {}, 1
-        for col in reversed(self.free_cols):
+        for col in reversed(free_cols):
             place[col], value = value, value * self.q
         terms = []
         for radices, (_, cols) in zip(self.radices, self.classes):
@@ -501,7 +498,8 @@ class SpectrumTable:
     ``entries``, to print a level.  ``pivot_cols``, ``free_cols``, ``types``
     (typed) and ``pattern_cols`` (edges) are the layout (see "Types"
     above), passed in by whoever builds the level and left out of
-    comparisons.
+    comparisons; ``types`` reads the free columns from this table, which
+    holds the one copy of them.
     """
 
     params: GraphParams
@@ -533,11 +531,6 @@ class SpectrumTable:
         assert self.weight_values is not None
         return self.weight_values[0]
 
-    def multiplicity_for_weight(self, weight: int) -> int:
-        """Number of weight-``weight`` character indices: C(n,w)(q-1)^w."""
-        q, n = self.params.q, self.params.n
-        return binomial(n, weight) * (q - 1) ** weight
-
     def vector_at(self, index: int) -> FqVector:
         """Canonical representative at a dense-table position."""
         if not 0 <= index < self.size:
@@ -552,13 +545,6 @@ class SpectrumTable:
         if any(map(v.digits.__getitem__, self.pivot_cols)):
             raise ValueError(f"{v} is not a canonical representative (nonzero at a pivot column)")
         return v.digits
-
-    def index_of(self, v: FqVector) -> int:
-        """Dense-table position of a canonical representative: its free digits, base q."""
-        q, digits, idx = self.params.q, self._canonical_digits(v), 0
-        for col in self.free_cols:
-            idx = idx * q + digits[col]
-        return idx
 
     def value_of(self, v: FqVector) -> int:
         """Eigenvalue at a canonical representative.
@@ -609,7 +595,7 @@ class SpectrumTable:
         for _ in range(ties):
             i = vals.index(value, i + 1)
             tied.append(i)
-        return value, _vector_at(self.params, self.free_cols, self.types.least_index(tied))
+        return value, _vector_at(self.params, self.free_cols, self.types.least_index(self.free_cols, tied))
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
         """(canonical representative, eigenvalue) pairs in index order."""
@@ -619,11 +605,13 @@ class SpectrumTable:
             yield self.vector_at(i), lam
 
     def weight_rows(self) -> Iterator[tuple[int, int, int]]:
-        """(weight, eigenvalue, multiplicity) rows of a typed level-0 table."""
+        """(weight, eigenvalue, multiplicity) rows of a typed level-0 table;
+        C(n, w) (q-1)^w indices have weight w."""
         if self.weight_values is None or self.level:
             raise ValueError("weight_rows() requires a typed level-0 table")
+        q, n = self.params.q, self.params.n
         for w, lam in enumerate(self.weight_values):
-            yield w, lam, self.multiplicity_for_weight(w)
+            yield w, lam, comb(n, w) * (q - 1) ** w
 
     def densify(self, budget: int | None = None) -> "SpectrumTable":
         """This table with ``values`` set, one per canonical representative, for ``entries``;
@@ -637,7 +625,7 @@ class SpectrumTable:
             columns = _edge_columns(slots, self.edges, self.params.n)
             values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
         else:
-            values = tuple(map(self._by_code.__getitem__, self.types.dense_codes()))
+            values = tuple(map(self._by_code.__getitem__, self.types.dense_codes(self.free_cols)))
         return replace(self, values=values)
 
     def next_level(self, pivot: FqVector, degree: int) -> "SpectrumTable":
@@ -662,7 +650,7 @@ class SpectrumTable:
         count = _type_count(q, classes)
         if _edge_route(params, len(pivots), degree, count):
             return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols, free_cols)
-        types, by = _Types(q, classes, free_cols, count), self._by_code
+        types, by = _Types(q, classes, count), self._by_code
         parents = _parent_codes(self.types, types, pivot, lead)
         slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
         values = _exact_means(slabs, q, self.level)
@@ -726,47 +714,6 @@ def build_spectrum_level0(params: GraphParams) -> SpectrumTable:
     q, cols = params.q, tuple(range(params.n))
     row = krawtchouk_row(params.d - 1, params.n - 1, q)
     classes: _Classes = [((), list(cols))]
-    types = _Types(q, classes, cols, _type_count(q, classes))
+    types = _Types(q, classes, _type_count(q, classes))
     return SpectrumTable(params, weight_values=(params.degree, *(k - 1 for k in row)), pivot_cols=(), free_cols=cols, types=types)
 
-
-@dataclass(frozen=True)
-class RealEigenvector:
-    """Real-valued eigenvector supported on two entry values, q-1 and -1.
-
-    The entry at vertex u is q-1 when <u, 1_A> = 0 and -1 otherwise, where
-    1_A is the indicator vector of the (1-based) support set A.  This is the
-    sum of the q-1 character eigenvectors indexed by the nonzero multiples
-    of 1_A, hence an eigenvector whose eigenvalue is the common level-0
-    eigenvalue of weight |A|; its entries sum to zero and its squared norm
-    is q^n (q-1).
-    """
-
-    params: GraphParams
-    support: frozenset[int]
-    eigenvalue: int
-
-    @property
-    def indicator(self) -> FqVector:
-        digits = [0] * self.params.n
-        for i in self.support:
-            digits[i - 1] = 1
-        return FqVector(self.params.q, tuple(digits))
-
-    def entry(self, u: FqVector) -> int:
-        return self.params.q - 1 if u.dot(self.indicator) == 0 else -1
-
-    @property
-    def norm_squared(self) -> int:
-        q, n = self.params.q, self.params.n
-        return q**n * (q - 1)
-
-
-def real_eigenvector(params: GraphParams, support: Iterable[int]) -> RealEigenvector:
-    """The two-valued real eigenvector attached to a nonempty support set."""
-    a = frozenset(support)
-    if not a:
-        raise ValueError("support set must be nonempty")
-    if not all(1 <= i <= params.n for i in a):
-        raise ValueError(f"support positions must lie in 1..{params.n}")
-    return RealEigenvector(params, a, eigenvalue_level0(params, len(a)))

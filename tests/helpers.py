@@ -11,6 +11,10 @@ doubling loop, the former list RREF and kernel basis on digit tuples, the
 former ``entropy_q`` (``reference_entropy``), the former shift-sum
 ``_Slots.pack`` (``reference_pack``) and the former digit-by-digit
 ``parse_pchk`` (``reference_parse_pchk``).
+``RealEigenvector`` is the paper's two-valued real eigenvector, an oracle
+for the level-0 eigenvalues; ``index_of`` and the trace histories
+(``lambda_history``, ``degree_history``, ``pivot_orthogonality``) read a
+table or trace the way the tests need and the package does not.
 The dense route (``dense_minimum``, ``dense_descend``, ``dense_descent``)
 runs Algorithm 1 on dense values through ``reference_average``, with its own
 argmin scan, degree and pivot lookup: the second route the typed and edge
@@ -22,6 +26,7 @@ the former ``FqVector`` and ``codes`` API.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -30,11 +35,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound
+from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound, eigenvalue_level0
 from gvgraph.codes import PCHK_MAGIC, _header_int
 from gvgraph.combinat import is_prime
 from gvgraph.errors import DivisibilityError, PchkFormatError, check_budget
-from gvgraph.spectrum import RealEigenvector, _lead_col
+from gvgraph.spectrum import _lead_col
 
 EXACT_SEARCH_CAP = 64
 
@@ -87,6 +92,48 @@ def is_independent_set(params: GraphParams, vectors: Iterable[FqVector]) -> bool
             if hamming_distance(u, v) < params.d:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class RealEigenvector:
+    """Real-valued eigenvector supported on two entry values, q-1 and -1.
+
+    The entry at vertex u is q-1 when <u, 1_A> = 0 and -1 otherwise, where
+    1_A is the indicator vector of the (1-based) support set A.  This is the
+    sum of the q-1 character eigenvectors indexed by the nonzero multiples
+    of 1_A, hence an eigenvector whose eigenvalue is the common level-0
+    eigenvalue of weight |A|; its entries sum to zero and its squared norm
+    is q^n (q-1).
+    """
+
+    params: GraphParams
+    support: frozenset[int]
+    eigenvalue: int
+
+    @property
+    def indicator(self) -> FqVector:
+        digits = [0] * self.params.n
+        for i in self.support:
+            digits[i - 1] = 1
+        return FqVector(self.params.q, tuple(digits))
+
+    def entry(self, u: FqVector) -> int:
+        return self.params.q - 1 if u.dot(self.indicator) == 0 else -1
+
+    @property
+    def norm_squared(self) -> int:
+        q, n = self.params.q, self.params.n
+        return q**n * (q - 1)
+
+
+def real_eigenvector(params: GraphParams, support: Iterable[int]) -> RealEigenvector:
+    """The two-valued real eigenvector attached to a nonempty support set."""
+    a = frozenset(support)
+    if not a:
+        raise ValueError("support set must be nonempty")
+    if not all(1 <= i <= params.n for i in a):
+        raise ValueError(f"support positions must lie in 1..{params.n}")
+    return RealEigenvector(params, a, eigenvalue_level0(params, len(a)))
 
 
 def dense_entries(vector: RealEigenvector, budget: int | None = None) -> list[int]:
@@ -512,6 +559,31 @@ def reference_average(vals, q, tail, level):
     return tuple(out)
 
 
+def index_of(table, v):
+    """Dense position of a canonical representative of ``table``'s level:
+    its free digits, base q.  A vector nonzero at a pivot column is refused."""
+    digits, index = table._canonical_digits(v), 0
+    for col in table.free_cols:
+        index = index * table.params.q + digits[col]
+    return index
+
+
+def lambda_history(trace):
+    """Each level's minimum eigenvalue, in level order."""
+    return tuple(rec.lambda_min for rec in trace.levels)
+
+
+def degree_history(trace):
+    """Each level's degree, in level order (the final level's is ``trace.final_degree``)."""
+    return tuple(rec.degree for rec in trace.levels)
+
+
+def pivot_orthogonality(trace):
+    """Per level, whether its pivot is orthogonal to every earlier pivot."""
+    rows = trace.parity_rows
+    return tuple(all(p.dot(prev) == 0 for prev in rows[:t]) for t, p in enumerate(rows))
+
+
 def dense_minimum(table):
     """The least of ``table.densify().values`` after the zero index (the
     degree if none) and the first index holding it, by a scan of the values."""
@@ -531,7 +603,7 @@ def dense_descend(table, pivot):
     table = table.densify()
     if pivot.is_zero:
         raise ValueError("pivot must be nonzero")
-    value, least = table.values[table.index_of(pivot)], dense_minimum(table)[0]
+    value, least = table.values[index_of(table, pivot)], dense_minimum(table)[0]
     if value != least:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {least}")
     q, free = table.params.q, table.free_cols
@@ -552,9 +624,8 @@ def dense_descent(params):
     value, pivot = dense_minimum(table)
     while value:
         minima.append(value)
-        orthogonal = all(pivot.dot(prev) == 0 for prev in table.pivots)
         bound = descent_bound(params, minima)
-        levels.append((table, LevelRecord(table.level, pivot, value, table.values[0], bound, orthogonal)))
+        levels.append((table, LevelRecord(table.level, pivot, value, table.values[0], bound)))
         table = dense_descend(table, pivot)
         value, pivot = dense_minimum(table)
     return levels + [(table, None)]

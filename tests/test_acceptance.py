@@ -31,7 +31,7 @@ from gvgraph import (
     wilf_cor27_bound,
     write_pchk,
 )
-from helpers import dense_descend, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
+from helpers import degree_history, dense_descend, lambda_history, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 
@@ -109,7 +109,7 @@ def test_criterion_04_flagship_anchors():
     assert wilf_cor27_bound(params, lam_min) == Fraction(128, 27)
     assert hoffman_bound(params, lam_min) == 16
     trace = run_algorithm1(params)
-    assert trace.degree_history[1] == 12
+    assert degree_history(trace)[1] == 12
     announce(4, "(2,7,3) anchors lam_min=-4, gv=128/29, wilf=128/27, hoffman=16, D1=12")
 
 
@@ -175,7 +175,7 @@ def test_criterion_06_theorem33_end_to_end(theorem33_traces, tmp_path):
         q, n, d = cell
         params = GraphParams(q, n, d)
         volume = ball_volume(params, d - 1)
-        total = sum((q - 1) * q**t * lam for t, lam in enumerate(trace.lambda_history))
+        total = sum((q - 1) * q**t * lam for t, lam in enumerate(lambda_history(trace)))
         # Termination identity, exact.  The paper-literal sum (without the -1)
         # always lands on exactly 1; both are pinned so nothing hides the gap.
         assert volume - 1 + total == 0

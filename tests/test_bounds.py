@@ -18,6 +18,7 @@ from gvgraph import (
     sufficient_dimension,
     wilf_cor27_bound,
 )
+from helpers import lambda_history
 
 # Frozen from an independent mpmath evaluation.
 RATE_2_QUARTER = Decimal("0.18872187554086713609030420796086238156986080576936")
@@ -126,7 +127,7 @@ class TestDescentBound:
         for cell in [(2, 7, 3), (2, 8, 3), (3, 4, 3), (2, 10, 5)]:
             p = GraphParams(*cell)
             trace = run_algorithm1(p)
-            assert descent_bound(p, trace.lambda_history) == Fraction(
+            assert descent_bound(p, lambda_history(trace)) == Fraction(
                 p.num_vertices, p.q**trace.s + 1
             )
 
@@ -143,14 +144,14 @@ class TestSufficientDimension:
         for cell in [(2, 7, 3), (2, 4, 3), (2, 9, 4), (3, 4, 3), (3, 5, 3)]:
             p = GraphParams(*cell)
             trace = run_algorithm1(p)
-            assert sufficient_dimension(p, trace.lambda_history) == p.n - trace.s
+            assert sufficient_dimension(p, lambda_history(trace)) == p.n - trace.s
 
     def test_looser_sequence_never_certifies_more(self):
         for cell in [(2, 7, 3), (2, 9, 4), (3, 5, 3)]:
             p = GraphParams(*cell)
             trace = run_algorithm1(p)
-            exact = sufficient_dimension(p, trace.lambda_history)
-            looser = [lam + 1 for lam in trace.lambda_history]
+            exact = sufficient_dimension(p, lambda_history(trace))
+            looser = [lam + 1 for lam in lambda_history(trace)]
             got = sufficient_dimension(p, looser)
             assert got is None or got <= exact
 
@@ -161,7 +162,7 @@ class TestSufficientDimension:
     def test_short_sequence_reports_largest_verifiable_only(self):
         p = GraphParams(2, 7, 3)
         trace = run_algorithm1(p)
-        assert sufficient_dimension(p, trace.lambda_history[:2]) is None
+        assert sufficient_dimension(p, lambda_history(trace)[:2]) is None
 
 
 class TestBoundReport:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, combinat, min_distance, read_pchk, run_algorithm1, vectors
+from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, codes, combinat, min_distance, read_pchk, run_algorithm1, vectors
 from helpers import CLASSICAL_CODES, dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
@@ -686,15 +686,43 @@ def test_unknown_option_after_a_command_exits_2(tmp_path):
     assert err == "usage: gvgraph verify [-h] -d D [--budget BUDGET] pchk\ngvgraph verify: error: unrecognized arguments: --bogus\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["construct", "-q", "2", "-n", "4", "-d", "3"], ["sweep", "-q", "2", "-n", "4", "-d", "2:3"]], ids=["construct", "sweep"]
-)
-def test_a_write_into_a_missing_directory_names_the_given_path(tmp_path, argv):
-    # The temp file beside the output cannot be created: the error names the
-    # path given, not the temp file's random name, and leaves no temp file.
-    path = str(tmp_path / "missing" / "out.txt")
+# Each command that writes an output file, with its argv up to ``-o``.
+OUTPUT_COMMANDS = {
+    "construct": ["construct", "-q", "2", "-n", "4", "-d", "3"],
+    "sweep": ["sweep", "-q", "2", "-n", "4", "-d", "2:3"],
+    "bounds": ["bounds", "-q", "2", "-n", "4", "-d", "3"],
+    "spectrum": ["spectrum", "-q", "2", "-n", "4", "-d", "3", "--level", "1"],
+}
+
+
+def refuse_unwritable_output(monkeypatch, tmp_path, argv, path, errno_text):
+    """``argv -o path`` exits 2 before any descent runs (both entry points
+    patched to raise), with the error the write itself gives for ``path``,
+    which names the path given, not the temp file's random name; no temp
+    file is left."""
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_algorithm1", no_descent)
+    monkeypatch.setattr(cli, "descend", no_descent)
+    with pytest.raises(OSError) as written:
+        codes._atomic_write_text(path, "")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(argv + ["-o", path]) == 2
-    assert err.getvalue() == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert err.getvalue() == f"error: {written.value}\n" == f"error: {errno_text}: {path!r}\n"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_COMMANDS.values()), ids=list(OUTPUT_COMMANDS))
+def test_a_write_into_a_missing_directory_names_the_given_path(monkeypatch, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out.txt")
+    refuse_unwritable_output(monkeypatch, tmp_path, argv, path, "[Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_COMMANDS.values()), ids=list(OUTPUT_COMMANDS))
+def test_a_write_under_a_regular_file_names_the_given_path(monkeypatch, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / "file" / "out.txt")
+    refuse_unwritable_output(monkeypatch, tmp_path, argv, path, "[Errno 20] Not a directory")

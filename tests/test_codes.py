@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import itertools
 import math
@@ -28,10 +30,11 @@ from gvgraph import (
     run_algorithm1,
     write_pchk,
 )
-from gvgraph import cli, codes, modq
+from gvgraph import cli, codes, modq, spectrum
 from gvgraph.codes import PCHK_MAGIC, parse_pchk
 from helpers import (
     CLASSICAL_CODES,
+    RealEigenvector,
     alpha_bruteforce,
     gilbert_adjacency,
     hamming,
@@ -382,7 +385,16 @@ def test_public_api_holds_no_test_oracles():
         assert name not in gvgraph.__all__ and not hasattr(gvgraph, name)
     for name in ("enumerate_all", "from_rank", "hamming_distance", "rank", "support"):
         assert not hasattr(gvgraph.FqVector, name)
-    assert not hasattr(gvgraph.RealEigenvector, "dense_entries")
+    assert not hasattr(RealEigenvector, "dense_entries")
+    # The eigenvector oracle and the thin wrappers live in the tests' helpers only.
+    for name in ("RealEigenvector", "real_eigenvector"):
+        assert name not in gvgraph.__all__ and not hasattr(gvgraph, name) and not hasattr(spectrum, name)
+    for name in ("index_of", "multiplicity_for_weight"):
+        assert not hasattr(gvgraph.SpectrumTable, name)
+    for name in ("lambda_history", "degree_history"):
+        assert not hasattr(gvgraph.DescentTrace, name)
+    assert "pivot_orthogonal" not in {f.name for f in dataclasses.fields(gvgraph.LevelRecord)}
+    assert "free_cols" not in inspect.signature(spectrum._Types.__init__).parameters
 
 
 class TestIndependentSet:

@@ -27,11 +27,15 @@ from gvgraph.spectrum import edge_level
 from helpers import (
     all_vectors,
     character_sum_oracle,
+    degree_history,
     dense_descend,
     dense_descent,
     dense_minimum,
     dot,
     enumerate_all,
+    index_of,
+    lambda_history,
+    pivot_orthogonality,
     reference_descent,
     reference_kernel_basis,
     reference_rref,
@@ -52,8 +56,8 @@ class TestAnchors273:
 
     def test_termination_and_histories(self):
         assert self.trace.s == 3
-        assert self.trace.lambda_history == (-4, -4, -4)
-        assert self.trace.degree_history == (28, 12, 4)
+        assert lambda_history(self.trace) == (-4, -4, -4)
+        assert degree_history(self.trace) == (28, 12, 4)
         assert self.trace.final_degree == 0
 
     def test_pivots_are_hamming_rows(self):
@@ -63,7 +67,7 @@ class TestAnchors273:
         assert self.trace.bounds == (Fraction(128, 27), Fraction(128, 21), Fraction(128, 9))
 
     def test_pivots_all_orthogonal_here(self):
-        assert [r.pivot_orthogonal for r in self.trace.levels] == [True, True, True]
+        assert pivot_orthogonality(self.trace) == (True, True, True)
 
     def test_code_is_hamming(self):
         code = LinearCode(2, 7, self.trace.parity_rows)
@@ -166,10 +170,10 @@ class TestRunAlgorithm1:
         s, lams, degs, pivots, orth = FROZEN_TRACES[cell]
         trace = run_algorithm1(GraphParams(*cell))
         assert trace.s == s
-        assert trace.lambda_history == lams
-        assert trace.degree_history == degs
+        assert lambda_history(trace) == lams
+        assert degree_history(trace) == degs
         assert tuple(str(p) for p in trace.parity_rows) == pivots
-        assert tuple(r.pivot_orthogonal for r in trace.levels) == orth
+        assert pivot_orthogonality(trace) == orth
 
     @pytest.mark.parametrize(
         "cell", [(2, 4, 2), (2, 4, 3), (2, 5, 3), (2, 5, 2), (2, 6, 4), (3, 3, 2), (3, 4, 3), (5, 2, 2)]
@@ -179,8 +183,8 @@ class TestRunAlgorithm1:
         ref_s, ref_lams, ref_degs, ref_pivots, ref_mind = reference_descent(q, n, d)
         trace = run_algorithm1(GraphParams(q, n, d))
         assert trace.s == ref_s
-        assert trace.lambda_history == tuple(ref_lams)
-        assert trace.degree_history == tuple(ref_degs)
+        assert lambda_history(trace) == tuple(ref_lams)
+        assert degree_history(trace) == tuple(ref_degs)
         assert [p.digits for p in trace.parity_rows] == ref_pivots
         code = LinearCode(q, n, trace.parity_rows)
         got = min_distance(code)
@@ -196,7 +200,7 @@ class TestRunAlgorithm1:
         # d = n + 1: every level is a complete graph, s = n, code {0}.
         trace = run_algorithm1(GraphParams(2, 4, 5))
         assert trace.s == 4
-        assert trace.lambda_history == (-1, -1, -1, -1)
+        assert lambda_history(trace) == (-1, -1, -1, -1)
         assert trace.code_size == 1
 
     def test_termination_identity_corrected_form(self):
@@ -206,7 +210,7 @@ class TestRunAlgorithm1:
             params = GraphParams(*cell)
             trace = run_algorithm1(params)
             q = params.q
-            total = sum((q - 1) * q**t * lam for t, lam in enumerate(trace.lambda_history))
+            total = sum((q - 1) * q**t * lam for t, lam in enumerate(lambda_history(trace)))
             volume = ball_volume(params, params.d - 1)
             assert volume - 1 + total == 0
             assert volume + total == 1  # the off-by-one form can never reach 0
@@ -230,7 +234,7 @@ class TestRunAlgorithm1:
         for cell in [(2, 7, 3), (2, 8, 3), (2, 9, 4), (3, 5, 3), (3, 5, 4)]:
             params = GraphParams(*cell)
             trace = run_algorithm1(params)
-            degrees = list(trace.degree_history) + [trace.final_degree]
+            degrees = list(degree_history(trace)) + [trace.final_degree]
             ratios = [
                 Fraction(params.q ** (params.n - t), deg + 1) for t, deg in enumerate(degrees)
             ]
@@ -324,15 +328,15 @@ class TestCosetIndexing:
                     pivot_cols = reference_rref([p.digits for p in pivots], q)[1]
                     assert table.free_cols == tuple(c for c in range(n) if c not in pivot_cols)
                     for i in range(table.size):
-                        assert table.index_of(table.vector_at(i)) == i
+                        assert index_of(table, table.vector_at(i)) == i
                     for col in pivot_cols:
                         unit = FqVector(q, tuple(int(c == col) for c in range(n)))
                         for bad in (unit, table.vector_at(table.size - 1).add(unit)):
                             with pytest.raises(ValueError, match="canonical"):
-                                table.index_of(bad)
+                                index_of(table, bad)
                     for pivot in pivots:
                         with pytest.raises(ValueError, match="canonical"):
-                            table.index_of(pivot)
+                            index_of(table, pivot)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_each_level_holds_the_layout_it_was_built_with(self, monkeypatch, q):
@@ -406,9 +410,9 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
         prop.__set_name__(table_cls, name)
         monkeypatch.setattr(table_cls, name, prop)
 
-    def least(types, positions):
-        events.append(("least", n - len(types.free_cols), "typed"))
-        return real_least(types, positions)
+    def least(types, free_cols, positions):
+        events.append(("least", n - len(free_cols), "typed"))
+        return real_least(types, free_cols, positions)
 
     counted("min_value", "value")
     counted("_minimum", "argmin")
@@ -568,17 +572,17 @@ class TestTypedLevels:
             for d in range(1, n + 2):
                 for table in typed_levels(GraphParams(q, n, d)):
                     types = table.types
-                    codes = types.dense_codes()
+                    codes = types.dense_codes(table.free_cols)
                     # A type's position is the rank of its code among the codes that occur.
                     position = {code: i for i, code in enumerate(sorted(set(codes)))}
                     assert len(position) == types.count
                     first = {}
                     for index, code in enumerate(codes):
                         first.setdefault(position[code], index)
-                    least = [types.least_index([i]) for i in range(types.count)]
+                    least = [types.least_index(table.free_cols, [i]) for i in range(types.count)]
                     assert len(set(least)) == types.count
                     assert least == [first[i] for i in range(types.count)]
-                    assert types.least_index(range(types.count)) == 0
+                    assert types.least_index(table.free_cols, range(types.count)) == 0
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_tied_types_and_positions_match_the_dense_level(self, q):
@@ -634,11 +638,11 @@ class TestTypedLevels:
             kinds = [message.split(": ")[1].split(",")[0] for message in records]
             handoff = kinds.index("edges")
             assert 0 < handoff and set(kinds[:handoff]) == {"typed"} and set(kinds[handoff:]) == {"edges"}
-            degrees = trace.degree_history + (trace.final_degree,)
+            degrees = degree_history(trace) + (trace.final_degree,)
             for t in range(handoff, trace.s + 1):
                 # Over F_2 each edge word is its own monic multiple: m = degree.
                 assert records[t].startswith(f"level {t}: edges, {degrees[t]} monic edges, lambda_min ")
-            assert records[0].startswith(f"level 0: typed, {n + 1} entries, lambda_min {trace.lambda_history[0]}, degree")
+            assert records[0].startswith(f"level 0: typed, {n + 1} entries, lambda_min {lambda_history(trace)[0]}, degree")
             assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
 
 
@@ -799,7 +803,7 @@ class TestDescentProperties:
     def test_trace_properties(self, params):
         q, n = params.q, params.n
         trace = run_algorithm1(params)
-        degrees = trace.degree_history + (trace.final_degree,)
+        degrees = degree_history(trace) + (trace.final_degree,)
         # The degree recursion D_{t+1} = (D_t + (q-1) lambda_t) / q, down to degree 0.
         assert degrees[0] == params.degree and trace.final_degree == 0
         for t, rec in enumerate(trace.levels):

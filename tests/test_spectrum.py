@@ -11,11 +11,20 @@ from gvgraph import (
     GraphParams,
     build_spectrum_level0,
     eigenvalue_level0,
-    real_eigenvector,
     run_algorithm1,
 )
 from gvgraph import spectrum
-from helpers import all_vectors, char_sum, character_sum_oracle, dense_entries, dense_minimum, gilbert_neighbor_lists, reference_dense_level0, weight
+from helpers import (
+    all_vectors,
+    char_sum,
+    character_sum_oracle,
+    dense_entries,
+    dense_minimum,
+    gilbert_neighbor_lists,
+    real_eigenvector,
+    reference_dense_level0,
+    weight,
+)
 
 # Small-enough cells for pure-Python exhaustive checks.
 SMALL_GRID = [
