@@ -25,7 +25,7 @@ from .codes import (
     read_pchk,
     write_pchk,
 )
-from .combinat import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
+from .combinat import GraphParams, ball_volume, entropy_q, is_prime, krawtchouk
 from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
 from .spectrum import SpectrumTable, build_spectrum_level0, eigenvalue_level0
@@ -48,7 +48,6 @@ __all__ = [
     "SpectrumTable",
     "asymptotic_gv",
     "ball_volume",
-    "binomial",
     "build_bound_report",
     "build_spectrum_level0",
     "descend",

@@ -348,8 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-n", type=int, required=True, help="code length")
         p.add_argument("-d", type=int, required=True, help="target minimum distance")
 
+    def budget(text: str) -> int:
+        """A ``--budget`` value: an int of at least 0 (0 refuses every table)."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
     def add_budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=None, help="table-entry cap override")
+        p.add_argument("--budget", type=budget, default=None, help="table-entry cap override")
 
     p_bounds = sub.add_parser("bounds", help="report all bound values for one (q, n, d)")
     add_params(p_bounds)

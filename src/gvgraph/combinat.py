@@ -1,8 +1,8 @@
 """Exact combinatorial primitives.
 
-Binomial coefficients, Krawtchouk polynomial values, Hamming-ball volumes and
-the q-ary entropy function, plus the parameter triple (q, n, d) shared by the
-whole package.  Everything is arbitrary-precision integer arithmetic except
+Krawtchouk polynomial values, Hamming-ball volumes and the q-ary entropy
+function, plus the parameter triple (q, n, d) shared by the whole package.
+Everything is arbitrary-precision integer arithmetic except
 ``entropy_q``, which returns a ``decimal.Decimal`` at a configurable number
 of significant digits (default 50).  The entropy value feeds only
 asymptotic-rate reporting; no bound or spectrum computation anywhere else
@@ -26,7 +26,6 @@ from typing import Iterator
 __all__ = [
     "GraphParams",
     "ball_volume",
-    "binomial",
     "entropy_q",
     "is_prime",
     "krawtchouk",
@@ -142,13 +141,6 @@ class GraphParams:
         return ball_volume(self, self.d - 1) - 1
 
 
-def binomial(x: int, j: int) -> int:
-    """C(x, j) for integers x >= 0, j >= 0, with C(x, 0) = 1 and 0 when j > x."""
-    if x < 0 or j < 0:
-        raise ValueError(f"binomial requires x >= 0 and j >= 0, got ({x}, {j})")
-    return comb(x, j)
-
-
 def krawtchouk(k: int, x: int, n: int, q: int) -> int:
     """Exact value of K_k(x; n, q) = sum_j (-1)^j C(x,j) C(n-x,k-j) (q-1)^(k-j)."""
     if n < 0:
@@ -159,7 +151,7 @@ def krawtchouk(k: int, x: int, n: int, q: int) -> int:
         raise ValueError(f"k must be nonnegative, got {k}")
     total = 0
     for j in range(k + 1):
-        term = binomial(x, j) * binomial(n - x, k - j) * (q - 1) ** (k - j)
+        term = comb(x, j) * comb(n - x, k - j) * (q - 1) ** (k - j)
         total += -term if j & 1 else term
     return total
 
@@ -175,7 +167,7 @@ def krawtchouk_row(k: int, n: int, q: int) -> list[int]:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    row = [binomial(n, k) * (q - 1) ** k]
+    row = [comb(n, k) * (q - 1) ** k]
     prev = 0
     for x in range(n):
         total = (x + (q - 1) * (n - x) - q * k) * row[x] - x * prev

@@ -39,6 +39,8 @@ phase alone is the rank check, and the rows it keeps span the row space.
 The back substitution (``back_substitute``) then clears each lead column
 from the rows before it, with the multiples the forward phase stored, and
 sorts the rows by lead column.  Only a kernel basis needs the second phase.
+The lead columns of the forward phase alone are the column rank profile,
+which names an edge level's pattern columns (``spectrum``, "Edge levels").
 
 Combinations
 ------------
@@ -51,6 +53,10 @@ each later basis word, one guarded add-and-reduce each
 the add is XOR, so the frontier is one list per next index, and each list
 of the next frontier is one ``map`` of ``basis[j].__xor__`` over the lists
 before it (``_xor_frontier``): no tuple per word and no n-slot constant.
+
+``_span_weights`` weighs every word of a span, a packed chunk at a time.
+``verify`` weighs a code's codewords or dual words with it (``codes``), and
+an edge level's tables are read from it, by pattern and dense (``spectrum``).
 """
 
 from __future__ import annotations
@@ -136,9 +142,7 @@ class _Slots:
         return tuple((word >> shift) & mask for shift in range(0, self.w * self.n, self.w))
 
     def add(self, x: int, m: int) -> int:
-        """The reduced sum of two reduced words."""
-        if self.q == 2:
-            return x ^ m
+        """The reduced sum of two reduced words (for q = 2, with bias 0, their XOR)."""
         s = x + m
         return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.q
 

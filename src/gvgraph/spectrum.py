@@ -55,8 +55,9 @@ where whole maps are read: ``densify`` indexes it with the code of every
 dense index, ``next_level`` with the parent code of every next-level type.
 The smallest vector of a type fills each class's columns with the class's
 digits in increasing order, so its dense index is a sum of one term per
-class, and a tied type's term per class is read at its histogram rank
-(``least_index``).
+class, read at the class's histogram rank.  The least indices of all types,
+in type order, are thus an outer sum of one list per class, and each tied
+type's is read from its two halves (``least_index``).
 
 A level's layout is four fields, built once with the level: its pivot
 columns, its free columns and, when typed, its types (classes and type
@@ -101,8 +102,11 @@ q - 1 for x = 0 and -1 otherwise,
 so a level with few edges is known from E alone.  Z depends on v
 only through its pattern y = (<c, v>)_c, the combination of the columns of
 E weighted by v's digits.  The free columns whose column of E is not in
-the span of the free columns to their right are the pattern columns; there are r = rank E of them, and each of the q^r
-patterns is the combination of exactly one digit choice on them.  The
+the span of the free columns to their right are the pattern columns: the
+column rank profile, read as the lead columns of E's rows on the free
+columns, right to left, after forward elimination
+(``modq.forward_eliminate``).  There are r = rank E of them, and each of
+the q^r patterns is the combination of exactly one digit choice on them.  The
 vectors zero off the pattern columns are then the least members of their
 classes {v : E v = y}: a column outside them is a combination of columns to
 its right, so the least vector of a class is zero there.  They are ordered
@@ -112,9 +116,11 @@ attaining the minimum gives the least dense index attaining it.  An edge
 table's ``weight_values`` holds the q^r pattern values in that order, one
 value object per weight of y: the degree (q-1) * m first, at y = 0.  Each
 y is a packed m-digit word (``modq``, "Row format"), each column of E is
-packed once, and Z is m less the weight of y.  ``densify`` forms the
-pattern of every dense index the same way, and ``value_of`` counts Z word
-by word.
+packed once, and Z is m less the weight of y.  E's columns at the pattern
+columns, right to left, span the patterns in pattern order, and
+``modq._span_weights`` weighs them in that order.  ``densify`` weighs the
+span of E's columns at every free column the same way, in dense order,
+and ``value_of`` counts Z word by word.
 
 On an edge level ``next_level`` keeps the words orthogonal to the pivot:
 E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
@@ -154,7 +160,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, _cached, krawtchouk, krawtchouk_row
 from .errors import DivisibilityError, check_budget
-from .modq import _monic_combinations, _Slots, _span, kernel_basis, rref
+from .modq import _monic_combinations, _Slots, _span_weights, forward_eliminate, kernel_basis, rref
 from .vectors import FqVector
 
 __all__ = ["SpectrumTable", "build_spectrum_level0", "eigenvalue_level0"]
@@ -358,8 +364,11 @@ class _Types:
         term per class: the sum over s >= 1 of the place values of the
         class's last T_s columns, where T_s counts its digits >= s.  Each
         class lists that term for every one of its histograms, in
-        ``_histograms`` order, and a position is read class by class, least
-        significant first, as the rank of each class's histogram there.
+        ``_histograms`` order.  A position combines the ranks of its
+        classes' histograms mixed-radix, class j+1 more significant, so the
+        least indices of all types, in type order, are the outer sum of those
+        lists, last class slowest; each position's is read from its two
+        halves (``_outer_halves``).
         """
         place, value = {}, 1
         for col in reversed(free_cols):
@@ -373,15 +382,9 @@ class _Types:
                 # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
                 hists = _histograms(len(cols), len(radices))
                 terms.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
-        least = None
-        for pos in positions:
-            index = 0
-            for term in terms:
-                pos, rank = divmod(pos, len(term))
-                index += term[rank]
-            if least is None or index < least:
-                least = index
-        return 0 if least is None else least
+        outer, inner = _outer_halves(terms[::-1])
+        size = len(inner)
+        return min((outer[pos // size] + inner[pos % size] for pos in positions), default=0)
 
 
 class _Quotients(dict):
@@ -621,9 +624,8 @@ class SpectrumTable:
         q, n, level = self.params.q, self.params.n, self.level
         check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{self.params.d})")
         if self.edges is not None:
-            slots = _Slots(self.params.q, len(self.edges))
-            columns = _edge_columns(slots, self.edges, self.params.n)
-            values = _edge_values(slots, _span(slots, [columns[col] for col in reversed(self.free_cols)]))
+            slots = _Slots(q, len(self.edges))
+            values = _edge_values(slots, _edge_columns(slots, self.edges, self.free_cols))
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes(self.free_cols)))
         return replace(self, values=values)
@@ -659,35 +661,35 @@ class SpectrumTable:
         )
 
 
-def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], n: int) -> list[int]:
-    """The n columns of the words ``edges``, each packed once."""
-    return [slots.pack(column) for column in zip(*edges)] if edges else [0] * n
+def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], cols: Sequence[int]) -> list[int]:
+    """The columns of the words ``edges`` at ``cols``, right to left, each packed."""
+    return [slots.pack([word[col] for word in edges]) for col in reversed(cols)]
 
 
-def _edge_values(slots: _Slots, words: Iterable[int]) -> tuple[int, ...]:
-    """q * Z - m for every packed m-digit word y, Z the number of zero digits
-    of y, read from the weight of y: m + 1 value objects in all."""
+def _edge_values(slots: _Slots, basis: Sequence[int]) -> tuple[int, ...]:
+    """q * Z - m for every packed m-digit word y of the span of ``basis``,
+    Z the number of zero digits of y, read from the weight of y in the order
+    ``modq._span_weights`` weighs them: m + 1 value objects in all."""
     q, m = slots.q, slots.n
     by_weight = [(q - 1) * m - q * w for w in range(m + 1)]
-    return tuple(map(by_weight.__getitem__, slots.weights(words)))
+    return tuple(map(by_weight.__getitem__, _span_weights(slots, basis)))
 
 
 def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """An edge level's pattern columns, and its value at every pattern in pattern order.
 
-    Right to left, a free column whose column of the words is not yet in
-    the span of the columns kept so far is kept, and the span grows by it
-    (``modq._span``), so the span's words come out in pattern order.
+    Each word's digits on the free columns, read right to left, are packed
+    and forward eliminated (``modq.forward_eliminate``); the lead slots of
+    the rows kept are the column rank profile, the free columns not in the
+    span of the columns to their right.  The words' columns there, right to
+    left, span the patterns in pattern order.
     """
-    slots = _Slots(params.q, len(edges))
-    columns = _edge_columns(slots, edges, params.n)
-    words, seen, cols = [0], {0}, []
-    for col in reversed(free_cols):
-        if columns[col] not in seen:
-            cols.append(col)
-            size, words = len(words), _span(slots, [columns[col]], words)
-            seen.update(islice(words, size, None))
-    return tuple(reversed(cols)), _edge_values(slots, words)
+    q, right_to_left = params.q, free_cols[::-1]
+    row_slots = _Slots(q, len(free_cols))
+    echelon = forward_eliminate([row_slots.pack([word[col] for col in right_to_left]) for word in edges], row_slots)
+    cols = sorted(right_to_left[offset // row_slots.w] for offset, _, _ in echelon)
+    slots = _Slots(q, len(edges))
+    return tuple(cols), _edge_values(slots, _edge_columns(slots, edges, cols))
 
 
 def edge_level(

@@ -726,3 +726,23 @@ def test_a_write_under_a_regular_file_names_the_given_path(monkeypatch, tmp_path
     (tmp_path / "file").write_text("")
     path = str(tmp_path / "file" / "out.txt")
     refuse_unwritable_output(monkeypatch, tmp_path, argv, path, "[Errno 20] Not a directory")
+
+
+@pytest.mark.parametrize("command", [*OUTPUT_COMMANDS, "verify"])
+def test_a_negative_budget_is_a_usage_error(monkeypatch, tmp_path, command):
+    # Refused by the parser, with its usage line, before any descent or
+    # enumeration runs; a budget of 0 stays valid.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command ran with a negative budget")
+
+    for name in ("run_algorithm1", "descend", "min_distance"):
+        monkeypatch.setattr(cli, name, no_work)
+    if command == "verify":
+        argv = ["verify", str(tmp_path / "h.pchk"), "-d", "3"]
+    else:
+        argv = OUTPUT_COMMANDS[command] + ["-o", str(tmp_path / "out.txt")]
+    code, out, err = main_exit(argv + ["--budget", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: gvgraph {command} ")
+    assert err.endswith(f"\ngvgraph {command}: error: argument --budget: must be at least 0, got -1\n")
+    assert cli._parser().commands[command].parse_args(argv[1:] + ["--budget", "0"]).budget == 0

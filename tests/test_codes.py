@@ -395,6 +395,8 @@ def test_public_api_holds_no_test_oracles():
         assert not hasattr(gvgraph.DescentTrace, name)
     assert "pivot_orthogonal" not in {f.name for f in dataclasses.fields(gvgraph.LevelRecord)}
     assert "free_cols" not in inspect.signature(spectrum._Types.__init__).parameters
+    # C(x, j) is math.comb, which refuses negative arguments itself.
+    assert "binomial" not in gvgraph.__all__ and not hasattr(gvgraph, "binomial") and not hasattr(gvgraph.combinat, "binomial")
 
 
 class TestIndependentSet:

@@ -1,13 +1,12 @@
-import threading
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvgraph import GraphParams, ball_volume, binomial, entropy_q, is_prime, krawtchouk
+from gvgraph import GraphParams, ball_volume, entropy_q, is_prime, krawtchouk
 from gvgraph.combinat import _ln, krawtchouk_column, krawtchouk_row
 from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, reference_entropy, weight
 
@@ -72,43 +71,6 @@ class TestGraphParams:
         assert GraphParams(3, 3, 2).degree == 6
 
 
-class TestBinomial:
-    def test_anchors(self):
-        assert binomial(6, 2) == 15
-        assert binomial(3, 5) == 0
-        for x in (0, 1, 5, 40):
-            assert binomial(x, 0) == 1
-
-    def test_symmetry(self):
-        for x in range(0, 25):
-            for j in range(0, x + 1):
-                assert binomial(x, j) == binomial(x, x - j)
-
-    def test_pascal_recurrence(self):
-        for x in range(1, 30):
-            for j in range(1, x + 1):
-                assert binomial(x, j) == binomial(x - 1, j) + binomial(x - 1, j - 1)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-
-    def test_memo_is_thread_safe_for_readers(self):
-        results = []
-
-        def worker():
-            results.append([binomial(40, j) for j in range(41)])
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
-
-
 class TestKrawtchouk:
     def test_anchors(self):
         assert krawtchouk(2, 3, 6, 2) == -3
@@ -120,7 +82,7 @@ class TestKrawtchouk:
         for q in (2, 3, 5):
             for n in (4, 7):
                 for k in range(n + 1):
-                    assert krawtchouk(k, 0, n, q) == binomial(n, k) * (q - 1) ** k
+                    assert krawtchouk(k, 0, n, q) == comb(n, k) * (q - 1) ** k
 
     def test_rejects_x_outside_range(self):
         with pytest.raises(ValueError):

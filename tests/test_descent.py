@@ -22,6 +22,7 @@ from gvgraph import (
     run_algorithm1,
     select_pivot,
 )
+from gvgraph import modq
 from gvgraph import spectrum as spectrum_module
 from gvgraph.spectrum import edge_level
 from helpers import (
@@ -661,9 +662,19 @@ def edged_levels(monkeypatch, params):
 class TestEdgeLevels:
     """Edge levels against the dense route and against brute force."""
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_forced_edge_route_gives_the_dense_levels(self, monkeypatch, q):
+    @pytest.mark.parametrize(
+        "q, weighing",
+        [pytest.param(q, {}, id=str(q)) for q in (2, 3, 5, 7)]
+        + [pytest.param(q, {"_WEIGH_BYTES": 16}, id=f"{q}-chunked") for q in (2, 3)]
+        + [pytest.param(q, {"_PACKED_BYTES": 0}, id=f"{q}-unpacked") for q in (2, 3)],
+    )
+    def test_forced_edge_route_gives_the_dense_levels(self, monkeypatch, q, weighing):
         # Second route: densify at level 0 and average dense tables only.
+        # ``modq._span_weights`` weighs the pattern and dense tables as set,
+        # in packed chunks of at most 16 bytes or one int per word, for the
+        # q = 2 and 3 spans that are long enough to take many chunks.
+        for name, value in weighing.items():
+            monkeypatch.setattr(modq, name, value)
         for cell in DENSE_ROUTE_CELLS[q]:
             edged = edged_levels(monkeypatch, GraphParams(*cell))
             dense = dense_levels(cell)
