@@ -14,7 +14,6 @@ from .bounds import (
     gv_bound,
     hoffman_bound,
     hoffman_paper_literal,
-    sufficient_dimension,
     wilf_cor27_bound,
 )
 from .codes import (
@@ -25,10 +24,10 @@ from .codes import (
     read_pchk,
     write_pchk,
 )
-from .combinat import GraphParams, ball_volume, entropy_q, is_prime, krawtchouk
+from .combinat import GraphParams, ball_volume, entropy_q, is_prime
 from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
-from .spectrum import SpectrumTable, build_spectrum_level0, eigenvalue_level0
+from .spectrum import SpectrumTable, build_spectrum_level0
 from .vectors import FqVector
 
 __version__ = "0.1.0"
@@ -52,19 +51,16 @@ __all__ = [
     "build_spectrum_level0",
     "descend",
     "descent_bound",
-    "eigenvalue_level0",
     "entropy_q",
     "format_pchk",
     "gv_bound",
     "hoffman_bound",
     "hoffman_paper_literal",
     "is_prime",
-    "krawtchouk",
     "min_distance",
     "read_pchk",
     "run_algorithm1",
     "select_pivot",
-    "sufficient_dimension",
     "wilf_cor27_bound",
     "write_pchk",
 ]

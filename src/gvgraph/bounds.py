@@ -30,7 +30,6 @@ __all__ = [
     "gv_bound",
     "hoffman_bound",
     "hoffman_paper_literal",
-    "sufficient_dimension",
     "wilf_cor27_bound",
 ]
 
@@ -96,26 +95,6 @@ def descent_bound(params: GraphParams, lambda_min_sequence: Sequence[int]) -> Fr
     if denom <= 0:
         raise ValueError(f"bound denominator {denom} is not positive; the bound is vacuous here")
     return Fraction(params.num_vertices, denom)
-
-
-def sufficient_dimension(params: GraphParams, b_sequence: Sequence[int]) -> int | None:
-    """Largest certified dimension k of an [n, k, d]_q code for slack minima b_t.
-
-    For any per-level slack values b_t >= lambda_min_t, the descent degree
-    after m levels is at most (V_q(n,d-1) - 1 + sum_{t<m} (q-1) q^t b_t) / q^m,
-    so the first m at which that numerator drops to <= 0 certifies an
-    [n, n-m, d]_q code.  Returns None when no prefix of the sequence reaches
-    exhaustion (nothing is certified).
-    """
-    q = params.q
-    acc = params.degree
-    if acc <= 0:
-        return params.n
-    for m, b in enumerate(b_sequence, start=1):
-        acc += (q - 1) * q ** (m - 1) * b
-        if acc <= 0:
-            return params.n - m
-    return None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exact combinatorial primitives.
 
-Krawtchouk polynomial values, Hamming-ball volumes and the q-ary entropy
-function, plus the parameter triple (q, n, d) shared by the whole package.
+Krawtchouk rows and columns, each computed by a three-term recurrence,
+Hamming-ball volumes and the q-ary entropy function, plus the parameter
+triple (q, n, d) shared by the whole package.
 Everything is arbitrary-precision integer arithmetic except
 ``entropy_q``, which returns a ``decimal.Decimal`` at a configurable number
 of significant digits (default 50).  The entropy value feeds only
@@ -28,7 +29,6 @@ __all__ = [
     "ball_volume",
     "entropy_q",
     "is_prime",
-    "krawtchouk",
     "krawtchouk_column",
     "krawtchouk_row",
 ]
@@ -141,21 +141,6 @@ class GraphParams:
         return ball_volume(self, self.d - 1) - 1
 
 
-def krawtchouk(k: int, x: int, n: int, q: int) -> int:
-    """Exact value of K_k(x; n, q) = sum_j (-1)^j C(x,j) C(n-x,k-j) (q-1)^(k-j)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0 <= x <= n:
-        raise ValueError(f"x must lie in [0, n], got x={x}, n={n}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    total = 0
-    for j in range(k + 1):
-        term = comb(x, j) * comb(n - x, k - j) * (q - 1) ** (k - j)
-        total += -term if j & 1 else term
-    return total
-
-
 def krawtchouk_row(k: int, n: int, q: int) -> list[int]:
     """[K_k(x; n, q) for x in 0..n] by the three-term recurrence in x,
 
@@ -213,16 +198,6 @@ def ball_volume(params: GraphParams, radius: int) -> int:
     return total
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (str, Decimal)):
-        return Fraction(Decimal(x) if isinstance(x, str) else x)
-    raise TypeError(f"expected an exact rational (Fraction/int/Decimal/str), got {type(x).__name__}")
-
-
 @lru_cache(maxsize=256)
 def _ln(k: int, prec: int) -> Decimal:
     """ln k at ``prec`` significant digits.  Decimal ``ln`` is correctly
@@ -236,10 +211,11 @@ def _ln(k: int, prec: int) -> Decimal:
 def entropy_q(q: int, x, digits: int = 50) -> Decimal:
     """q-ary entropy h_q(x) = x log_q(q-1) - x log_q(x) - (1-x) log_q(1-x).
 
-    ``x`` must be exact (Fraction, int, Decimal or a decimal string) with
-    0 <= x <= 1 - 1/q; h_q(0) is 0 by continuity and h_q(1 - 1/q) = 1.
-    The result carries ``digits`` significant decimal digits (default 50);
-    floats are refused so no binary rounding ever enters the computation.
+    ``x`` must be a ``Fraction`` or an ``int`` with 0 <= x <= 1 - 1/q;
+    h_q(0) is 0 by continuity and h_q(1 - 1/q) = 1.  The result carries
+    ``digits`` significant decimal digits (default 50); any other input,
+    floats included, is refused so no binary rounding ever enters the
+    computation.
 
     With x = a/b in lowest terms and c = b - a, the value is taken from
     logarithms of integers only,
@@ -256,7 +232,9 @@ def entropy_q(q: int, x, digits: int = 50) -> Decimal:
         raise ValueError(f"q must be prime, got {q}")
     if digits < 1:
         raise ValueError("digits must be positive")
-    xf = _as_fraction(x)
+    if not isinstance(x, (Fraction, int)):
+        raise TypeError(f"expected an exact rational (Fraction or int), got {type(x).__name__}")
+    xf = Fraction(x)
     if not 0 <= xf <= 1 - Fraction(1, q):
         raise ValueError(f"x must lie in [0, 1 - 1/q] = [0, {1 - Fraction(1, q)}], got {xf}")
     if xf == 0:

@@ -57,7 +57,6 @@ class DescentTrace:
     params: GraphParams
     levels: tuple[LevelRecord, ...]
     s: int
-    final_degree: int
 
     @property
     def parity_rows(self) -> tuple[FqVector, ...]:
@@ -146,4 +145,4 @@ def run_algorithm1(params: GraphParams, budget: int | None = None) -> DescentTra
     for table, record in descend(params, budget):
         if record is not None:
             records.append(record)
-    return DescentTrace(params=params, levels=tuple(records), s=table.level, final_degree=table.degree)
+    return DescentTrace(params=params, levels=tuple(records), s=table.level)

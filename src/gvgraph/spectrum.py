@@ -158,21 +158,12 @@ from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import GraphParams, _cached, krawtchouk, krawtchouk_row
+from .combinat import GraphParams, _cached, krawtchouk_row
 from .errors import DivisibilityError, check_budget
 from .modq import _monic_combinations, _Slots, _span_weights, forward_eliminate, kernel_basis, rref
 from .vectors import FqVector
 
-__all__ = ["SpectrumTable", "build_spectrum_level0", "eigenvalue_level0"]
-
-
-def eigenvalue_level0(params: GraphParams, weight: int) -> int:
-    """Eigenvalue of any weight-``weight`` character index at level 0."""
-    if not 0 <= weight <= params.n:
-        raise ValueError(f"weight must lie in [0, n], got {weight} with n={params.n}")
-    if weight == 0:
-        return params.degree
-    return krawtchouk(params.d - 1, weight - 1, params.n - 1, params.q) - 1
+__all__ = ["SpectrumTable", "build_spectrum_level0"]
 
 
 def _lead_col(v: FqVector) -> int:
@@ -444,9 +435,6 @@ def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> 
 
 def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
     """Refuse a pivot that is zero, not canonical or not at the level minimum."""
-    q, n = table.params.q, table.params.n
-    if pivot.q != q or pivot.n != n:
-        raise ValueError("pivot parameters do not match the table")
     if pivot.is_zero:
         raise ValueError("pivot must be nonzero")
     value = table.value_of(pivot)  # refuses a non-canonical pivot

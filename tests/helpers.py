@@ -10,7 +10,10 @@ compared against; so are the codeword enumeration's former ``FqVector``
 doubling loop, the former list RREF and kernel basis on digit tuples, the
 former ``entropy_q`` (``reference_entropy``), the former shift-sum
 ``_Slots.pack`` (``reference_pack``) and the former digit-by-digit
-``parse_pchk`` (``reference_parse_pchk``).
+``parse_pchk`` (``reference_parse_pchk``).  ``krawtchouk`` is the
+explicit-sum Krawtchouk value that the package's recurrences
+(``krawtchouk_row``, ``krawtchouk_column``) are compared against, and
+``eigenvalue_level0`` the level-0 eigenvalue of one weight taken from it.
 ``RealEigenvector`` is the paper's two-valued real eigenvector, an oracle
 for the level-0 eigenvalues; ``index_of`` and the trace histories
 (``lambda_history``, ``degree_history``, ``pivot_orthogonality``) read a
@@ -35,7 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound, eigenvalue_level0
+from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTable, build_spectrum_level0, descent_bound
 from gvgraph.codes import PCHK_MAGIC, _header_int
 from gvgraph.combinat import is_prime
 from gvgraph.errors import DivisibilityError, PchkFormatError, check_budget
@@ -118,7 +121,7 @@ class RealEigenvector:
         return FqVector(self.params.q, tuple(digits))
 
     def entry(self, u: FqVector) -> int:
-        return self.params.q - 1 if u.dot(self.indicator) == 0 else -1
+        return self.params.q - 1 if dot(u.digits, self.indicator.digits, self.params.q) == 0 else -1
 
     @property
     def norm_squared(self) -> int:
@@ -258,6 +261,30 @@ def reference_parse_pchk(text):
         raise PchkFormatError(str(exc)) from None
     w = (q - 1).bit_length() + 1
     return q, n, tuple(reference_pack(digits, w) for digits in rows)
+
+
+def krawtchouk(k: int, x: int, n: int, q: int) -> int:
+    """Exact value of K_k(x; n, q) = sum_j (-1)^j C(x,j) C(n-x,k-j) (q-1)^(k-j)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0 <= x <= n:
+        raise ValueError(f"x must lie in [0, n], got x={x}, n={n}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    total = 0
+    for j in range(k + 1):
+        term = comb(x, j) * comb(n - x, k - j) * (q - 1) ** (k - j)
+        total += -term if j & 1 else term
+    return total
+
+
+def eigenvalue_level0(params: GraphParams, weight: int) -> int:
+    """Eigenvalue of any weight-``weight`` character index at level 0."""
+    if not 0 <= weight <= params.n:
+        raise ValueError(f"weight must lie in [0, n], got {weight} with n={params.n}")
+    if weight == 0:
+        return params.degree
+    return krawtchouk(params.d - 1, weight - 1, params.n - 1, params.q) - 1
 
 
 def krawtchouk_genfunc(k, x, n, q):
@@ -425,7 +452,7 @@ def character_sum_oracle(difference_set: Iterable[FqVector], v: FqVector) -> int
     q = v.q
     counts = [0] * q
     for u in difference_set:
-        counts[u.dot(v)] += 1
+        counts[dot(u.digits, v.digits, q)] += 1
     if q > 2 and any(c != counts[1] for c in counts[2:]):
         raise ValueError(
             "difference set is not closed under nonzero scalar multiplication: "
@@ -574,14 +601,14 @@ def lambda_history(trace):
 
 
 def degree_history(trace):
-    """Each level's degree, in level order (the final level's is ``trace.final_degree``)."""
+    """Each level's degree, in level order (the final, edgeless level's is 0)."""
     return tuple(rec.degree for rec in trace.levels)
 
 
 def pivot_orthogonality(trace):
     """Per level, whether its pivot is orthogonal to every earlier pivot."""
     rows = trace.parity_rows
-    return tuple(all(p.dot(prev) == 0 for prev in rows[:t]) for t, p in enumerate(rows))
+    return tuple(all(dot(p.digits, prev.digits, p.q) == 0 for prev in rows[:t]) for t, p in enumerate(rows))
 
 
 def dense_minimum(table):
@@ -700,11 +727,10 @@ def reference_codewords(code, budget=None):
     check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
     q, n = code.q, code.n
     basis = reference_kernel_basis(*reference_rref([row.digits for row in code.parity_rows], q), q, n)
-    words = [FqVector.zero(q, n)]
+    words = [FqVector(q, (0,) * n)]
     for vec in basis:
-        b = FqVector(q, vec)
-        multiples = [b.scale(c) for c in range(1, q)]
-        words += [w.add(m) for m in multiples for w in words]
+        multiples = [vscale(c, vec, q) for c in range(1, q)]
+        words += [FqVector(q, vadd(w.digits, m, q)) for m in multiples for w in words]
     return words
 
 

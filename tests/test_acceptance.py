@@ -23,15 +23,13 @@ from gvgraph import (
     ball_volume,
     build_bound_report,
     build_spectrum_level0,
-    eigenvalue_level0,
     gv_bound,
     hoffman_bound,
-    krawtchouk,
     run_algorithm1,
     wilf_cor27_bound,
     write_pchk,
 )
-from helpers import degree_history, dense_descend, lambda_history, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
+from helpers import degree_history, dense_descend, eigenvalue_level0, krawtchouk, lambda_history, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
 

@@ -15,7 +15,6 @@ from gvgraph import (
     hoffman_bound,
     hoffman_paper_literal,
     run_algorithm1,
-    sufficient_dimension,
     wilf_cor27_bound,
 )
 from helpers import lambda_history
@@ -137,32 +136,6 @@ class TestDescentBound:
             descent_bound(p, [])
         with pytest.raises(ValueError, match="not positive"):
             descent_bound(p, [-8])
-
-
-class TestSufficientDimension:
-    def test_exact_sequence_recovers_run_dimension(self):
-        for cell in [(2, 7, 3), (2, 4, 3), (2, 9, 4), (3, 4, 3), (3, 5, 3)]:
-            p = GraphParams(*cell)
-            trace = run_algorithm1(p)
-            assert sufficient_dimension(p, lambda_history(trace)) == p.n - trace.s
-
-    def test_looser_sequence_never_certifies_more(self):
-        for cell in [(2, 7, 3), (2, 9, 4), (3, 5, 3)]:
-            p = GraphParams(*cell)
-            trace = run_algorithm1(p)
-            exact = sufficient_dimension(p, lambda_history(trace))
-            looser = [lam + 1 for lam in lambda_history(trace)]
-            got = sufficient_dimension(p, looser)
-            assert got is None or got <= exact
-
-    def test_zero_sequence_certifies_nothing_beyond_d1(self):
-        assert sufficient_dimension(GraphParams(2, 7, 3), [0] * 7) is None
-        assert sufficient_dimension(GraphParams(2, 5, 1), []) == 5
-
-    def test_short_sequence_reports_largest_verifiable_only(self):
-        p = GraphParams(2, 7, 3)
-        trace = run_algorithm1(p)
-        assert sufficient_dimension(p, lambda_history(trace)[:2]) is None
 
 
 class TestBoundReport:

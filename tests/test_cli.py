@@ -746,3 +746,45 @@ def test_a_negative_budget_is_a_usage_error(monkeypatch, tmp_path, command):
     assert err.startswith(f"usage: gvgraph {command} ")
     assert err.endswith(f"\ngvgraph {command}: error: argument --budget: must be at least 0, got -1\n")
     assert cli._parser().commands[command].parse_args(argv[1:] + ["--budget", "0"]).budget == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "-q", "2", "-n", "7", "-d", "3"],
+        ["bounds", "-q", "2", "-n", "7", "-d", "3", "--json"],
+        ["spectrum", "-q", "3", "-n", "5", "-d", "3", "--level", "0"],
+        ["spectrum", "-q", "3", "-n", "7", "-d", "4", "--level", "2"],
+    ],
+    ids=["bounds-csv", "bounds-json", "spectrum-level0", "spectrum-level2"],
+)
+def test_an_output_file_holds_the_bytes_stdout_would(tmp_path, argv):
+    shown = subprocess.run(GVGRAPH + argv, capture_output=True)
+    assert (shown.returncode, shown.stderr) == (0, b"") and shown.stdout
+    path = tmp_path / "out.txt"
+    written = subprocess.run(GVGRAPH + argv + ["-o", str(path)], capture_output=True)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert path.read_bytes() == shown.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "-q", "2", "-n", "4", "-d", "3", "--level", "-1"], "level must be nonnegative, got -1"),
+        (["sweep", "-q", "2,x", "-n", "4", "-d", "2:3"], "expected a comma-separated integer list, got '2,x'"),
+        (["sweep", "-q", "2", "-n", "1:2:3", "-d", "2:3"], "expected an inclusive range 'lo:hi' or a single integer, got '1:2:3'"),
+        (["sweep", "-q", "2", "-n", "4", "-d", "x"], "expected an inclusive range 'lo:hi' or a single integer, got 'x'"),
+    ],
+    ids=["spectrum-negative-level", "sweep-q-list", "sweep-n-range", "sweep-d-range"],
+)
+def test_a_refused_argument_exits_2_and_writes_nothing(monkeypatch, tmp_path, argv, message):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran for a refused argument")
+
+    monkeypatch.setattr(cli, "run_algorithm1", no_descent)
+    monkeypatch.setattr(cli, "descend", no_descent)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv + ["-o", str(tmp_path / "out.txt")]) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvgraph import GraphParams, ball_volume, entropy_q, is_prime, krawtchouk
+from gvgraph import GraphParams, ball_volume, entropy_q, is_prime
 from gvgraph.combinat import _ln, krawtchouk_column, krawtchouk_row
-from helpers import all_vectors, ball_volume_brute, krawtchouk_genfunc, reference_entropy, weight
+from helpers import all_vectors, ball_volume_brute, krawtchouk, krawtchouk_genfunc, reference_entropy, weight
 
 # 50 significant digits, frozen from an independent mpmath evaluation.
 H2_QUARTER = Decimal("0.81127812445913286390969579203913761843013919423064")

@@ -10,7 +10,6 @@ from gvgraph import (
     FqVector,
     GraphParams,
     build_spectrum_level0,
-    eigenvalue_level0,
     run_algorithm1,
 )
 from gvgraph import spectrum
@@ -20,6 +19,7 @@ from helpers import (
     character_sum_oracle,
     dense_entries,
     dense_minimum,
+    eigenvalue_level0,
     gilbert_neighbor_lists,
     real_eigenvector,
     reference_dense_level0,
@@ -108,7 +108,7 @@ class TestSpectrumTable:
             dense = build_spectrum_level0(p).densify()
             assert len(dense.values) == q**n
             for v, lam in dense.entries():
-                assert lam == eigenvalue_level0(p, v.weight)
+                assert lam == eigenvalue_level0(p, weight(v.digits))
 
     @settings(max_examples=60, deadline=None)
     @given(level0_cells())
@@ -125,7 +125,7 @@ class TestSpectrumTable:
         table = build_spectrum_level0(p)
         assert len(table.weight_values) == 301
         value, argmin = table.min_eigenvalue()
-        assert table.value_of(argmin) == value == eigenvalue_level0(p, argmin.weight)
+        assert table.value_of(argmin) == value == eigenvalue_level0(p, weight(argmin.digits))
         assert table.value_of(FqVector(2, (1,) * 300)) == eigenvalue_level0(p, 300)
 
     def test_dense_min_agrees_with_compressed(self):
@@ -159,11 +159,11 @@ class TestSpectrumTable:
 class TestCharacterSumOracle:
     def test_zero_index_counts_whole_set(self):
         p = GraphParams(2, 7, 3)
-        S = [v for v in vecs_of(2, 7) if 1 <= v.weight <= 2]
-        assert character_sum_oracle(S, FqVector.zero(2, 7)) == 28
+        S = [v for v in vecs_of(2, 7) if 1 <= weight(v.digits) <= 2]
+        assert character_sum_oracle(S, FqVector(2, (0,) * 7)) == 28
 
     def test_anchor_weight_four(self):
-        S = [v for v in vecs_of(2, 7) if 1 <= v.weight <= 2]
+        S = [v for v in vecs_of(2, 7) if 1 <= weight(v.digits) <= 2]
         v = FqVector(2, (1, 1, 1, 1, 0, 0, 0))
         assert character_sum_oracle(S, v) == -4
 
@@ -179,16 +179,16 @@ class TestCharacterSumOracle:
         for q, n, d in SMALL_GRID:
             p = GraphParams(q, n, d)
             vecs = vecs_of(q, n)
-            S = [v for v in vecs if 1 <= v.weight <= d - 1]
+            S = [v for v in vecs if 1 <= weight(v.digits) <= d - 1]
             for v in vecs:
-                assert character_sum_oracle(S, v) == eigenvalue_level0(p, v.weight)
+                assert character_sum_oracle(S, v) == eigenvalue_level0(p, weight(v.digits))
 
 
 class TestRealEigenvector:
     def test_entry_rule(self):
         p = GraphParams(3, 4, 2)
         b = real_eigenvector(p, {1, 3})
-        assert b.entry(FqVector.zero(3, 4)) == 2
+        assert b.entry(FqVector(3, (0,) * 4)) == 2
         assert b.entry(FqVector(3, (1, 0, 0, 0))) == -1
         assert b.entry(FqVector(3, (1, 0, 2, 0))) == 2
 
