@@ -14,7 +14,6 @@ from .bounds import (
     gv_bound,
     hoffman_bound,
     hoffman_paper_literal,
-    wilf_cor27_bound,
 )
 from .codes import (
     INFINITE_DISTANCE,
@@ -24,7 +23,7 @@ from .codes import (
     read_pchk,
     write_pchk,
 )
-from .combinat import GraphParams, ball_volume, entropy_q, is_prime
+from .combinat import GraphParams, ball_volume, is_prime
 from .descent import DescentTrace, LevelRecord, descend, run_algorithm1, select_pivot
 from .errors import DEFAULT_BUDGET, BudgetError, DivisibilityError, PchkFormatError
 from .spectrum import SpectrumTable, build_spectrum_level0
@@ -51,7 +50,6 @@ __all__ = [
     "build_spectrum_level0",
     "descend",
     "descent_bound",
-    "entropy_q",
     "format_pchk",
     "gv_bound",
     "hoffman_bound",
@@ -61,6 +59,5 @@ __all__ = [
     "read_pchk",
     "run_algorithm1",
     "select_pivot",
-    "wilf_cor27_bound",
     "write_pchk",
 ]

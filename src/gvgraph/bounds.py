@@ -1,22 +1,26 @@
 """Closed-form and descent-based bounds on the maximum code size A_q(n, d).
 
 Every bound is an exact ``fractions.Fraction``; the only non-rational output
-is the asymptotic rate, a high-precision Decimal.  Rounding toward an
-integer code size is always explicit: ceilings for lower bounds, floors for
-upper bounds.
+is the asymptotic rate, a ``decimal.Decimal`` rounded once, from one
+expression in cached integer logarithms, to 50 significant digits
+(``asymptotic_gv``).  Rounding toward an integer code size is always
+explicit: ceilings for lower bounds, floors for upper bounds.
 
 ``descent_bound`` alone evaluates the descent-bound formula; the descent
-calls it per level.  This module never runs the descent itself.
+calls it per level, and the report's single-level eigenvector bound
+(``wilf_cor27``) is its value at the level-0 minimum.  This module never
+runs the descent itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .combinat import GraphParams, entropy_q
+from .combinat import GraphParams, is_prime
 from .spectrum import build_spectrum_level0
 
 if TYPE_CHECKING:
@@ -30,8 +34,11 @@ __all__ = [
     "gv_bound",
     "hoffman_bound",
     "hoffman_paper_literal",
-    "wilf_cor27_bound",
 ]
+
+
+# Significant digits of the asymptotic rate.
+_RATE_DIGITS = 50
 
 
 def gv_bound(params: GraphParams) -> Fraction:
@@ -39,16 +46,58 @@ def gv_bound(params: GraphParams) -> Fraction:
     return Fraction(params.num_vertices, params.degree + 1)
 
 
-def asymptotic_gv(q: int, delta, digits: int = 50) -> Decimal:
-    """Asymptotic rate lower bound 1 - h_q(delta) for 0 <= delta < 1 - 1/q."""
-    if not 0 <= Fraction(delta) < 1 - Fraction(1, q):
+@lru_cache(maxsize=256)
+def _ln(k: int, prec: int) -> Decimal:
+    """ln k at ``prec`` significant digits.  Decimal ``ln`` is correctly
+    rounded (half-even, whatever the context's rounding), so a cached value
+    equals a fresh one."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(k).ln()
+
+
+def asymptotic_gv(q: int, delta) -> Decimal:
+    """Asymptotic rate lower bound 1 - h_q(delta), rounded once to 50 significant digits.
+
+    ``delta`` must be a ``Fraction`` or an ``int`` with 0 <= delta < 1 - 1/q;
+    any other input, floats included, is refused so no binary rounding ever
+    enters.  The rate at delta = 0 is exactly 1.
+
+    With delta = a/b in lowest terms and c = b - a, the rate is one
+    expression in logarithms of integers,
+
+        (b ln q - a ln(q-1) - b ln b + a ln a + c ln c) / (b ln q),
+
+    each ln k from a cache keyed by (k, precision), so a sweep row reuses
+    ln n and ln(q-1) and a multi-q sweep reuses all but ln q.  The terms
+    are about b ln b, while g = (q-1)b - qa >= 1 puts delta g/(qb) below
+    1 - 1/q and the rate is at least 2 (g/(qb))^2 / ln q, so the sum loses
+    about 2 log10(qb/g) + log10(ln b) digits to cancellation.  It is formed
+    with that many digits beyond 64, and only the quotient is rounded, half
+    even, so every digit is right however close delta is to 0 or to 1 - 1/q.
+    """
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not isinstance(delta, (Fraction, int)):
+        raise TypeError(f"expected an exact rational (Fraction or int), got {type(delta).__name__}")
+    delta = Fraction(delta)
+    if not 0 <= delta < 1 - Fraction(1, q):
         raise ValueError(f"delta must lie in [0, 1 - 1/q) = [0, {1 - Fraction(1, q)}), got {delta}")
+    if delta == 0:
+        return Decimal(1)
+    a, b = delta.numerator, delta.denominator
+    c, g = b - a, (q - 1) * b - q * a
+    # 50 digits, 14 guard digits, 2 log10(qb/g) and log10(ln b), from bit
+    # lengths (str() of a huge b is refused); rounded up to a multiple of 16
+    # so that nearby cells share cached logarithms.
+    prec = 64 + (6 * ((q * b).bit_length() - g.bit_length() + 2) + 9) // 10 + len(str(b.bit_length()))
+    prec = (prec + 15) // 16 * 16
     with localcontext() as ctx:
-        ctx.prec = digits + 10
-        value = 1 - entropy_q(q, delta, digits + 5)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +value
+        ctx.prec, ctx.rounding = prec, ROUND_HALF_EVEN
+        den = b * _ln(q, prec)
+        num = den - a * _ln(q - 1, prec) - b * _ln(b, prec) + a * _ln(a, prec) + c * _ln(c, prec)
+        ctx.prec = _RATE_DIGITS
+        return num / den
 
 
 def hoffman_bound(params: GraphParams, lambda_min: int) -> Fraction:
@@ -74,16 +123,12 @@ def hoffman_paper_literal(params: GraphParams, lambda_min: int) -> Fraction | No
     return Fraction(params.num_vertices * (-lambda_min), denom)
 
 
-def wilf_cor27_bound(params: GraphParams, lambda_min: int) -> Fraction:
-    """Eigenvector lower bound q^n / (V_q(n,d-1) + (q-1) lambda_min + q)."""
-    return descent_bound(params, [lambda_min])
-
-
 def descent_bound(params: GraphParams, lambda_min_sequence: Sequence[int]) -> Fraction:
     """Improved lower bound after descending through the given level minima.
 
     q^n / (V_q(n,d-1) + sum_i (q-1) q^i lambda_i + q^(t+1)) for the minima
-    lambda_0..lambda_t; with a single level minimum it is ``wilf_cor27_bound``.
+    lambda_0..lambda_t; with the level-0 minimum alone it is the eigenvector
+    bound q^n / (V_q(n,d-1) + (q-1) lambda_0 + q) of the report's ``wilf_cor27``.
     """
     if not lambda_min_sequence:
         raise ValueError("lambda_min_sequence must contain at least one level minimum")
@@ -129,7 +174,7 @@ def build_bound_report(params: GraphParams, trace: DescentTrace | None = None) -
     else:
         lam_min = build_spectrum_level0(params).min_value
     gv = gv_bound(params)
-    wilf = wilf_cor27_bound(params, lam_min)
+    wilf = descent_bound(params, [lam_min])
     if lam_min < 0:
         hoffman = hoffman_bound(params, lam_min)
         hoffman_literal = hoffman_paper_literal(params, lam_min)

@@ -115,8 +115,10 @@ def _frac_str(value: Fraction | None) -> str | None:
 def _check_output(path: str | None) -> None:
     """Refuse ``path``, before any work, if its directory is missing or is
     not a directory, with the error ``_atomic_write_text`` raises there,
-    which names ``path``.  That write keeps its own handling, since the
-    directory can vanish in between; None (stdout) passes."""
+    which names ``path``, or if ``path`` is itself a directory, which the
+    rename would refuse only after the work.  That write keeps its own
+    handling, since the directory can vanish in between; None (stdout)
+    passes."""
     if path is None:
         return
     try:
@@ -126,6 +128,8 @@ def _check_output(path: str | None) -> None:
         raise
     if not is_dir:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _emit(text: str, output: str | None) -> None:

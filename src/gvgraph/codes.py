@@ -44,12 +44,12 @@ digit (``modq``, "Row format").  ``parse_pchk`` reads a row of n
 one-character decimal digits with one ``int`` call (``modq._Slots.parse``,
 for 2 <= q <= 16); any other row, and any row outside [0, q), is read digit
 by digit, which packs it or raises the row's format error.  ``LinearCode``
-holds its parity rows as these words and builds ``FqVector`` rows only when
-``parity_rows`` is read, which ``verify`` never does; a code built from
-``FqVector`` rows keeps them.  It checks the rank by the forward
-elimination alone (``modq.forward_eliminate``: one XOR per row operation
-for q = 2, else one guarded add-and-reduce with a stored multiple of the
-pivot row) and keeps the echelon rows, whose span is the dual words.  The
+holds its parity rows only as these words, whichever way it was built;
+``format_pchk`` unpacks each to its digits as it writes the row.  It
+checks the rank by the forward elimination alone
+(``modq.forward_eliminate``: one XOR per row operation for q = 2, else one
+guarded add-and-reduce with a stored multiple of the pivot row) and keeps
+the echelon rows, whose span is the dual words.  The
 RREF, by the back substitution on those rows (``modq.back_substitute``),
 is formed on first read, for the kernel basis that the codeword route of
 ``min_distance`` spans.  A word's weight is the number of its nonzero
@@ -122,8 +122,7 @@ def _check_field(q: int, n: int) -> None:
 class LinearCode:
     """The kernel of a full-rank set of parity-check rows over F_q; ``parse_pchk`` relies on its checks.
 
-    The rows are held packed (module docstring, "Packed rows"); ``parity_rows``
-    reads them as ``FqVector`` rows, which a parsed code builds on first read.
+    The rows are held packed, once (module docstring, "Packed rows").
     """
 
     q: int
@@ -140,7 +139,6 @@ class LinearCode:
                 raise ValueError("parity row parameters do not match the code")
         slots = _Slots(q, n)
         self._reduce(q, n, [slots.pack(row.digits) for row in parity_rows], slots)
-        vars(self)["parity_rows"] = parity_rows
 
     @classmethod
     def _from_words(cls, q: int, n: int, rows: list[int], slots: _Slots) -> LinearCode:
@@ -160,10 +158,6 @@ class LinearCode:
     def _rref(self) -> tuple[list[int], list[int]]:
         """The parity rows' RREF and pivot columns, for a kernel basis."""
         return back_substitute(self._pivots, self._slots)
-
-    @_cached
-    def parity_rows(self) -> tuple[FqVector, ...]:
-        return tuple(FqVector(self.q, self._slots.unpack(row)) for row in self._rows)
 
     @property
     def s(self) -> int:
@@ -223,7 +217,7 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int | float:
 def format_pchk(code: LinearCode) -> str:
     """Canonical gvpchk v1 text for a code; byte-identical across runs."""
     lines = [PCHK_MAGIC, f"q {code.q}", f"n {code.n}", f"s {code.s}"]
-    lines += [" ".join(str(x) for x in row.digits) for row in code.parity_rows]
+    lines += [" ".join(map(str, code._slots.unpack(row))) for row in code._rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,33 +1,20 @@
 """Exact combinatorial primitives.
 
 Krawtchouk rows and columns, each computed by a three-term recurrence,
-Hamming-ball volumes and the q-ary entropy function, plus the parameter
-triple (q, n, d) shared by the whole package.
-Everything is arbitrary-precision integer arithmetic except
-``entropy_q``, which returns a ``decimal.Decimal`` at a configurable number
-of significant digits (default 50).  The entropy value feeds only
-asymptotic-rate reporting; no bound or spectrum computation anywhere else
-leaves exact integers and rationals.
-
-``entropy_q`` works from cached logarithms of integers (ln q, ln(q-1) and
-ln of the numerator, denominator and their difference), with guard digits
-for the cancellation among them, so a whole sweep computes a few dozen
-logarithms and each value is right to its last digit even for tiny x.
+Hamming-ball volumes and an exact primality test, plus the parameter
+triple (q, n, d) shared by the whole package.  Everything here is
+arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 __all__ = [
     "GraphParams",
     "ball_volume",
-    "entropy_q",
     "is_prime",
     "krawtchouk_column",
     "krawtchouk_row",
@@ -196,57 +183,3 @@ def ball_volume(params: GraphParams, radius: int) -> int:
         term = term * (n - i) * (q - 1) // (i + 1)
         total += term
     return total
-
-
-@lru_cache(maxsize=256)
-def _ln(k: int, prec: int) -> Decimal:
-    """ln k at ``prec`` significant digits.  Decimal ``ln`` is correctly
-    rounded (half-even, whatever the context's rounding), so a cached value
-    equals a fresh one."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return Decimal(k).ln()
-
-
-def entropy_q(q: int, x, digits: int = 50) -> Decimal:
-    """q-ary entropy h_q(x) = x log_q(q-1) - x log_q(x) - (1-x) log_q(1-x).
-
-    ``x`` must be a ``Fraction`` or an ``int`` with 0 <= x <= 1 - 1/q;
-    h_q(0) is 0 by continuity and h_q(1 - 1/q) = 1.  The result carries
-    ``digits`` significant decimal digits (default 50); any other input,
-    floats included, is refused so no binary rounding ever enters the
-    computation.
-
-    With x = a/b in lowest terms and c = b - a, the value is taken from
-    logarithms of integers only,
-
-        h_q(x) = (a ln(q-1) + b ln b - a ln a - c ln c) / (b ln q),
-
-    each ln k from a cache keyed by (k, precision), so a sweep row reuses
-    ln n and ln(q-1) and a multi-q sweep reuses all but ln q.  The sum
-    b ln b - a ln a - c ln c loses about log10(b) digits to cancellation,
-    so it is formed with 10 + log10(b) guard digits or more, and only the
-    result is rounded to ``digits``.
-    """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    if not isinstance(x, (Fraction, int)):
-        raise TypeError(f"expected an exact rational (Fraction or int), got {type(x).__name__}")
-    xf = Fraction(x)
-    if not 0 <= xf <= 1 - Fraction(1, q):
-        raise ValueError(f"x must lie in [0, 1 - 1/q] = [0, {1 - Fraction(1, q)}], got {xf}")
-    if xf == 0:
-        return Decimal(0)
-    a, b = xf.numerator, xf.denominator
-    c = b - a
-    # log10(b) < bit_length(b) / 3.  Rounding up to a multiple of 16 lets
-    # nearby denominators share cached logarithms.
-    prec = (digits + 10 + (b.bit_length() + 2) // 3 + 15) // 16 * 16
-    with localcontext() as ctx:
-        ctx.prec = prec
-        h = (a * _ln(q - 1, prec) + b * _ln(b, prec) - a * _ln(a, prec) - c * _ln(c, prec)) / (b * _ln(q, prec))
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +h

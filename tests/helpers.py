@@ -8,9 +8,10 @@ averaging loops and dense level-0 expressions are the library's earlier
 entry-by-entry implementations, kept as the oracle its slice kernels are
 compared against; so are the codeword enumeration's former ``FqVector``
 doubling loop, the former list RREF and kernel basis on digit tuples, the
-former ``entropy_q`` (``reference_entropy``), the former shift-sum
-``_Slots.pack`` (``reference_pack``) and the former digit-by-digit
-``parse_pchk`` (``reference_parse_pchk``).  ``krawtchouk`` is the
+former shift-sum ``_Slots.pack`` (``reference_pack``) and the former
+digit-by-digit ``parse_pchk`` (``reference_parse_pchk``).  ``mpmath_rate``
+is the asymptotic rate from mpmath, correctly rounded, and
+``parity_digits`` a code's rows as digit tuples.  ``krawtchouk`` is the
 explicit-sum Krawtchouk value that the package's recurrences
 (``krawtchouk_row``, ``krawtchouk_column``) are compared against, and
 ``eigenvalue_level0`` the level-0 eigenvalue of one weight taken from it.
@@ -30,9 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -183,35 +183,27 @@ def ball_volume_brute(q, n, r):
     return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
 
 
-@lru_cache(maxsize=None)
-def _decimal_ln(x: Decimal, prec: int) -> Decimal:
+def mpmath_rate(q: int, x: Fraction, dps: int = 130) -> Decimal:
+    """1 - h_q(x) evaluated by mpmath at ``dps`` digits from x itself (not
+    from integer logarithms), then rounded half-even to 50 significant
+    digits: the correctly rounded rate while the cancellation near
+    x = 1 - 1/q costs fewer than dps - 70 digits.  The rate at 0 is 1."""
+    import mpmath
+
+    if x == 0:
+        return Decimal(1)
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x.numerator) / x.denominator
+        rate = 1 - xm * mpmath.log(q - 1, q) + xm * mpmath.log(xm, q) + (1 - xm) * mpmath.log(1 - xm, q)
+        text = mpmath.nstr(rate, dps - 10, strip_zeros=False)
     with localcontext() as ctx:
-        ctx.prec = prec
-        return x.ln()
+        ctx.prec, ctx.rounding = 50, ROUND_HALF_EVEN
+        return +Decimal(text)
 
 
-def reference_entropy(q: int, x, digits: int = 50) -> Decimal:
-    """The former ``entropy_q``: h_q(x) from ln x and ln(1 - x), with x and
-    1 - x rounded to digits + 10 significant digits first.
-
-    Right to ``digits`` digits while x is well above 10^-10; below that the
-    rounding of 1 - x shows, and at x = 2^-200 it is wrong from the third
-    digit.  Its logarithms are cached, since a grid of x repeats them
-    across q.
-    """
-    xf = Fraction(x)
-    if xf == 0:
-        return Decimal(0)
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        ln_q, ln_q1 = _decimal_ln(Decimal(q), ctx.prec), _decimal_ln(Decimal(q - 1), ctx.prec)
-        xd = Decimal(xf.numerator) / Decimal(xf.denominator)
-        yf = 1 - xf
-        yd = Decimal(yf.numerator) / Decimal(yf.denominator)
-        h = xd * (ln_q1 / ln_q) - xd * (_decimal_ln(xd, ctx.prec) / ln_q) - yd * (_decimal_ln(yd, ctx.prec) / ln_q)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +h
+def parity_digits(code) -> list[tuple[int, ...]]:
+    """A code's parity rows as digit tuples, unpacked from the packed rows it holds."""
+    return [code._slots.unpack(row) for row in code._rows]
 
 
 def reference_pack(digits, w: int) -> int:
@@ -726,7 +718,7 @@ def reference_codewords(code, budget=None):
     """All q^(n-s) vectors orthogonal to every parity row, zero included."""
     check_budget(code.q, code.dimension, budget, f"codeword enumeration of a [{code.n}, {code.dimension}] code")
     q, n = code.q, code.n
-    basis = reference_kernel_basis(*reference_rref([row.digits for row in code.parity_rows], q), q, n)
+    basis = reference_kernel_basis(*reference_rref(parity_digits(code), q), q, n)
     words = [FqVector(q, (0,) * n)]
     for vec in basis:
         multiples = [vscale(c, vec, q) for c in range(1, q)]

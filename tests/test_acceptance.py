@@ -23,10 +23,10 @@ from gvgraph import (
     ball_volume,
     build_bound_report,
     build_spectrum_level0,
+    descent_bound,
     gv_bound,
     hoffman_bound,
     run_algorithm1,
-    wilf_cor27_bound,
     write_pchk,
 )
 from helpers import degree_history, dense_descend, eigenvalue_level0, krawtchouk, lambda_history, max_independent_set_oracle, pairwise_distance_matrix, residue_counts_by_weight, vector_matrix
@@ -104,7 +104,7 @@ def test_criterion_04_flagship_anchors():
     assert lam_min == -4
     assert argmin.digits == (0, 0, 0, 1, 1, 1, 1)
     assert gv_bound(params) == Fraction(128, 29)
-    assert wilf_cor27_bound(params, lam_min) == Fraction(128, 27)
+    assert descent_bound(params, [lam_min]) == Fraction(128, 27)
     assert hoffman_bound(params, lam_min) == 16
     trace = run_algorithm1(params)
     assert degree_history(trace)[1] == 12

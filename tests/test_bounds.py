@@ -15,7 +15,6 @@ from gvgraph import (
     hoffman_bound,
     hoffman_paper_literal,
     run_algorithm1,
-    wilf_cor27_bound,
 )
 from helpers import lambda_history
 
@@ -75,14 +74,14 @@ class TestHoffman:
 
 class TestWilfCor27:
     def test_flagship_anchor(self):
-        assert wilf_cor27_bound(GraphParams(2, 7, 3), -4) == Fraction(128, 27)
+        assert descent_bound(GraphParams(2, 7, 3), [-4]) == Fraction(128, 27)
 
     def test_improvement_over_gv(self):
-        assert wilf_cor27_bound(GraphParams(2, 7, 3), -4) > gv_bound(GraphParams(2, 7, 3))
+        assert descent_bound(GraphParams(2, 7, 3), [-4]) > gv_bound(GraphParams(2, 7, 3))
 
     def test_degenerate_d1(self):
         p = GraphParams(2, 5, 1)
-        assert wilf_cor27_bound(p, 0) == Fraction(2**5, 1 + 0 + 2)
+        assert descent_bound(p, [0]) == Fraction(2**5, 1 + 0 + 2)
 
     def test_strictness_threshold_is_exact(self):
         # Improvement over GV iff (q-1) * lambda_min + q < 0; equality at 0.
@@ -91,25 +90,19 @@ class TestWilfCor27:
             lam, _ = build_spectrum_level0(p).min_eigenvalue()
             assert lam == -2
             assert (p.q - 1) * lam + p.q == 0
-            assert wilf_cor27_bound(p, lam) == gv_bound(p)
+            assert descent_bound(p, [lam]) == gv_bound(p)
         for cell in [(2, 7, 3), (2, 5, 3), (3, 3, 2)]:
             p = GraphParams(*cell)
             lam, _ = build_spectrum_level0(p).min_eigenvalue()
             assert (p.q - 1) * lam + p.q < 0
-            assert wilf_cor27_bound(p, lam) > gv_bound(p)
+            assert descent_bound(p, [lam]) > gv_bound(p)
 
     def test_rejects_vacuous_denominator(self):
         with pytest.raises(ValueError, match="not positive"):
-            wilf_cor27_bound(GraphParams(2, 4, 2), -8)
+            descent_bound(GraphParams(2, 4, 2), [-8])
 
 
 class TestDescentBound:
-    def test_single_level_reduces_to_wilf(self):
-        for cell in [(2, 7, 3), (2, 5, 3), (3, 4, 3), (5, 3, 2)]:
-            p = GraphParams(*cell)
-            lam, _ = build_spectrum_level0(p).min_eigenvalue()
-            assert descent_bound(p, [lam]) == wilf_cor27_bound(p, lam)
-
     def test_flagship_values(self):
         p = GraphParams(2, 7, 3)
         assert descent_bound(p, [-4]) == Fraction(128, 27)

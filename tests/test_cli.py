@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import INFINITE_DISTANCE, GraphParams, build_bound_report, cli, codes, combinat, min_distance, read_pchk, run_algorithm1, vectors
+from gvgraph import INFINITE_DISTANCE, GraphParams, bounds, build_bound_report, cli, codes, min_distance, read_pchk, run_algorithm1, vectors
 from helpers import CLASSICAL_CODES, dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
@@ -524,12 +524,12 @@ class TestSweepCommand:
                 assert len(row["gv"]) > 4300
 
     def test_sweep_takes_each_logarithm_once(self, tmp_path):
-        combinat._ln.cache_clear()
+        bounds._ln.cache_clear()
         argv = ["sweep", "-q", "2,3,5,7", "-n", "2:14", "-d", "2:6", "-o", str(tmp_path / "s.csv")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) == 0
         # Every rate needs ln k for integers k <= n = 14 and ln q.
-        assert combinat._ln.cache_info().misses <= 14 + 4
+        assert bounds._ln.cache_info().misses <= 14 + 4
 
 
 class TestSweepJobs:
@@ -726,6 +726,23 @@ def test_a_write_under_a_regular_file_names_the_given_path(monkeypatch, tmp_path
     (tmp_path / "file").write_text("")
     path = str(tmp_path / "file" / "out.txt")
     refuse_unwritable_output(monkeypatch, tmp_path, argv, path, "[Errno 20] Not a directory")
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_COMMANDS.values()), ids=list(OUTPUT_COMMANDS))
+def test_an_output_path_that_is_a_directory_is_refused_before_the_work(monkeypatch, tmp_path, argv):
+    # The rename over a directory would fail only after the work, naming the temp file.
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_algorithm1", no_descent)
+    monkeypatch.setattr(cli, "descend", no_descent)
+    path = tmp_path / "out"
+    path.mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv + ["-o", str(path)]) == 2
+    assert err.getvalue() == f"error: [Errno 21] Is a directory: {str(path)!r}\n"
+    assert list(tmp_path.rglob("*")) == [path]
 
 
 @pytest.mark.parametrize("command", [*OUTPUT_COMMANDS, "verify"])

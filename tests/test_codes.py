@@ -41,6 +41,7 @@ from helpers import (
     is_independent_set,
     kernel_bruteforce,
     max_independent_set_oracle,
+    parity_digits,
     rank,
     reference_codewords,
     reference_kernel_basis,
@@ -75,7 +76,7 @@ def only_expected_route(code):
 def dual_weights(code):
     """Weight counts of the q^s dual words, as the codewords of the code whose parity rows span ``code``."""
     q, n = code.q, code.n
-    rows = [row.digits for row in code.parity_rows]
+    rows = parity_digits(code)
     generators = tuple(FqVector(q, v) for v in reference_kernel_basis(*reference_rref(rows, q), q, n))
     return Counter(weight(w.digits) for w in reference_codewords(LinearCode(q, n, generators)))
 
@@ -168,7 +169,7 @@ class TestPackedEnumeration:
     @example(make_code(2, ("110", "011")))
     def test_matches_bruteforce_kernel(self, code):
         q, n = code.q, code.n
-        oracle = kernel_bruteforce(q, n, [row.digits for row in code.parity_rows])
+        oracle = kernel_bruteforce(q, n, parity_digits(code))
         with only_expected_route(code):
             distance = min_distance(code)
         assert distance == min((weight(v) for v in oracle if any(v)), default=INFINITE_DISTANCE)
@@ -410,6 +411,14 @@ def test_public_api_holds_no_test_oracles():
         assert not hasattr(gvgraph.FqVector, name)
     assert "__lt__" not in vars(gvgraph.FqVector)
     assert "final_degree" not in {f.name for f in dataclasses.fields(gvgraph.DescentTrace)}
+    # The rate is one routine with no precision knob; the one-level descent bound has no alias.
+    for module, name in ((gvgraph.combinat, "entropy_q"), (gvgraph.bounds, "wilf_cor27_bound")):
+        assert name not in gvgraph.__all__ and not hasattr(gvgraph, name)
+        assert name not in module.__all__ and not hasattr(module, name)
+    assert list(inspect.signature(gvgraph.asymptotic_gv).parameters) == ["q", "delta"]
+    # combinat is integer-only: it holds nothing from ``decimal``.
+    assert all(getattr(value, "__module__", None) != "decimal" for value in vars(gvgraph.combinat).values())
+    assert not hasattr(gvgraph.LinearCode, "parity_rows")
 
 
 class TestIndependentSet:
@@ -500,7 +509,7 @@ class TestPchkFormat:
         text = path.read_text(encoding="utf-8")
         assert text == "# gvpchk v1\nq 2\nn 7\ns 3\n0 0 0 1 1 1 1\n0 1 1 0 0 1 1\n1 0 1 0 1 0 1\n"
         parsed = read_pchk(str(path))
-        assert parsed.parity_rows == code.parity_rows
+        assert parity_digits(parsed) == parity_digits(code)
         assert format_pchk(parsed) == text
 
     def test_header_only_for_zero_rows(self, tmp_path):
@@ -589,7 +598,7 @@ class TestPchkFormat:
     def test_format_parse_round_trip(self, code):
         text = format_pchk(code)
         parsed = parse_pchk(text)
-        assert (parsed.q, parsed.n, parsed.parity_rows) == (code.q, code.n, code.parity_rows)
+        assert (parsed.q, parsed.n, parity_digits(parsed)) == (code.q, code.n, parity_digits(code))
         assert format_pchk(parsed) == text
 
     @settings(max_examples=300, deadline=None)
@@ -755,8 +764,8 @@ class TestParserEquivalence:
         q, n, _, _, rows = CLASSICAL_CODES["golay_24_12_8"]
         text = format_pchk(LinearCode(q, n, tuple(FqVector(q, row) for row in rows)))
         code = parse_pchk(text)
-        assert "parity_rows" not in vars(code)
-        assert [row.digits for row in code.parity_rows] == rows
+        assert not hasattr(code, "parity_rows")
+        assert parity_digits(code) == rows
         assert format_pchk(code) == text
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvgraph import GraphParams, ball_volume, entropy_q, is_prime
-from gvgraph.combinat import _ln, krawtchouk_column, krawtchouk_row
-from helpers import all_vectors, ball_volume_brute, krawtchouk, krawtchouk_genfunc, reference_entropy, weight
+from gvgraph import GraphParams, asymptotic_gv, ball_volume, is_prime
+from gvgraph.bounds import _ln
+from gvgraph.combinat import krawtchouk_column, krawtchouk_row
+from helpers import all_vectors, ball_volume_brute, krawtchouk, krawtchouk_genfunc, mpmath_rate, weight
 
 # 50 significant digits, frozen from an independent mpmath evaluation.
 H2_QUARTER = Decimal("0.81127812445913286390969579203913761843013919423064")
@@ -178,27 +179,21 @@ class TestBallVolume:
 
 
 class TestEntropy:
-    def test_binary_entropy_at_half_is_exactly_one(self):
-        assert entropy_q(2, Fraction(1, 2)) == 1
+    """The q-ary entropy h_q through the one value it feeds, the rate 1 - h_q(delta)."""
 
     def test_zero_by_continuity(self):
         for q in (2, 3, 5):
-            assert entropy_q(q, 0) == 0
+            assert asymptotic_gv(q, 0) == 1
+            assert str(asymptotic_gv(q, 0)) == "1"
 
     def test_quarter_anchor_to_50_digits(self):
-        assert entropy_q(2, Fraction(1, 4)) == H2_QUARTER
-
-    def test_entropy_at_domain_top_is_one(self):
-        for q in (2, 3, 5):
-            assert entropy_q(q, 1 - Fraction(1, q)) == 1
-
-    def test_configurable_precision(self):
         from decimal import localcontext
 
-        short = entropy_q(2, Fraction(1, 4), digits=15)
+        rate = asymptotic_gv(2, Fraction(1, 4))
+        assert len(rate.as_tuple().digits) == 50
         with localcontext() as ctx:
-            ctx.prec = 15
-            assert short == +H2_QUARTER
+            ctx.prec = 100
+            assert rate + H2_QUARTER == 1
 
     def test_cached_logarithms_equal_fresh_ones(self):
         from decimal import ROUND_DOWN, localcontext
@@ -212,65 +207,76 @@ class TestEntropy:
                     assert _ln(k, prec) == fresh
                     assert str(_ln(k, prec)) == str(fresh)
 
-    def test_equals_the_former_routine_on_the_grid(self, monkeypatch):
-        """Every x = a/b with b <= 160, for q <= 13: the same value, and the
-        same digits wherever a rate is printed (x < 1 - 1/q).  At the domain
-        top the former routine printed 1 with trailing zeros."""
-        from gvgraph import asymptotic_gv, bounds
-
-        grid = [(a, b) for b in range(1, 161) for a in range(b + 1) if gcd(a, b) == 1]
-        cells = [(q, Fraction(a, b)) for q in (2, 3, 5, 7, 11, 13) for a, b in grid if a * q <= b * (q - 1)]
-        top = [(q, x) for q, x in cells if x == 1 - Fraction(1, q)]
-        rated = [(q, x) for q, x in cells if x < 1 - Fraction(1, q)]
-        assert [entropy_q(q, x) for q, x in top] == [reference_entropy(q, x) for q, x in top] == [1] * 6
-        assert [str(entropy_q(q, x)) for q, x in rated] == [str(reference_entropy(q, x)) for q, x in rated]
-        with monkeypatch.context() as m:
-            m.setattr(bounds, "entropy_q", reference_entropy)
-            former = [str(asymptotic_gv(q, x)) for q, x in rated]
-        assert [str(asymptotic_gv(q, x)) for q, x in rated] == former
+    def test_is_correctly_rounded_on_the_grid(self):
+        """Every delta = a/b < 1 - 1/q with b <= 160, for q <= 13: mpmath's
+        value rounded half-even to 50 digits, digit for digit.  The former
+        routine, which rounded h, then 1 - h, then the rate, was wrong at 19
+        of these cells."""
+        pytest.importorskip("mpmath")
+        grid = [(a, b) for b in range(1, 161) for a in range(b) if gcd(a, b) == 1]
+        cells = [(q, Fraction(a, b)) for q in (2, 3, 5, 7, 11, 13) for a, b in grid if a * q < b * (q - 1)]
+        assert [str(asymptotic_gv(q, x)) for q, x in cells] == [str(mpmath_rate(q, x)) for q, x in cells]
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from((2, 3, 5, 7, 11, 13)),
         st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))),
     )
-    def test_equals_the_former_routine_up_to_a_denominator_of_a_million(self, q, ab):
-        x = min(Fraction(*ab), 1 - Fraction(1, q))
-        got, want = entropy_q(q, x), reference_entropy(q, x)
-        assert got == want
-        assert x == 1 - Fraction(1, q) or str(got) == str(want)
+    def test_is_correctly_rounded_up_to_a_denominator_of_a_million(self, q, ab):
+        """Each a/b at or above 1 - 1/q is taken one step of 1/(qb) below it,
+        where the cancellation is deepest."""
+        pytest.importorskip("mpmath")
+        a, b = ab
+        x = min(Fraction(a, b), 1 - Fraction(1, q) - Fraction(1, q * b))
+        assert str(asymptotic_gv(q, x)) == str(mpmath_rate(q, x))
 
     @pytest.mark.parametrize("q, x", [(2, Fraction(1, 2**200)), (2, Fraction(1, 10**80)), (3, Fraction(7, 10**70))])
     def test_tiny_x_against_mpmath_at_400_digits(self, q, x):
-        """Right to the last of 50 digits where the former routine, which
-        rounded 1 - x to 60 digits, was wrong from the third."""
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(400):
-            xm = mpmath.mpf(x.numerator) / x.denominator
-            exact = xm * mpmath.log(q - 1, q) - xm * mpmath.log(xm, q) - (1 - xm) * mpmath.log(1 - xm, q)
-            want = Decimal(mpmath.nstr(exact, 60))
-        assert abs(entropy_q(q, x) - want) <= want.scaleb(-49)
-        assert abs(reference_entropy(q, x) - want) > want.scaleb(-3)
+        """Right to the last of 50 digits, where a routine that rounded 1 - x
+        to 60 digits was wrong in h from the third."""
+        pytest.importorskip("mpmath")
+        assert str(asymptotic_gv(q, x)) == str(mpmath_rate(q, x, dps=400))
+
+    @pytest.mark.parametrize(
+        "q, x",
+        [
+            (2, Fraction(1, 2) - Fraction(1, 10**12)),
+            (2, Fraction(1499, 2999)),
+            (7, Fraction(6, 7) - Fraction(1, 10**30)),
+            (31, Fraction(96, 113)),
+        ],
+    )
+    def test_near_the_top_every_digit_is_right(self, q, x):
+        """Close to 1 - 1/q, where the former routine printed 32 or 48 digits,
+        a wrong last digit, or 0E-54 for a rate of 2.1E-60."""
+        pytest.importorskip("mpmath")
+        rate = asymptotic_gv(q, x)
+        assert len(rate.as_tuple().digits) == 50
+        assert str(rate) == str(mpmath_rate(q, x, dps=200))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            entropy_q(2, Fraction(3, 4))
+            asymptotic_gv(2, Fraction(3, 4))
         with pytest.raises(ValueError):
-            entropy_q(2, Fraction(-1, 4))
+            asymptotic_gv(2, Fraction(1, 2))
         with pytest.raises(ValueError):
-            entropy_q(4, Fraction(1, 4))
+            asymptotic_gv(2, Fraction(-1, 4))
+        with pytest.raises(ValueError, match="q must be prime"):
+            asymptotic_gv(4, Fraction(1, 4))
         with pytest.raises(TypeError):
-            entropy_q(2, 0.25)
+            asymptotic_gv(2, 0.25)
+        with pytest.raises(TypeError):
+            asymptotic_gv(2, Decimal("0.25"))
 
     def test_mpmath_cross_check(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 60
-        for q, num, den in ((2, 1, 4), (2, 1, 3), (3, 1, 2), (5, 2, 3)):
-            x = mpmath.mpf(num) / den
-            expected = (
-                x * mpmath.log(q - 1, q)
-                - x * mpmath.log(x, q)
-                - (1 - x) * mpmath.log(1 - x, q)
-            )
-            got = entropy_q(q, Fraction(num, den))
-            assert abs(Decimal(mpmath.nstr(expected, 45)) - got) < Decimal("1e-40")
+        with mpmath.workdps(60):
+            for q, num, den in ((2, 1, 4), (2, 1, 3), (3, 1, 2), (5, 2, 3)):
+                x = mpmath.mpf(num) / den
+                expected = 1 - (
+                    x * mpmath.log(q - 1, q)
+                    - x * mpmath.log(x, q)
+                    - (1 - x) * mpmath.log(1 - x, q)
+                )
+                got = asymptotic_gv(q, Fraction(num, den))
+                assert abs(Decimal(mpmath.nstr(expected, 45)) - got) < Decimal("1e-40")
