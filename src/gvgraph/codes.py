@@ -91,7 +91,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .combinat import _cached, is_prime, krawtchouk_column
+from .combinat import _cached, _check_field, krawtchouk_column
 from .errors import DivisibilityError, PchkFormatError, check_budget
 # ``rank`` is unused here; the benchmark's tracer tests check that it is patched in this namespace.
 from .modq import _Negatives, _Slots, _span_weights, back_substitute, forward_eliminate, kernel_basis, rank  # noqa: F401
@@ -109,13 +109,6 @@ __all__ = [
 INFINITE_DISTANCE = math.inf
 
 PCHK_MAGIC = "# gvpchk v1"
-
-
-def _check_field(q: int, n: int) -> None:
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
 
 
 @dataclass(frozen=True, init=False)

@@ -87,6 +87,15 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _check_field(q: int, n: int) -> None:
+    """Refuse a q that is not prime and an n below 1: the checks that
+    ``GraphParams`` and ``codes.LinearCode`` share."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """Parameters (q, n, d) of a Gilbert graph.
@@ -102,10 +111,7 @@ class GraphParams:
     d: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"q must be prime, got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_field(self.q, self.n)
         if not 1 <= self.d <= self.n + 1:
             raise ValueError(f"d must satisfy 1 <= d <= n + 1, got d={self.d} with n={self.n}")
 

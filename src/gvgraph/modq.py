@@ -32,7 +32,7 @@ eliminates digit c of a row with the monic pivot row p by adding
 that multiple, formed on first use and kept with p (``_Negatives``).  q
 prime guarantees every nonzero lead digit is invertible (pow(a, -1, q)).
 
-``rref`` runs in two phases.  The forward elimination
+The RREF is formed in two phases.  The forward elimination
 (``forward_eliminate``) reduces each row by the pivot rows so far and keeps
 the rows that stay nonzero, made monic: their count is the rank, so this
 phase alone is the rank check, and the rows it keeps span the row space.
@@ -67,7 +67,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import _cached
 
-__all__ = ["back_substitute", "forward_eliminate", "kernel_basis", "rank", "rref"]
+__all__ = ["back_substitute", "forward_eliminate", "kernel_basis", "rank"]
 
 
 # Digit byte x < 32 to its character in base 32; every other byte to "!",
@@ -413,23 +413,12 @@ def back_substitute(pivots: list[tuple[int, int, _Negatives | None]], slots: _Sl
     return [echelon[i] for i in order], [pivots[i][0] // slots.w for i in order]
 
 
-def rref(rows: Sequence[int], slots: _Slots) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form of the packed ``rows`` mod q: the forward
-    elimination, then the back substitution.
-
-    Returns (rref_rows, pivot_cols), sorted by pivot column; zero rows are
-    dropped, each surviving row has a leading 1 in a distinct pivot column
-    and zeros in every other row's pivot column.
-    """
-    return back_substitute(forward_eliminate(rows, slots), slots)
-
-
 def rank(rows: Sequence[int], slots: _Slots) -> int:
     return len(forward_eliminate(rows, slots))
 
 
 def kernel_basis(rref_rows: list[int], pivot_cols: list[int], slots: _Slots) -> list[int]:
-    """A basis of the joint kernel {u : <u, row> = 0 for every row}, from the rows' ``rref``, packed.
+    """A basis of the joint kernel {u : <u, row> = 0 for every row}, from the rows' RREF (``back_substitute``), packed.
 
     One basis word per free column f: 1 at f, -row[f] at each pivot column,
     0 elsewhere.  Returned in increasing free-column order.

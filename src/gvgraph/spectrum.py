@@ -93,13 +93,15 @@ Edge levels
 -----------
 Level t is the Cayley graph on C_t = {x : <x, p_i> = 0 for every pivot},
 with connection set S_t, the words of C_t of weight 1..d-1, so |S_t| is
-the level degree D_t.  An edge table (``edges``) keeps the m = D_t / (q-1)
-monic words E of S_t, sorted.  Since the sum of z^(a x) over a in F_q^* is
-q - 1 for x = 0 and -1 otherwise,
+the level degree D_t.  An edge table (``edges``) keeps E, one word of each
+class {a c : a in F_q^*} of S_t, so m = D_t / (q-1) words, in the order
+the low-weight word search finds them (below).  Since the sum of z^(a x)
+over a in F_q^* is q - 1 for x = 0 and -1 otherwise,
 
     lam(v) = q * Z(v) - m,    Z(v) = #{c in E : <c, v> = 0},
 
-so a level with few edges is known from E alone.  Z depends on v
+so a level with few edges is known from E alone, and no value depends on
+the order of E or on which multiple of a class it holds.  Z depends on v
 only through its pattern y = (<c, v>)_c, the combination of the columns of
 E weighted by v's digits.  The free columns whose column of E is not in
 the span of the free columns to their right are the pattern columns: the
@@ -115,12 +117,12 @@ that order (first pattern column most significant), the first pattern
 attaining the minimum gives the least dense index attaining it.  An edge
 table's ``weight_values`` holds the q^r pattern values in that order, one
 value object per weight of y: the degree (q-1) * m first, at y = 0.  Each
-y is a packed m-digit word (``modq``, "Row format"), each column of E is
-packed once, and Z is m less the weight of y.  E's columns at the pattern
-columns, right to left, span the patterns in pattern order, and
-``modq._span_weights`` weighs them in that order.  ``densify`` weighs the
-span of E's columns at every free column the same way, in dense order,
-and ``value_of`` counts Z word by word.
+y is a packed m-digit word (``modq``, "Row format"), and Z is m less the
+weight of y.  ``_edge_values`` builds both tables: it packs E's columns at
+the columns it is given, right to left, and weighs their span in that
+order (``modq._span_weights``).  At the pattern columns that span is the
+patterns in pattern order (``edge_level``); at every free column it is
+the dense order (``densify``).  ``value_of`` counts Z word by word.
 
 On an edge level ``next_level`` keeps the words orthogonal to the pivot:
 E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
@@ -130,7 +132,8 @@ decided from the split classes and their type count alone, before any
 types are built, and ``edge_level`` is handed the pivot and free columns,
 from which it finds the pattern columns.  Level t+1's words are then
 found among its V_q(n-t-1, d-1) free-digit patterns of weight below d
-(``_low_weight_words``), and its q^r <= q^m patterns replace an average
+(``_low_weight_words``), each class once, as its member whose first
+nonzero free digit is 1, and its q^r <= q^m patterns replace an average
 over count types.  Every later level is an edge level.  The descent checks
 (q-1) * |E_t| against the recursion degree, as it checks a typed level's
 zero-character value, and the pivot check counts the pivot's Z word by
@@ -160,7 +163,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import GraphParams, _cached, krawtchouk_row
 from .errors import DivisibilityError, check_budget
-from .modq import _monic_combinations, _Slots, _span_weights, forward_eliminate, kernel_basis, rref
+from .modq import _monic_combinations, _Slots, _span_weights, back_substitute, forward_eliminate, kernel_basis
 from .vectors import FqVector
 
 __all__ = ["SpectrumTable", "build_spectrum_level0"]
@@ -455,26 +458,22 @@ def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> boo
 
 
 def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tuple[tuple[int, ...], ...]:
-    """The monic words of weight 1..d-1 orthogonal to every pivot, sorted.
+    """The words of weight 1..d-1 orthogonal to every pivot, one per class
+    of nonzero multiples, in the order the frontier finds them.
 
     A word is fixed by its free digits (its pivot-column digits are a linear
     image of them, the kernel basis of the pivots' RREF), and its free
     weight is at most its weight.  So the free digit patterns of weight
-    1..d-1 whose first nonzero digit is 1, one per class of nonzero
-    multiples, are summed as packed words (``modq._monic_combinations``),
-    and the words of weight at most d-1 are kept, each scaled to be monic.
+    1..d-1 whose first nonzero digit is 1 are summed as packed words
+    (``modq._monic_combinations``), and the words of weight at most d-1 are
+    kept.  Each class is found once: its one member whose first kernel-basis
+    coefficient is 1.
     """
     q, n, d = params.q, params.n, params.d
     slots = _Slots(q, n)
-    basis = kernel_basis(*rref([slots.pack(p.digits) for p in pivots], slots), slots)
-    found = _monic_combinations(slots, basis, d - 1)
-    words = []
-    for word, weight in zip(found, slots.weights(found)):
-        if weight < d:
-            digits = slots.unpack(word)
-            inv = pow(next(filter(None, digits)), -1, q)
-            words.append(digits if inv == 1 else tuple(inv * x % q for x in digits))
-    return tuple(sorted(words))
+    echelon = forward_eliminate([slots.pack(p.digits) for p in pivots], slots)
+    found = _monic_combinations(slots, kernel_basis(*back_substitute(echelon, slots), slots), d - 1)
+    return tuple(slots.unpack(word) for word, weight in zip(found, slots.weights(found)) if weight < d)
 
 
 @dataclass(frozen=True)
@@ -612,8 +611,7 @@ class SpectrumTable:
         q, n, level = self.params.q, self.params.n, self.level
         check_budget(q, n - level, budget, f"dense level-{level} spectrum of G_({q},{n},{self.params.d})")
         if self.edges is not None:
-            slots = _Slots(q, len(self.edges))
-            values = _edge_values(slots, _edge_columns(slots, self.edges, self.free_cols))
+            values = _edge_values(q, self.edges, self.free_cols)
         else:
             values = tuple(map(self._by_code.__getitem__, self.types.dense_codes(self.free_cols)))
         return replace(self, values=values)
@@ -649,35 +647,16 @@ class SpectrumTable:
         )
 
 
-def _edge_columns(slots: _Slots, edges: Sequence[tuple[int, ...]], cols: Sequence[int]) -> list[int]:
-    """The columns of the words ``edges`` at ``cols``, right to left, each packed."""
-    return [slots.pack([word[col] for word in edges]) for col in reversed(cols)]
-
-
-def _edge_values(slots: _Slots, basis: Sequence[int]) -> tuple[int, ...]:
-    """q * Z - m for every packed m-digit word y of the span of ``basis``,
-    Z the number of zero digits of y, read from the weight of y in the order
-    ``modq._span_weights`` weighs them: m + 1 value objects in all."""
-    q, m = slots.q, slots.n
+def _edge_values(q: int, edges: Sequence[tuple[int, ...]], cols: Sequence[int]) -> tuple[int, ...]:
+    """q * Z - m for every m-digit word y of the span of the ``edges``' columns
+    at ``cols``, each packed, right to left, in the order ``modq._span_weights``
+    weighs them; Z, the number of zero digits of y, is read from y's weight,
+    so the values are m + 1 objects in all."""
+    m = len(edges)
+    slots = _Slots(q, m)
     by_weight = [(q - 1) * m - q * w for w in range(m + 1)]
+    basis = [slots.pack([word[col] for word in edges]) for col in reversed(cols)]
     return tuple(map(by_weight.__getitem__, _span_weights(slots, basis)))
-
-
-def _patterns(params: GraphParams, edges: Sequence[tuple[int, ...]], free_cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """An edge level's pattern columns, and its value at every pattern in pattern order.
-
-    Each word's digits on the free columns, read right to left, are packed
-    and forward eliminated (``modq.forward_eliminate``); the lead slots of
-    the rows kept are the column rank profile, the free columns not in the
-    span of the columns to their right.  The words' columns there, right to
-    left, span the patterns in pattern order.
-    """
-    q, right_to_left = params.q, free_cols[::-1]
-    row_slots = _Slots(q, len(free_cols))
-    echelon = forward_eliminate([row_slots.pack([word[col] for col in right_to_left]) for word in edges], row_slots)
-    cols = sorted(right_to_left[offset // row_slots.w] for offset, _, _ in echelon)
-    slots = _Slots(q, len(edges))
-    return tuple(cols), _edge_values(slots, _edge_columns(slots, edges, cols))
 
 
 def edge_level(
@@ -688,8 +667,18 @@ def edge_level(
     free_cols: tuple[int, ...],
 ) -> SpectrumTable:
     """The level named by ``pivots``, of pivot columns ``pivot_cols`` and free
-    columns ``free_cols``, from its monic edge words: one value per pattern."""
-    pattern_cols, values = _patterns(params, edges, free_cols)
+    columns ``free_cols``, from its edge words, one per class of nonzero
+    multiples in any order: one value per pattern.
+
+    Each word's digits on the free columns, read right to left, are packed
+    and forward eliminated (``modq.forward_eliminate``); the lead slots of
+    the rows kept are the column rank profile, the pattern columns.
+    """
+    right_to_left = free_cols[::-1]
+    slots = _Slots(params.q, len(free_cols))
+    echelon = forward_eliminate([slots.pack([word[col] for col in right_to_left]) for word in edges], slots)
+    pattern_cols = tuple(sorted(right_to_left[offset // slots.w] for offset, _, _ in echelon))
+    values = _edge_values(params.q, edges, pattern_cols)
     return SpectrumTable(
         params, pivots, weight_values=values, edges=edges, pivot_cols=pivot_cols, free_cols=free_cols, pattern_cols=pattern_cols
     )

@@ -668,7 +668,8 @@ def kernel_bruteforce(q, n, rows):
 
 def reference_rref(rows, q):
     """Reduced row-echelon form of digit tuples mod q, row by row on lists:
-    the library's former list RREF, kept as the oracle for ``modq.rref``.
+    the library's former list RREF, kept as the oracle for
+    ``modq.back_substitute(modq.forward_eliminate(...))``.
 
     Returns (rref_rows, pivot_cols); zero rows are dropped, each surviving
     row has a leading 1 in a distinct pivot column and zeros in every other

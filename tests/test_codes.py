@@ -578,6 +578,18 @@ class TestPchkFormat:
             parse_pchk(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("q, n, message", [(4, 3, "q must be prime, got 4"), (2, 0, "n must be positive, got 0")])
+    def test_graph_params_codes_and_pchk_headers_share_the_field_messages(self, q, n, message):
+        faults = [
+            lambda: GraphParams(q, n, 1),
+            lambda: LinearCode(q, n, ()),
+            lambda: parse_pchk(f"# gvpchk v1\nq {q}\nn {n}\ns 0\n"),
+        ]
+        for fault in faults:
+            with pytest.raises(ValueError) as info:
+                fault()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "q, rows, bad",
         [

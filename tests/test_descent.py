@@ -41,12 +41,18 @@ from helpers import (
     reference_kernel_basis,
     reference_rref,
     vadd,
+    vscale,
     weight,
 )
 
 
 def digits(*rows):
     return [tuple(int(c) for c in row) for row in rows]
+
+
+def monic_forms(words, q):
+    """Each word scaled so that its first nonzero digit is 1."""
+    return [vscale(pow(next(x for x in word if x), -1, q), word, q) for word in words]
 
 
 class TestAnchors273:
@@ -695,7 +701,10 @@ class TestEdgeLevels:
                 v for v in vectors
                 if 0 < weight(v) < d and all(dot(v, row, q) == 0 for row in rows) and next(x for x in v if x) == 1
             ]
-            assert list(table.edges) == want
+            # One word per class of nonzero multiples, in any order.
+            forms = monic_forms(table.edges, q)
+            assert len(set(forms)) == len(forms)
+            assert sorted(forms) == want
             assert (q - 1) * len(table.edges) == table.degree
 
     @pytest.mark.parametrize("cell", [(2, 9, 4), (2, 10, 5), (2, 8, 7), (3, 6, 4), (5, 4, 3)])
@@ -716,7 +725,24 @@ class TestEdgeLevels:
                 if 0 < weight(v) < d and all(dot(v, row, q) == 0 for row in rows) and next(x for x in v if x) == 1
             ]
             pivots = tuple(FqVector(q, row) for row in rows)
-            assert list(spectrum_module._low_weight_words(GraphParams(*cell), pivots)) == want, rows
+            forms = monic_forms(spectrum_module._low_weight_words(GraphParams(*cell), pivots), q)
+            assert len(set(forms)) == len(forms), rows
+            assert sorted(forms) == want, rows
+
+    @pytest.mark.parametrize("cell", [(2, 10, 4), (3, 6, 3), (5, 4, 3)])
+    def test_edge_tables_ignore_word_order_and_scalars(self, monkeypatch, cell):
+        # The words of a class are multiples of one another, so a level
+        # handed its words reversed, each times a nonzero scalar, must have
+        # the same pattern columns, pattern values and dense values.
+        q = cell[0]
+        rng = random.Random(q)
+        for table, _ in edged_levels(monkeypatch, GraphParams(*cell))[1:]:
+            words = tuple(vscale(rng.randrange(1, q), word, q) for word in reversed(table.edges))
+            level = edge_level(table.params, table.pivots, words, table.pivot_cols, table.free_cols)
+            assert len(words) < 2 or level.edges != table.edges
+            assert level.pattern_cols == table.pattern_cols
+            assert level.weight_values == table.weight_values
+            assert level.densify().values == table.densify().values
 
     @pytest.mark.parametrize("cell", [(2, 9, 3), (3, 6, 3), (5, 4, 3), (7, 4, 4)])
     def test_pattern_values_and_argmin_match_direct_counts(self, cell):
