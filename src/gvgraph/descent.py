@@ -114,7 +114,7 @@ def descend(params: GraphParams, budget: int | None = None) -> Iterator[tuple[Sp
             held = table.edges if kind == "edges" else table.weight_values
             log.debug(
                 "level %d: %s, %d %s, lambda_min %d, degree %d, %.6f s",
-                t, kind, len(held), "monic edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
+                t, kind, len(held), "edges" if kind == "edges" else "entries", value, degree, perf_counter() - start,
             )
         if value == 0:
             if degree != 0:

@@ -79,15 +79,19 @@ shifted by r times the pivot's digit there, while the pivot column holds
 r times the pivot's leading digit.  So the next level's classes are these split by the
 pivot's digit (``_split``), and the parent codes of its types are, per r,
 an outer sum of short per-class lists, kept as its two halves
-(``_parent_codes``).  Each of the q slabs of parent values is read through
-the code -> value lookup straight from those halves (one addition and one
-lookup per type; no list of parent codes is built).  The slabs are summed
-type by type with ``map(operator.add, ...)``, and each sum is looked up in
-a dict of exact quotients (``_exact_means``): a sum is divided, with
-``divmod``, the first time it occurs, and a nonzero remainder raises
-DivisibilityError naming that sum, the first offending one in type order.
-Every later occurrence reuses the stored quotient, so a level holds one
-int object per distinct eigenvalue (a few dozen) instead of one per type.
+(``_parent_codes``).  Parent values are read through the code -> value
+lookup straight from those halves (one addition and one lookup per parent;
+no list of parent codes is built).  For q = 2 the two halves share one
+split, so one comprehension over the zipped outer halves and the zipped
+inner halves sums each type's two parents (``_pair_means``), a block of
+outer entries at a time: no parent slab and no list of every sum is ever
+held.  For q > 2 the q slabs of parent values are gathered whole and summed
+type by type with ``map(operator.add, ...)``.  Each sum is looked up in a
+dict of exact quotients (``_Quotients``): a sum is divided, with ``divmod``,
+the first time it occurs, and a nonzero remainder raises DivisibilityError
+naming that sum, the first offending one in type order.  Every later
+occurrence reuses the stored quotient, so a level holds one int object per
+distinct eigenvalue (a few dozen) instead of one per type.
 
 Edge levels
 -----------
@@ -139,8 +143,13 @@ over count types.  Every later level is an edge level.  The descent checks
 zero-character value, and the pivot check counts the pivot's Z word by
 word (``value_of``), which must give the pattern minimum.
 
-The minimum comes first: ``min_value`` is one C-level ``min`` over the
-entries after the zero index.  The argmin (``min_eigenvalue``) is derived
+The minimum comes first.  A typed level built by ``next_level`` is built
+with it: the dict of exact quotients holds each distinct value of the level
+once, the degree (the largest eigenvalue) among them, so the least of them
+is the minimum over the nonzero types, and no entry is scanned for it.  On
+level 0, on an edge level and on a ``dataclasses.replace`` copy,
+``min_value`` is one C-level ``min`` over the entries after the zero index.
+The argmin (``min_eigenvalue``) is derived
 from that value only when asked for.  On a typed level the nonzero types
 holding it are counted and found with ``tuple.index``, and the least dense
 index among them is read from their positions alone.  On an edge level it
@@ -154,9 +163,9 @@ value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
@@ -244,6 +253,15 @@ def _ranks(f: int, slots: int) -> dict[tuple[int, ...], int]:
 def _slot_columns(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """Per slot, its count in every histogram of ``_histograms(f, slots)``, in that order."""
     return tuple(zip(*_histograms(f, slots)))
+
+
+@cache
+def _tail_columns(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
+    """Per slot s, the count T_s of digits >= s in every histogram of
+    ``_histograms(f, slots)``, in that order: the ``_slot_columns`` summed
+    from the last slot down."""
+    tails = accumulate(reversed(_slot_columns(f, slots)), lambda tail, column: tuple(map(add, tail, column)))
+    return tuple(tails)[::-1]
 
 
 def _weighted(f: int, weights: Sequence[int]) -> Sequence[int]:
@@ -370,12 +388,11 @@ class _Types:
         terms = []
         for radices, (_, cols) in zip(self.radices, self.classes):
             suffix = list(accumulate(map(place.__getitem__, reversed(cols)), initial=0))
-            if len(radices) == 1:  # T_1 is the one count k, so the term is suffix[k]
-                terms.append(suffix)
-            else:
-                # accumulate(reversed(h)) runs over T_s for s = slots, ..., 1.
-                hists = _histograms(len(cols), len(radices))
-                terms.append([sum(map(suffix.__getitem__, accumulate(reversed(h)))) for h in hists])
+            columns = _tail_columns(len(cols), len(radices))
+            term: Iterable[int] = map(suffix.__getitem__, columns[0])
+            for column in columns[1:]:
+                term = map(add, term, map(suffix.__getitem__, column))
+            terms.append(list(term))
         outer, inner = _outer_halves(terms[::-1])
         size = len(inner)
         return min((outer[pos // size] + inner[pos % size] for pos in positions), default=0)
@@ -399,12 +416,37 @@ class _Quotients(dict):
         return div
 
 
-def _exact_means(slabs: Sequence[Iterable[int]], q: int, level: int) -> tuple[int, ...]:
-    """Entry-by-entry sums of the q slabs, each divided exactly by q."""
+# Types per block of q = 2 parent sums (``_pair_means``): the block's list
+# of sums is the only per-type list besides the output tuple.  2^12 to 2^18
+# timed the same on (2, 28, 5); 2^18 held 13 MB more.
+_BLOCK = 1 << 16
+
+
+def _pair_means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence[int], list[int]]], quot: _Quotients) -> tuple[int, ...]:
+    """q = 2: each type's two parent values, read through ``by`` at their
+    parent-code halves, summed and divided exactly through ``quot``, in type
+    order.  The two halves share one split (it depends only on the list
+    lengths), so one comprehension over the zipped outer and zipped inner
+    halves gives the sums, a block of outer entries at a time."""
+    (outer0, inner0), (outer1, inner1) = parents
+    pairs = list(zip(inner0, inner1))
+    step = max(1, _BLOCK // len(pairs))
+    blocks = (
+        [by[a + x] + by[b + y] for a, b in zip(outer0[k : k + step], outer1[k : k + step]) for x, y in pairs]
+        for k in range(0, len(outer0), step)
+    )
+    return tuple(chain.from_iterable(map(quot.__getitem__, sums) for sums in blocks))
+
+
+def _slab_means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence[int], list[int]]], quot: _Quotients) -> tuple[int, ...]:
+    """q > 2: the q slabs of parent values, each read through ``by`` at its
+    parent-code halves, summed type by type and divided exactly through
+    ``quot``, in type order."""
+    slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
     sums: Iterator[int] = iter(slabs[0])
     for slab in slabs[1:]:
         sums = map(add, sums, slab)
-    return tuple(map(_Quotients(q, level).__getitem__, sums))
+    return tuple(map(quot.__getitem__, sums))
 
 
 def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> list[tuple[Sequence[int], list[int]]]:
@@ -489,7 +531,9 @@ class SpectrumTable:
     (typed) and ``pattern_cols`` (edges) are the layout (see "Types"
     above), passed in by whoever builds the level and left out of
     comparisons; ``types`` reads the free columns from this table, which
-    holds the one copy of them.
+    holds the one copy of them.  ``minimum``, when given, is kept as
+    ``min_value``; it is no field, so a ``dataclasses.replace`` copy takes
+    the minimum of its own values.
     """
 
     params: GraphParams
@@ -501,6 +545,11 @@ class SpectrumTable:
     free_cols: tuple[int, ...] = field(kw_only=True, compare=False, repr=False)
     types: _Types | None = field(default=None, kw_only=True, compare=False, repr=False)
     pattern_cols: tuple[int, ...] | None = field(default=None, kw_only=True, compare=False, repr=False)
+    minimum: InitVar[int | None] = field(default=None, kw_only=True)
+
+    def __post_init__(self, minimum: int | None) -> None:
+        if minimum is not None:
+            self.__dict__["min_value"] = minimum  # read before the _cached scan
 
     @property
     def level(self) -> int:
@@ -558,7 +607,8 @@ class SpectrumTable:
 
     @_cached
     def min_value(self) -> int:
-        """Least eigenvalue over the nonzero indices (the degree if none): one scan, no argmin."""
+        """Least eigenvalue over the nonzero indices (the degree if none): one
+        scan, no argmin, unless the builder handed it in (``minimum``)."""
         vals = self.weight_values
         assert vals is not None
         return min(islice(vals, 1, None), default=vals[0])
@@ -622,9 +672,9 @@ class SpectrumTable:
         ``pivot`` must be a canonical representative attaining this level's
         minimum.  An edge level keeps its words orthogonal to the pivot.  A
         typed level is built from its low-weight words when ``_edge_route``
-        says so, else as one exact mean of q parents per type; a nonzero
-        remainder raises DivisibilityError naming the first offending sum
-        in type order.
+        says so, else as one exact mean of q parents per type, with its
+        minimum; a nonzero remainder raises DivisibilityError naming the
+        first offending sum in type order.
         """
         _check_pivot(self, pivot)
         lead = _lead_col(pivot)
@@ -638,12 +688,14 @@ class SpectrumTable:
         count = _type_count(q, classes)
         if _edge_route(params, len(pivots), degree, count):
             return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols, free_cols)
-        types, by = _Types(q, classes, count), self._by_code
+        types, by, quot = _Types(q, classes, count), self._by_code, _Quotients(q, self.level)
         parents = _parent_codes(self.types, types, pivot, lead)
-        slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
-        values = _exact_means(slabs, q, self.level)
+        values = (_pair_means if q == 2 else _slab_means)(by, parents, quot)
+        # quot holds each distinct value once, the degree (the largest) among
+        # them, so its least is the minimum over the nonzero types.
         return SpectrumTable(
-            params, pivots, weight_values=values, pivot_cols=pivot_cols, free_cols=free_cols, types=types
+            params, pivots, weight_values=values, pivot_cols=pivot_cols, free_cols=free_cols, types=types,
+            minimum=min(quot.values()),
         )
 
 

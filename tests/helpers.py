@@ -22,9 +22,10 @@ table or trace the way the tests need and the package does not.
 The dense route (``dense_minimum``, ``dense_descend``, ``dense_descent``)
 runs Algorithm 1 on dense values through ``reference_average``, with its own
 argmin scan, degree and pivot lookup: the second route the typed and edge
-levels are compared against.  The vector helpers at the top (rank
-order, distances, supports, independent sets) are the test-only parts of
-the former ``FqVector`` and ``codes`` API.
+levels are compared against; ``parent_sums`` gives its undivided parent
+sums.  The vector helpers at the top (rank order, distances, supports,
+independent sets) are the test-only parts of the former ``FqVector`` and
+``codes`` API.
 """
 
 from __future__ import annotations
@@ -626,13 +627,28 @@ def dense_descend(table, pivot):
     if value != least:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {least}")
     q, free = table.params.q, table.free_cols
-    lead = free.index(_lead_col(pivot))
-    inv = pow(pivot.digits[free[lead]], -1, q)
-    tail = [inv * pivot.digits[c] % q for c in free[lead + 1 :]]
+    lead, tail = pivot_tail(table, pivot)
     values = reference_average(table.values, q, tail, table.level)
     return SpectrumTable(
         table.params, table.pivots + (pivot,), values, pivot_cols=table.pivot_cols + (free[lead],), free_cols=free[:lead] + free[lead + 1 :]
     )
+
+
+def pivot_tail(table, pivot):
+    """The position of ``pivot``'s leading column among ``table``'s free
+    columns, and the monic pivot's free digits after it (``reference_average``'s ``tail``)."""
+    q, free = table.params.q, table.free_cols
+    lead = free.index(_lead_col(pivot))
+    inv = pow(pivot.digits[free[lead]], -1, q)
+    return lead, [inv * pivot.digits[c] % q for c in free[lead + 1 :]]
+
+
+def parent_sums(table, pivot):
+    """The sum of the q parent values of every entry of the level below
+    ``table`` along ``pivot``, in dense order and not divided: ``reference_average``
+    of q times ``table``'s dense values."""
+    q = table.params.q
+    return reference_average([q * x for x in table.densify().values], q, pivot_tail(table, pivot)[1], table.level)
 
 
 def dense_descent(params):

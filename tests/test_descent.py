@@ -36,6 +36,7 @@ from helpers import (
     enumerate_all,
     index_of,
     lambda_history,
+    parent_sums,
     pivot_orthogonality,
     reference_descent,
     reference_kernel_basis,
@@ -395,11 +396,12 @@ class TestCosetIndexing:
 def test_one_argmin_scan_per_level(monkeypatch, cell):
     # Counts real scans of a table's entries, not calls to min_value or
     # min_eigenvalue: descend, select_pivot and the pivot check all ask for
-    # each level's minimum, and must share one value scan of it.  Only a
-    # level that picks a pivot derives the argmin from that value (a typed
-    # one through its types' least-index halves, an edge level from its pattern
-    # values), so the edgeless level s pays for no argmin.  (2, 18, 4) and
-    # (3, 11, 4) end on edge levels.
+    # each level's minimum.  A typed level built by next_level is handed its
+    # minimum with its values and scans none; level 0 and each edge level
+    # share one value scan.  Only a level that picks a pivot derives the
+    # argmin from that value (a typed one through its types' least-index
+    # halves, an edge level from its pattern values), so the edgeless level
+    # s pays for no argmin.  (2, 18, 4) and (3, 11, 4) end on edge levels.
     q, n, _ = cell
     kinds = [table.kind for table, _ in descend(GraphParams(*cell))]
     table_cls = spectrum_module.SpectrumTable
@@ -427,7 +429,8 @@ def test_one_argmin_scan_per_level(monkeypatch, cell):
     trace = run_algorithm1(GraphParams(*cell))
     assert len(kinds) == trace.s + 1
     assert set(kinds) <= {"typed", "edges"}
-    assert [e for e in events if e[0] == "value"] == [("value", t, kinds[t]) for t in range(trace.s + 1)]
+    scanned = [t for t in range(trace.s + 1) if t == 0 or kinds[t] == "edges"]
+    assert [e for e in events if e[0] == "value"] == [("value", t, kinds[t]) for t in scanned]
     assert [e for e in events if e[0] == "argmin"] == [("argmin", t, kinds[t]) for t in range(trace.s)]
     assert [e for e in events if e[0] == "least"] == [("least", t, "typed") for t in range(trace.s) if kinds[t] == "typed"]
     if cell in [(2, 18, 4), (3, 11, 4)]:
@@ -540,6 +543,73 @@ class TestTypedLevels:
         with pytest.raises(DivisibilityError, match="level 1: eigenvalue sum -?[0-9]+ is not divisible by 2"):
             doctored.next_level(pivot, (level1.degree + value) // 2)
 
+    @pytest.mark.parametrize("q, most_n", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_min_value_comes_with_each_level(self, q, most_n):
+        # A typed level built by next_level is handed its minimum, the least
+        # of its distinct quotients; level 0 and edge levels scan for it.  A
+        # dataclasses.replace copy takes the minimum of its own values.
+        rng = random.Random(q)
+        for n in range(1, most_n + 1):
+            for d in range(1, n + 2):
+                params = GraphParams(q, n, d)
+                for table in [table for table, _ in descend(params)] + typed_levels(params):
+                    vals = table.weight_values
+                    assert table.min_value == min(vals[1:], default=table.degree), (q, n, d, table.level)
+                    doctored = tuple(rng.randint(-9, 9) for _ in vals)
+                    copy = dataclasses.replace(table, weight_values=doctored)
+                    assert copy.min_value == min(doctored[1:], default=doctored[0]), (q, n, d, table.level)
+
+    @pytest.mark.parametrize("cell", [(2, 10, 4), (3, 6, 3)])
+    def test_divisibility_error_names_the_first_offending_type(self, monkeypatch, cell):
+        # Two parent types are bumped by 1.  The error names the offending
+        # sum of the least type position, read from the undivided dense
+        # parent sums (``parent_sums``) mapped to type positions.
+        monkeypatch.setattr(spectrum_module, "_edge_route", no_edges)
+        q, rng = cell[0], random.Random(5)
+        levels = [table for table, _ in descend(GraphParams(*cell))]
+        checked = reordered = 0
+        for table, below in zip(levels, levels[1:]):
+            pivot, value = below.pivots[-1], table.min_value
+            bumpable = [i for i, x in enumerate(table.weight_values) if i and x != value]
+            for _ in range(5 if len(bumpable) > 1 else 0):
+                vals = list(table.weight_values)
+                for i in rng.sample(bumpable, 2):
+                    vals[i] += 1
+                doctored = dataclasses.replace(table, weight_values=tuple(vals))
+                sums = parent_sums(doctored, pivot)
+                by_type = {}
+                for k, total in enumerate(sums):
+                    assert by_type.setdefault(below.types.position(below.vector_at(k).digits), total) == total
+                offending = [by_type[p] for p in sorted(by_type) if by_type[p] % q]
+                if not offending:  # the two bumps meet in every sum that holds either
+                    doctored.next_level(pivot, below.degree)
+                    continue
+                want = offending[0]
+                reordered += want != next(total for total in sums if total % q)
+                message = f"^level {table.level}: eigenvalue sum {want} is not divisible by {q}$"
+                with pytest.raises(DivisibilityError, match=message):
+                    doctored.next_level(pivot, below.degree)
+                checked += 1
+        assert checked >= 10 and reordered
+
+    def test_pair_means_in_blocks_of_one_outer_entry(self, monkeypatch):
+        # q = 2 sums are taken a block of outer entries at a time; blocks of
+        # one outer entry give the same levels as the default blocks.
+        real, outer_sizes = spectrum_module._pair_means, []
+
+        def recording(by, parents, quot):
+            outer_sizes.append(len(parents[0][0]))
+            return real(by, parents, quot)
+
+        monkeypatch.setattr(spectrum_module, "_pair_means", recording)
+        for cell in [(2, 12, 4), (2, 16, 5), (2, 18, 4)]:
+            want = [(table.weight_values, table.min_value) for table, _ in descend(GraphParams(*cell))]
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum_module, "_BLOCK", 1)
+                got = [(table.weight_values, table.min_value) for table, _ in descend(GraphParams(*cell))]
+            assert got == want, cell
+        assert max(outer_sizes) > 1
+
     def test_typed_pivot_checks(self):
         level1 = typed_levels(GraphParams(2, 7, 3))[1]
         # The checks refuse the pivot before the next level's layout is built.
@@ -649,7 +719,7 @@ class TestTypedLevels:
             degrees = degree_history(trace) + (0,)
             for t in range(handoff, trace.s + 1):
                 # Over F_2 each edge word is its own monic multiple: m = degree.
-                assert records[t].startswith(f"level {t}: edges, {degrees[t]} monic edges, lambda_min ")
+                assert records[t].startswith(f"level {t}: edges, {degrees[t]} edges, lambda_min ")
             assert records[0].startswith(f"level 0: typed, {n + 1} entries, lambda_min {lambda_history(trace)[0]}, degree")
             assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
 
