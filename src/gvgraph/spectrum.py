@@ -130,15 +130,19 @@ the dense order (``densify``).  ``value_of`` counts Z word by word.
 
 On an edge level ``next_level`` keeps the words orthogonal to the pivot:
 E_{t+1} = {c in E_t : <c, p_{t+1}> = 0}.  A typed level t hands off when
-q^m <= count and V_q(n-t-1, d-1) <= count, with count the type count of
-level t+1 and m from its recursion degree (``_edge_route``).  The route is
-decided from the split classes and their type count alone, before any
-types are built, and ``edge_level`` is handed the pivot and free columns,
-from which it finds the pattern columns.  Level t+1's words are then
-found among its V_q(n-t-1, d-1) free-digit patterns of weight below d
-(``_low_weight_words``), each class once, as its member whose first
-nonzero free digit is 1, and its q^r <= q^m patterns replace an average
-over count types.  Every later level is an edge level.  The descent checks
+V_q(n-t-1, d-1) <= count and q^r <= count, with count the type count of
+level t+1 and r the rank of its words (``_edge_route``).  The route is
+decided from the split classes and their type count, before any types are
+built.  Level t+1's words are searched for among its V_q(n-t-1, d-1)
+free-digit patterns of weight below d (``_low_weight_words``), each class
+once, as its member whose first nonzero free digit is 1, and their pattern
+columns are found (``_pattern_cols``).  The search runs when q^m <= count,
+with m from the recursion degree, so r <= m makes the handoff sure; past
+that, only when V is a small share of count and m is not far past count's
+bit length, so that a search the rank then refuses is rare.  The words and
+pattern columns found are handed to ``edge_level``, and the q^r <= count
+patterns replace an average over count types.  Every later level is an
+edge level, which finds its own pattern columns.  The descent checks
 (q-1) * |E_t| against the recursion degree, as it checks a typed level's
 zero-character value, and the pivot check counts the pivot's Z word by
 word (``value_of``), which must give the pattern minimum.
@@ -151,9 +155,9 @@ level 0, on an edge level and on a ``dataclasses.replace`` copy,
 ``min_value`` is one C-level ``min`` over the entries after the zero index.
 The argmin (``min_eigenvalue``) is derived
 from that value only when asked for.  On a typed level the nonzero types
-holding it are counted and found with ``tuple.index``, and the least dense
-index among them is read from their positions alone.  On an edge level it
-is the vector of the first pattern holding it.
+holding it are found in one pass of ``tuple.index`` calls, and the least
+dense index among them is read from their positions alone.  On an edge
+level it is the vector of the first pattern holding it.
 
 All tables are logically immutable and safe to share across threads; every
 function here is pure.  A table's minimum and argmin are computed on first
@@ -487,16 +491,42 @@ def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:
         raise ValueError(f"pivot eigenvalue {value} is not the level minimum {table.min_value}")
 
 
-def _edge_route(params: GraphParams, level: int, degree: int, count: int) -> bool:
-    """Whether level ``level`` of degree ``degree``, ``count`` types if typed,
-    is built from its edges: both q^m and V_q(n - level, d - 1) at most
-    ``count``, m = degree / (q - 1).  Bit lengths are compared first, so q^m
-    is formed only when it is small."""
-    q, free, radius = params.q, params.n - level, params.d - 1
-    m = degree // (q - 1)
-    if m * (q.bit_length() - 1) >= count.bit_length() or q**m > count:
-        return False
-    return sum(comb(free, i) * (q - 1) ** i for i in range(min(radius, free) + 1)) <= count
+# Gate on a handoff's word search when q^m > count (``_edge_route``): the
+# search runs when _SPARSE * V <= count and m <= _BITS * count.bit_length(),
+# so that the searches whose rank then refuses the handoff stay rare.  Over
+# every cell with q^n <= 7 * 10^7 and d >= 2, _BITS = 3 lost (2, 19, 5)'s
+# handoff at m / bits = 3.85 and 5 kept 8 more refusals than 4; _SPARSE = 4
+# lost (2, 20, 5)'s level 7, where 3 * V = 3,279 of 4,096 types.
+_SPARSE = 3
+_BITS = 4
+
+
+def _edge_route(
+    params: GraphParams, pivots: tuple[FqVector, ...], free_cols: tuple[int, ...], degree: int, count: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """The edge words and pattern columns of the level named by ``pivots``,
+    of free columns ``free_cols``, degree ``degree`` and ``count`` types if
+    typed, when it is built from its edges; else None.
+
+    It is built from edges when q^r <= ``count``, r = rank E.  The words are
+    searched for only when V = V_q(n - level, d - 1) <= ``count`` and either
+    q^m <= ``count`` (m = degree / (q - 1) >= r, so the handoff is sure) or
+    both ``_SPARSE`` * V <= ``count`` and m <= ``_BITS`` * ``count``'s bit
+    length.  Bit lengths are compared before q^m is formed or V summed.
+    """
+    q, free, radius = params.q, params.n - len(pivots), params.d - 1
+    m, bits = degree // (q - 1), count.bit_length()
+    sure = m * (q.bit_length() - 1) < bits and q**m <= count
+    if not sure and m > _BITS * bits:
+        return None
+    volume = sum(comb(free, i) * (q - 1) ** i for i in range(min(radius, free) + 1))
+    if volume > (count if sure else count // _SPARSE):
+        return None
+    words = _low_weight_words(params, pivots)
+    pattern_cols = _pattern_cols(q, words, free_cols)
+    if q ** len(pattern_cols) > count:
+        return None
+    return words, pattern_cols
 
 
 def _low_weight_words(params: GraphParams, pivots: tuple[FqVector, ...]) -> tuple[tuple[int, ...], ...]:
@@ -629,12 +659,15 @@ class SpectrumTable:
             if len(vals) == 1:  # no edge: every value is 0
                 return value, self.vector_at(1 if self.size > 1 else 0)
             return value, _vector_at(self.params, self.pattern_cols, vals.index(value, 1))
-        # Only the positions after 0 that hold the minimum are visited:
-        # counted first, so each index() call is known to find one.
-        ties, i, tied = vals.count(value) - (vals[0] == value), 0, []
-        for _ in range(ties):
-            i = vals.index(value, i + 1)
-            tied.append(i)
+        # Only the positions after 0 that hold the minimum are visited, in
+        # one pass of index() calls that ends when none is left.
+        tied, i = [], 0
+        try:
+            while True:
+                i = vals.index(value, i + 1)
+                tied.append(i)
+        except ValueError:
+            pass
         return value, _vector_at(self.params, self.free_cols, self.types.least_index(self.free_cols, tied))
 
     def entries(self) -> Iterator[tuple[FqVector, int]]:
@@ -671,10 +704,10 @@ class SpectrumTable:
 
         ``pivot`` must be a canonical representative attaining this level's
         minimum.  An edge level keeps its words orthogonal to the pivot.  A
-        typed level is built from its low-weight words when ``_edge_route``
-        says so, else as one exact mean of q parents per type, with its
-        minimum; a nonzero remainder raises DivisibilityError naming the
-        first offending sum in type order.
+        typed level is built from the low-weight words and pattern columns
+        that ``_edge_route`` returns, when it returns them, else as one exact
+        mean of q parents per type, with its minimum; a nonzero remainder
+        raises DivisibilityError naming the first offending sum in type order.
         """
         _check_pivot(self, pivot)
         lead = _lead_col(pivot)
@@ -686,8 +719,10 @@ class SpectrumTable:
             return edge_level(params, pivots, edges, pivot_cols, free_cols)
         classes = _split(self.types.classes, pivot, lead)
         count = _type_count(q, classes)
-        if _edge_route(params, len(pivots), degree, count):
-            return edge_level(params, pivots, _low_weight_words(params, pivots), pivot_cols, free_cols)
+        route = _edge_route(params, pivots, free_cols, degree, count)
+        if route:
+            words, patterns = route
+            return edge_level(params, pivots, words, pivot_cols, free_cols, patterns)
         types, by, quot = _Types(q, classes, count), self._by_code, _Quotients(q, self.level)
         parents = _parent_codes(self.types, types, pivot, lead)
         values = (_pair_means if q == 2 else _slab_means)(by, parents, quot)
@@ -711,25 +746,37 @@ def _edge_values(q: int, edges: Sequence[tuple[int, ...]], cols: Sequence[int]) 
     return tuple(map(by_weight.__getitem__, _span_weights(slots, basis)))
 
 
+def _pattern_cols(q: int, edges: Sequence[tuple[int, ...]], free_cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The pattern columns of the ``edges`` over ``free_cols``, in increasing order.
+
+    Each word's digits on the free columns, read right to left, are packed
+    and forward eliminated (``modq.forward_eliminate``); the lead slots of
+    the rows kept are the column rank profile.
+    """
+    right_to_left = free_cols[::-1]
+    slots = _Slots(q, len(free_cols))
+    echelon = forward_eliminate([slots.pack([word[col] for col in right_to_left]) for word in edges], slots)
+    return tuple(sorted(right_to_left[offset // slots.w] for offset, _, _ in echelon))
+
+
 def edge_level(
     params: GraphParams,
     pivots: tuple[FqVector, ...],
     edges: tuple[tuple[int, ...], ...],
     pivot_cols: tuple[int, ...],
     free_cols: tuple[int, ...],
+    pattern_cols: tuple[int, ...] | None = None,
 ) -> SpectrumTable:
     """The level named by ``pivots``, of pivot columns ``pivot_cols`` and free
     columns ``free_cols``, from its edge words, one per class of nonzero
     multiples in any order: one value per pattern.
 
-    Each word's digits on the free columns, read right to left, are packed
-    and forward eliminated (``modq.forward_eliminate``); the lead slots of
-    the rows kept are the column rank profile, the pattern columns.
+    ``pattern_cols`` is passed by a typed level's handoff, whose route found
+    them with the words; an edge level built from an edge level finds its own
+    (``_pattern_cols``).
     """
-    right_to_left = free_cols[::-1]
-    slots = _Slots(params.q, len(free_cols))
-    echelon = forward_eliminate([slots.pack([word[col] for col in right_to_left]) for word in edges], slots)
-    pattern_cols = tuple(sorted(right_to_left[offset // slots.w] for offset, _, _ in echelon))
+    if pattern_cols is None:
+        pattern_cols = _pattern_cols(params.q, edges, free_cols)
     values = _edge_values(params.q, edges, pattern_cols)
     return SpectrumTable(
         params, pivots, weight_values=values, edges=edges, pivot_cols=pivot_cols, free_cols=free_cols, pattern_cols=pattern_cols

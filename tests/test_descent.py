@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import logging
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -724,9 +725,11 @@ class TestTypedLevels:
             assert records[-1].split(", ")[2:4] == ["lambda_min 0", "degree 0"]
 
 
-def always_edges(*args):
-    """An edge-route rule that switches at the first typed level."""
-    return True
+def always_edges(params, pivots, free_cols, degree, count):
+    """An edge-route rule that switches at the first typed level: the words
+    and pattern columns the route returns when it hands off."""
+    words = spectrum_module._low_weight_words(params, pivots)
+    return words, spectrum_module._pattern_cols(params.q, words, free_cols)
 
 
 def edged_levels(monkeypatch, params):
@@ -840,19 +843,63 @@ class TestEdgeLevels:
                 assert level.min_eigenvalue() == dense_minimum(level)
 
     def test_doctored_edge_sets_raise(self, monkeypatch):
-        # (2, 20, 5) enumerates its edges at level 8 and filters them at level 9.
+        # (2, 20, 5) enumerates its edges at level 7 and filters them at level 8.
         real_words = spectrum_module._low_weight_words
         monkeypatch.setattr(spectrum_module, "_low_weight_words", lambda params, pivots: real_words(params, pivots)[1:])
-        with pytest.raises(RuntimeError, match="level 8: zero-character eigenvalue 5 disagrees with the degree recursion value 6"):
+        with pytest.raises(RuntimeError, match="level 7: zero-character eigenvalue 21 disagrees with the degree recursion value 22"):
             run_algorithm1(GraphParams(2, 20, 5))
         monkeypatch.undo()
 
         def dropping(params, pivots, edges, *layout):
-            return edge_level(params, pivots, edges[1:] if len(pivots) == 9 else edges, *layout)
+            return edge_level(params, pivots, edges[1:] if len(pivots) == 8 else edges, *layout)
 
         monkeypatch.setattr(spectrum_module, "edge_level", dropping)
-        with pytest.raises(RuntimeError, match="level 9: zero-character eigenvalue 0 disagrees with the degree recursion value 1"):
+        with pytest.raises(RuntimeError, match="level 8: zero-character eigenvalue 5 disagrees with the degree recursion value 6"):
             run_algorithm1(GraphParams(2, 20, 5))
+
+    @pytest.mark.parametrize("cell, handoff", [((2, 18, 4), 4), ((2, 20, 5), 7)])
+    def test_handoff_by_rank_gives_the_typed_level(self, cell, handoff):
+        # The rank r of the words, not their number m, decides the handoff:
+        # (2, 18, 4)'s level 4 holds 2,916 types with m = 12 and r = 10, and
+        # (2, 20, 5)'s level 7 4,096 types with m = 22 and r = 11.
+        params = GraphParams(*cell)
+        tables = [table for table, _ in descend(params)]
+        assert [table.kind for table in tables].index("edges") == handoff
+        level, typed = tables[handoff], typed_levels(params)[handoff]
+        assert len(level.weight_values) <= typed.types.count < 2 ** len(level.edges)
+        assert level.densify().values == typed.densify().values
+        assert level.min_eigenvalue() == typed.min_eigenvalue()
+
+    def test_every_search_hands_off_when_the_rank_allows(self, monkeypatch):
+        # Gates lifted, so every typed level with V <= count searches for its
+        # words: the route hands off exactly when q^r <= count as well, and a
+        # level whose q^r > count stays typed (8 of them on this grid, for
+        # q = 2 and 3).  Traces equal the typed ones.
+        monkeypatch.setattr(spectrum_module, "_SPARSE", 1)
+        monkeypatch.setattr(spectrum_module, "_BITS", 10**9)
+        real, calls = spectrum_module._edge_route, []
+
+        def recording(params, pivots, free_cols, degree, count):
+            route = real(params, pivots, free_cols, degree, count)
+            calls.append((params, pivots, count, route))
+            return route
+
+        monkeypatch.setattr(spectrum_module, "_edge_route", recording)
+        for cell in [cell for q in (2, 3, 5, 7) for cell in DENSE_ROUTE_CELLS[q]]:
+            params = GraphParams(*cell)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum_module, "_edge_route", no_edges)
+                want = trace_key(run_algorithm1(params))
+            assert trace_key(run_algorithm1(params)) == want, cell
+        refused = 0
+        for params, pivots, count, route in calls:
+            q, free, d = params.q, params.n - len(pivots), params.d
+            volume = sum(math.comb(free, i) * (q - 1) ** i for i in range(min(d - 1, free) + 1))
+            words = spectrum_module._low_weight_words(params, pivots)
+            rank = len(reference_rref(list(words), q)[0])
+            assert (route is not None) == (volume <= count and q**rank <= count), (params, len(pivots))
+            refused += volume <= count < q**rank
+        assert refused == 8
 
     def test_edge_pivot_checks(self):
         params = GraphParams(2, 18, 4)
