@@ -46,13 +46,11 @@ Combinations
 ------------
 ``_monic_combinations`` lists the combinations of 1 to k basis words whose
 first nonzero coefficient is 1, fewer words first, for the low-weight word
-search of an edge level (``spectrum``, "Edge levels").  For q > 2 a
-frontier of (word, next index) pairs grows by every nonzero multiple of
-each later basis word, one guarded add-and-reduce each
-(``_add_frontier``).  For q = 2 the one multiple is the word itself and
-the add is XOR, so the frontier is one list per next index, and each list
-of the next frontier is one ``map`` of ``basis[j].__xor__`` over the lists
-before it (``_xor_frontier``): no tuple per word and no n-slot constant.
+search of an edge level (``spectrum``, "Edge levels").  Its frontier is one
+list per next index, and each list of the next frontier is every nonzero
+multiple of one basis word added to the lists before it: for q = 2 one
+``map`` of that word's ``__xor__``, for other q one guarded add-and-reduce
+per multiple.  No tuple is built per word.
 
 ``_span_weights`` weighs every word of a span, a packed chunk at a time.
 ``verify`` weighs a code's codewords or dual words with it (``codes``), and
@@ -192,45 +190,18 @@ def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> l
 
 def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[int]:
     """Every combination of 1 to ``most`` of the packed ``basis`` words whose
-    first nonzero coefficient is 1, those of fewer words first: the q = 2
-    frontier (``_xor_frontier``) or the add-and-reduce one (``_add_frontier``)."""
-    return _xor_frontier(basis, most) if slots.q == 2 else _add_frontier(slots, basis, most)
-
-
-def _add_frontier(slots: _Slots, basis: Sequence[int], most: int) -> list[int]:
-    """``_monic_combinations`` for any q.
-
-    A frontier holds the combinations of k words, each with the index of the
-    next basis word it may be extended by, and grows by every nonzero
-    multiple of each such word.
-    """
-    q, high, shift = slots.q, slots.high, slots.w - 1
-    # Per basis word, its multiples 1..q-1 as (m, m + bias): x + m reduces
-    # to x + m - (((x + m + bias) & high) >> shift) * q.
-    multiples = [[(m, m + slots.bias) for m in slots.multiples(vec)] for vec in basis]
-    frontier = [(mult[0][0], j + 1) for j, mult in enumerate(multiples)]
-    found: list[int] = []
-    for k in range(1, most + 1):
-        found += [word for word, _ in frontier]
-        if k < most:
-            frontier = [
-                (word + m - (((word + mb) & high) >> shift) * q, j + 1)
-                for word, start in frontier
-                for j in range(start, len(multiples))
-                for m, mb in multiples[j]
-            ]
-    return found
-
-
-def _xor_frontier(basis: Sequence[int], most: int) -> list[int]:
-    """``_monic_combinations`` for q = 2, where the one multiple of a word is
-    the word and adding is XOR.
+    first nonzero coefficient is 1, those of fewer words first.
 
     The frontier is one list per next index: list j holds the combinations
     that may be extended by ``basis[j:]``, so the next frontier's list
-    j + 1 is ``basis[j]`` XORed onto lists 0 to j.  No tuple is built per
-    word, and no n-slot constant.
+    j + 1 is every nonzero multiple of ``basis[j]`` added to lists 0 to j.
+    For q = 2 the one multiple is the word itself and the add is XOR, one
+    ``map`` per list; for q > 2 each multiple is one guarded add-and-reduce
+    comprehension.
     """
+    q = slots.q
+    if q > 2 and basis:  # the n-slot constants, built only for words to add
+        high, shift, bias = slots.high, slots.w - 1, slots.bias
     groups: list[list[int]] = [[]] + [[vec] for vec in basis]
     found: list[int] = []
     for k in range(1, most + 1):
@@ -241,7 +212,14 @@ def _xor_frontier(basis: Sequence[int], most: int) -> list[int]:
             grown: list[list[int]] = [[]]
             for group, vec in zip(groups, basis):
                 extendable += group
-                grown.append(list(map(vec.__xor__, extendable)))
+                if q == 2:
+                    grown.append(list(map(vec.__xor__, extendable)))
+                    continue
+                added: list[int] = []
+                for m in slots.multiples(vec):
+                    mb = m + bias  # s + bias below is x + mb, with s = x + m
+                    added += [x + m - (((x + mb) & high) >> shift) * q for x in extendable]
+                grown.append(added)
             groups = grown
     return found
 

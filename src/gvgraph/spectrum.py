@@ -79,7 +79,10 @@ shifted by r times the pivot's digit there, while the pivot column holds
 r times the pivot's leading digit.  So the next level's classes are these split by the
 pivot's digit (``_split``), and the parent codes of its types are, per r,
 an outer sum of short per-class lists, kept as its two halves
-(``_parent_codes``).  Parent values are read through the code -> value
+(``_parent_codes``).  Adding r * a to every digit of a class, a the
+pivot's digit there, moves each of its histograms to another, so its list
+for r is its histograms' codes in the parent class, read through one
+cached permutation (``_rotations``).  Parent values are read through the code -> value
 lookup straight from those halves (one addition and one lookup per parent;
 no list of parent codes is built).  For q = 2 the two halves share one
 split, so one comprehension over the zipped outer halves and the zipped
@@ -254,6 +257,16 @@ def _ranks(f: int, slots: int) -> dict[tuple[int, ...], int]:
 
 
 @cache
+def _rotations(f: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Per shift c mod q, the position in ``_histograms(f, q - 1)`` of each
+    one's rotation by c: c added to each of f columns' digits, so the count
+    of digit b moves to digit b + c (the f - sum(h) zeros to digit c)."""
+    ranks = _ranks(f, q - 1)
+    counts = [(f - sum(h),) + h for h in _histograms(f, q - 1)]  # per digit, 0 first
+    return tuple(tuple(ranks[(full[q - c :] + full[: q - c])[1:]] for full in counts) for c in range(q))
+
+
+@cache
 def _slot_columns(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """Per slot, its count in every histogram of ``_histograms(f, slots)``, in that order."""
     return tuple(zip(*_histograms(f, slots)))
@@ -270,11 +283,12 @@ def _tail_columns(f: int, slots: int) -> tuple[tuple[int, ...], ...]:
 
 def _weighted(f: int, weights: Sequence[int]) -> Sequence[int]:
     """``sum(map(mul, h, weights))`` for every histogram h of
-    ``_histograms(f, len(weights))``, in that order: a ``range`` for one
-    slot, else one ``map`` over each slot's column of counts."""
+    ``_histograms(f, len(weights))``, in that order, the ``weights`` all
+    positive: a ``range`` for one slot, else one ``map`` over each slot's
+    column of counts."""
     if len(weights) == 1:  # the histograms (0,), (1,), ..., (f,)
         step = weights[0]
-        return range(0, step * (f + 1), step) if step else [0] * (f + 1)
+        return range(0, step * (f + 1), step)
     columns = _slot_columns(f, len(weights))
     out: Iterable[int] = map(mul, columns[0], repeat(weights[0]))
     for column, weight in zip(columns[1:], weights[1:]):
@@ -456,30 +470,21 @@ def _slab_means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence
 def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> list[tuple[Sequence[int], list[int]]]:
     """Per r, the parent type code of ``v + r * pivot`` for every type v of
     the next level, in its type order, as ``_outer_halves``; ``lead`` is the
-    pivot's leading column."""
+    pivot's leading column.  A class on which the pivot has digit a lists
+    its histograms' codes in the parent class, read at their rotation by
+    r * a (``_rotations``; as they are at shift 0)."""
     q = parent.q
     codes_of = {key: codes for codes, (key, _) in zip(parent.digit_codes, parent.classes)}
     lead_codes = next(codes for codes, (_, cols) in zip(parent.digit_codes, parent.classes) if lead in cols)
-    parts: list[list[list[int]]] = [[] for _ in range(q)]
-    # v is zero at the pivot column, so v + r * pivot holds r * lead digit there.
-    starts = [lead_codes[r * pivot.digits[lead] % q] for r in range(q)]
+    parts: list[list[Sequence[int]]] = [[] for _ in range(q)]
     for (key, cols), radices in zip(reversed(types.classes), reversed(types.radices)):
-        codes, a, f = codes_of[key[:-1]], key[-1], len(cols)
-        # Slot s counts digit s (any nonzero digit in the zero class, where
-        # every nonzero digit adds the same code); in the parent such a
-        # column holds s + r*a, a zero column r*a.  So a class with a = 0
-        # gives every r the same list, and a code of 0 for its zero columns.
-        if not a:
-            shared = _weighted(f, codes[1 : len(radices) + 1])
-            for part in parts:
-                part.append(shared)
-            continue
+        a, f = key[-1], len(cols)
+        codes = _weighted(f, codes_of[key[:-1]][1 : len(radices) + 1])
         for r, part in enumerate(parts):
             shift = r * a % q
-            rotated = codes[shift:] + codes[:shift]
-            starts[r] += f * rotated[0]
-            part.append(_weighted(f, [x - rotated[0] for x in rotated[1:]]))
-    return [_outer_halves(part, start) for part, start in zip(parts, starts)]
+            part.append(list(map(codes.__getitem__, _rotations(f, q)[shift])) if shift else codes)
+    # v is zero at the pivot column, so v + r * pivot holds r * lead digit there.
+    return [_outer_halves(part, lead_codes[r * pivot.digits[lead] % q]) for r, part in enumerate(parts)]
 
 
 def _check_pivot(table: SpectrumTable, pivot: FqVector) -> None:

@@ -9,7 +9,9 @@ entry-by-entry implementations, kept as the oracle its slice kernels are
 compared against; so are the codeword enumeration's former ``FqVector``
 doubling loop, the former list RREF and kernel basis on digit tuples, the
 former shift-sum ``_Slots.pack`` (``reference_pack``) and the former
-digit-by-digit ``parse_pchk`` (``reference_parse_pchk``).  ``mpmath_rate``
+digit-by-digit ``parse_pchk`` (``reference_parse_pchk``).
+``reference_monic_combinations`` lists the low-weight word search's
+combinations one by one, each summed from its coefficients.  ``mpmath_rate``
 is the asymptotic rate from mpmath, correctly rounded, and
 ``parity_digits`` a code's rows as digit tuples.  ``krawtchouk`` is the
 explicit-sum Krawtchouk value that the package's recurrences
@@ -729,6 +731,25 @@ def reference_kernel_basis(rref_rows, pivot_cols, q, n):
             vec[col] = (-row[f]) % q
         basis.append(tuple(vec))
     return basis
+
+
+def reference_monic_combinations(slots, basis, most):
+    """Per k from 1 to ``most``, every combination of k of the packed
+    ``basis`` words whose first coefficient is 1, one word per choice of k
+    indices and of the other k - 1 coefficients in 1..q-1, summed with
+    ``_Slots.scale`` and ``_Slots.add``: the oracle for
+    ``modq._monic_combinations``, one list per layer."""
+    layers = []
+    for k in range(1, most + 1):
+        layer = []
+        for chosen in itertools.combinations(basis, k):
+            for coeffs in itertools.product(range(1, slots.q), repeat=k - 1):
+                word = chosen[0]
+                for vec, c in zip(chosen[1:], coeffs):
+                    word = slots.add(word, slots.scale(vec, c))
+                layer.append(word)
+        layers.append(layer)
+    return layers
 
 
 def reference_codewords(code, budget=None):

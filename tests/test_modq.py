@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gvgraph import modq
 from gvgraph.modq import _Slots
-from helpers import reference_kernel_basis, reference_pack, reference_rref
+from helpers import reference_kernel_basis, reference_monic_combinations, reference_pack, reference_rref
 
 PRIMES = [2, 3, 5, 7, 13, 17, 257]
 
@@ -205,21 +205,26 @@ class TestSpanWeights:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=7))),
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda q: st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(q), st.just(n), st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=5))
+        )
+    ),
     st.integers(1, 4),
 )
-def test_xor_frontier_matches_the_add_and_reduce_frontier(cell, most):
-    # Second route for q = 2: the general frontier's guarded add reduces
-    # two binary digits as XOR does, so both give one multiset of words,
-    # and both list the combinations of fewer words first.
-    n, rows = cell
-    slots = _Slots(2, n)
+@example((3, 3, [[1, 2, 0], [2, 1, 0], [1, 2, 0], [0, 0, 0]]), 3)  # dependent basis words, a zero among them
+def test_monic_combinations_match_the_reference(cell, most):
+    # The reference sums each combination from its coefficients; the
+    # frontier grows one layer from the last.  Each layer holds the same
+    # words, the combinations of fewer words coming first.
+    q, n, rows = cell
+    slots = _Slots(q, n)
     basis = [slots.pack(row) for row in rows]
-    xor, added = modq._xor_frontier(basis, most), modq._add_frontier(slots, basis, most)
-    assert modq._monic_combinations(slots, basis, most) == xor
-    assert len(xor) == len(added) == sum(math.comb(len(basis), k) for k in range(1, most + 1))
+    found = modq._monic_combinations(slots, basis, most)
+    layers = reference_monic_combinations(slots, basis, most)
+    assert len(found) == sum(math.comb(len(basis), k) * (q - 1) ** (k - 1) for k in range(1, most + 1))
     start = 0
-    for k in range(1, most + 1):
-        end = start + math.comb(len(basis), k)
-        assert Counter(xor[start:end]) == Counter(added[start:end]), k
+    for k, layer in enumerate(layers, 1):
+        end = start + len(layer)
+        assert sorted(found[start:end]) == sorted(layer), k
         start = end

@@ -299,3 +299,22 @@ class TestOuterSum:
         parts = [rng.sample(range(-10**6, 10**6), k) for k in sizes]
         parts[0] = range(0, 7 * sizes[0], 7)  # a range as the slowest part, as in the dense averaging
         assert spectrum._outer_sum(parts, 11) == self.product_sums(parts, 11)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("f", range(7))
+def test_rotations_are_the_cyclic_shifts_of_the_histograms(q, f):
+    # Shift c adds c to every column's digit: a permutation of the
+    # histograms, the identity at c = 0, and two shifts compose to their sum.
+    histograms = spectrum._histograms(f, q - 1)
+    rotations = spectrum._rotations(f, q)
+    positions = list(range(len(histograms)))
+    assert len(rotations) == q
+    assert list(rotations[0]) == positions
+    for c, rotation in enumerate(rotations):
+        assert sorted(rotation) == positions, c
+        for c2, then in enumerate(rotations):
+            assert [then[i] for i in rotation] == list(rotations[(c + c2) % q]), (c, c2)
+    # Shift 1 moves the count of digit b to digit b + 1, the zeros to digit 1.
+    for h, i in zip(histograms, rotations[1 % q]):
+        assert histograms[i] == ((f - sum(h),) + h)[: q - 1], h
