@@ -48,9 +48,11 @@ Combinations
 first nonzero coefficient is 1, fewer words first, for the low-weight word
 search of an edge level (``spectrum``, "Edge levels").  Its frontier is one
 list per next index, and each list of the next frontier is every nonzero
-multiple of one basis word added to the lists before it: for q = 2 one
-``map`` of that word's ``__xor__``, for other q one guarded add-and-reduce
-per multiple.  No tuple is built per word.
+multiple of one basis word added to the lists before it.  ``_span`` grows a
+span the same way, one basis word at a time.  Both add the multiples with
+``_Slots.plus_multiples``: for q = 2 one ``map`` of the word's ``__xor__``,
+for other q one guarded add-and-reduce comprehension per multiple.  No
+tuple is built per word.
 
 ``_span_weights`` weighs every word of a span, a packed chunk at a time.
 ``verify`` weighs a code's codewords or dual words with it (``codes``), and
@@ -151,6 +153,19 @@ class _Slots:
             out.append(self.add(out[-1], word))
         return out
 
+    def plus_multiples(self, vec: int, words: Sequence[int]) -> list[int]:
+        """Every word of ``words`` plus ``vec``, then plus 2 ``vec``, ..., plus
+        (q-1) ``vec``, reduced: for q = 2 one XOR each, for other q one
+        guarded add-and-reduce comprehension per multiple."""
+        if self.q == 2:
+            return list(map(vec.__xor__, words))
+        q, high, shift = self.q, self.high, self.w - 1
+        out: list[int] = []
+        for m in self.multiples(vec):
+            mb = m + self.bias  # s + bias below is x + mb, with s = x + m
+            out += [x + m - (((x + mb) & high) >> shift) * q for x in words]
+        return out
+
     def scale(self, word: int, c: int) -> int:
         """c * word, reduced, by doubling and adding: about 2 log2(c) adds."""
         out = 0
@@ -174,17 +189,9 @@ def _span(slots: _Slots, basis: Iterable[int], start: Iterable[int] = (0,)) -> l
     """Every combination of the packed ``basis`` words, zero first: for each
     basis word b, the words so far plus b, then plus 2b, ..., plus (q-1)b.
     From ``start``, the words of a span built so far, it extends that span."""
-    q, high, shift = slots.q, slots.high, slots.w - 1
     words = list(start)
     for vec in basis:
-        if q == 2:
-            words += [x ^ vec for x in words]
-            continue
-        added = []
-        for m in slots.multiples(vec):
-            mb = m + slots.bias  # s + bias below is x + mb, with s = x + m
-            added += [x + m - (((x + mb) & high) >> shift) * q for x in words]
-        words += added
+        words += slots.plus_multiples(vec, words)
     return words
 
 
@@ -194,14 +201,9 @@ def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[
 
     The frontier is one list per next index: list j holds the combinations
     that may be extended by ``basis[j:]``, so the next frontier's list
-    j + 1 is every nonzero multiple of ``basis[j]`` added to lists 0 to j.
-    For q = 2 the one multiple is the word itself and the add is XOR, one
-    ``map`` per list; for q > 2 each multiple is one guarded add-and-reduce
-    comprehension.
+    j + 1 is every nonzero multiple of ``basis[j]`` added to lists 0 to j
+    (``_Slots.plus_multiples``).
     """
-    q = slots.q
-    if q > 2 and basis:  # the n-slot constants, built only for words to add
-        high, shift, bias = slots.high, slots.w - 1, slots.bias
     groups: list[list[int]] = [[]] + [[vec] for vec in basis]
     found: list[int] = []
     for k in range(1, most + 1):
@@ -212,14 +214,7 @@ def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[
             grown: list[list[int]] = [[]]
             for group, vec in zip(groups, basis):
                 extendable += group
-                if q == 2:
-                    grown.append(list(map(vec.__xor__, extendable)))
-                    continue
-                added: list[int] = []
-                for m in slots.multiples(vec):
-                    mb = m + bias  # s + bias below is x + mb, with s = x + m
-                    added += [x + m - (((x + mb) & high) >> shift) * q for x in extendable]
-                grown.append(added)
+                grown.append(slots.plus_multiples(vec, extendable))
             groups = grown
     return found
 

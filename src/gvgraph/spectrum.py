@@ -84,12 +84,12 @@ pivot's digit there, moves each of its histograms to another, so its list
 for r is its histograms' codes in the parent class, read through one
 cached permutation (``_rotations``).  Parent values are read through the code -> value
 lookup straight from those halves (one addition and one lookup per parent;
-no list of parent codes is built).  For q = 2 the two halves share one
-split, so one comprehension over the zipped outer halves and the zipped
-inner halves sums each type's two parents (``_pair_means``), a block of
-outer entries at a time: no parent slab and no list of every sum is ever
-held.  For q > 2 the q slabs of parent values are gathered whole and summed
-type by type with ``map(operator.add, ...)``.  Each sum is looked up in a
+no list of parent codes is built).  The q pairs of halves share one split,
+so the sums are taken a block of outer entries at a time (``_means``): one
+comprehension over the zipped outer halves and the zipped inner halves sums
+each type's parents 0 and 1, and each further parent's values for the block
+are added with ``map(operator.add, ...)``.  No parent slab and no list of
+every sum is ever held, for any q.  Each sum is looked up in a
 dict of exact quotients (``_Quotients``): a sum is divided, with ``divmod``,
 the first time it occurs, and a nonzero remainder raises DivisibilityError
 naming that sum, the first offending one in type order.  Every later
@@ -434,37 +434,30 @@ class _Quotients(dict):
         return div
 
 
-# Types per block of q = 2 parent sums (``_pair_means``): the block's list
-# of sums is the only per-type list besides the output tuple.  2^12 to 2^18
-# timed the same on (2, 28, 5); 2^18 held 13 MB more.
+# Types per block of parent sums (``_means``): the block's lists, one of
+# sums and one per further parent, are the only per-type lists besides the
+# output tuple.  2^12 to 2^18 timed the same on (2, 28, 5); 2^18 held 13 MB more.
 _BLOCK = 1 << 16
 
 
-def _pair_means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence[int], list[int]]], quot: _Quotients) -> tuple[int, ...]:
-    """q = 2: each type's two parent values, read through ``by`` at their
-    parent-code halves, summed and divided exactly through ``quot``, in type
-    order.  The two halves share one split (it depends only on the list
-    lengths), so one comprehension over the zipped outer and zipped inner
-    halves gives the sums, a block of outer entries at a time."""
-    (outer0, inner0), (outer1, inner1) = parents
+def _means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence[int], list[int]]], quot: _Quotients) -> tuple[int, ...]:
+    """Each type's q parent values, read through ``by`` at their parent-code
+    halves, summed and divided exactly through ``quot``, in type order.  The
+    halves share one split (it depends only on the list lengths), so a block
+    of outer entries at a time, one comprehension over the zipped outer and
+    zipped inner halves sums parents 0 and 1, and each further parent's
+    values for the block are added to those sums lazily."""
+    (outer0, inner0), (outer1, inner1), *rest = parents
     pairs = list(zip(inner0, inner1))
     step = max(1, _BLOCK // len(pairs))
-    blocks = (
-        [by[a + x] + by[b + y] for a, b in zip(outer0[k : k + step], outer1[k : k + step]) for x, y in pairs]
-        for k in range(0, len(outer0), step)
-    )
-    return tuple(chain.from_iterable(map(quot.__getitem__, sums) for sums in blocks))
 
+    def block(k: int) -> Iterator[int]:
+        sums: Iterable[int] = [by[a + x] + by[b + y] for a, b in zip(outer0[k : k + step], outer1[k : k + step]) for x, y in pairs]
+        for outer, inner in rest:
+            sums = map(add, sums, [by[o + i] for o in outer[k : k + step] for i in inner])
+        return map(quot.__getitem__, sums)
 
-def _slab_means(by: Sequence[int] | dict[int, int], parents: list[tuple[Sequence[int], list[int]]], quot: _Quotients) -> tuple[int, ...]:
-    """q > 2: the q slabs of parent values, each read through ``by`` at its
-    parent-code halves, summed type by type and divided exactly through
-    ``quot``, in type order."""
-    slabs = [[by[o + i] for o in outer for i in inner] for outer, inner in parents]
-    sums: Iterator[int] = iter(slabs[0])
-    for slab in slabs[1:]:
-        sums = map(add, sums, slab)
-    return tuple(map(quot.__getitem__, sums))
+    return tuple(chain.from_iterable(map(block, range(0, len(outer0), step))))
 
 
 def _parent_codes(parent: _Types, types: _Types, pivot: FqVector, lead: int) -> list[tuple[Sequence[int], list[int]]]:
@@ -730,7 +723,7 @@ class SpectrumTable:
             return edge_level(params, pivots, words, pivot_cols, free_cols, patterns)
         types, by, quot = _Types(q, classes, count), self._by_code, _Quotients(q, self.level)
         parents = _parent_codes(self.types, types, pivot, lead)
-        values = (_pair_means if q == 2 else _slab_means)(by, parents, quot)
+        values = _means(by, parents, quot)
         # quot holds each distinct value once, the degree (the largest) among
         # them, so its least is the minimum over the nonzero types.
         return SpectrumTable(

@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -560,15 +561,25 @@ class TestTypedLevels:
                     copy = dataclasses.replace(table, weight_values=doctored)
                     assert copy.min_value == min(doctored[1:], default=doctored[0]), (q, n, d, table.level)
 
-    @pytest.mark.parametrize("cell", [(2, 10, 4), (3, 6, 3)])
-    def test_divisibility_error_names_the_first_offending_type(self, monkeypatch, cell):
-        # Two parent types are bumped by 1.  The error names the offending
-        # sum of the least type position, read from the undivided dense
-        # parent sums (``parent_sums``) mapped to type positions.
+    @staticmethod
+    def check_first_offending_sums(monkeypatch, cell):
+        """Bump two parent types of each typed level of ``cell`` by 1, five
+        times, and check the error names the offending sum of the least type
+        position, read from the undivided dense parent sums (``parent_sums``)
+        mapped to type positions.  Returns the number of errors checked and
+        of those whose offending type lies past the first ``inner`` types,
+        ``inner`` the length of the inner halves ``_means`` was handed."""
         monkeypatch.setattr(spectrum_module, "_edge_route", no_edges)
+        real, inner_sizes = spectrum_module._means, []
+
+        def recording(by, parents, quot):
+            inner_sizes.append(len(parents[0][1]))
+            return real(by, parents, quot)
+
+        monkeypatch.setattr(spectrum_module, "_means", recording)
         q, rng = cell[0], random.Random(5)
         levels = [table for table, _ in descend(GraphParams(*cell))]
-        checked = reordered = 0
+        checked = reordered = past_first = 0
         for table, below in zip(levels, levels[1:]):
             pivot, value = below.pivots[-1], table.min_value
             bumpable = [i for i, x in enumerate(table.weight_values) if i and x != value]
@@ -581,35 +592,68 @@ class TestTypedLevels:
                 by_type = {}
                 for k, total in enumerate(sums):
                     assert by_type.setdefault(below.types.position(below.vector_at(k).digits), total) == total
-                offending = [by_type[p] for p in sorted(by_type) if by_type[p] % q]
+                offending = [p for p in sorted(by_type) if by_type[p] % q]
                 if not offending:  # the two bumps meet in every sum that holds either
                     doctored.next_level(pivot, below.degree)
                     continue
-                want = offending[0]
+                want = by_type[offending[0]]
                 reordered += want != next(total for total in sums if total % q)
                 message = f"^level {table.level}: eigenvalue sum {want} is not divisible by {q}$"
                 with pytest.raises(DivisibilityError, match=message):
                     doctored.next_level(pivot, below.degree)
                 checked += 1
+                past_first += offending[0] >= inner_sizes[-1]
         assert checked >= 10 and reordered
+        return checked, past_first
 
-    def test_pair_means_in_blocks_of_one_outer_entry(self, monkeypatch):
-        # q = 2 sums are taken a block of outer entries at a time; blocks of
-        # one outer entry give the same levels as the default blocks.
-        real, outer_sizes = spectrum_module._pair_means, []
+    @pytest.mark.parametrize("cell", [(2, 10, 4), (3, 6, 3)])
+    def test_divisibility_error_names_the_first_offending_type(self, monkeypatch, cell):
+        self.check_first_offending_sums(monkeypatch, cell)
+
+    def test_divisibility_error_past_a_block_boundary(self, monkeypatch):
+        # With blocks of one outer entry, a block of len(inner) types, a
+        # first offending sum past the first inner types lies past a block
+        # boundary.  (3, 9, 3)'s levels 2 and 3 have 6 and 9 outer entries.
+        monkeypatch.setattr(spectrum_module, "_BLOCK", 1)
+        _, past_first = self.check_first_offending_sums(monkeypatch, (3, 9, 3))
+        assert past_first
+
+    def test_means_in_blocks_of_one_outer_entry(self, monkeypatch):
+        # Parent sums are taken a block of outer entries at a time, for every
+        # q; blocks of one outer entry give the same levels and minima as the
+        # default blocks.  (5, 8, 3) reaches no level of more than one outer
+        # entry, (5, 9, 4) one of 125.
+        real, outer_sizes = spectrum_module._means, {}
 
         def recording(by, parents, quot):
-            outer_sizes.append(len(parents[0][0]))
+            q = len(parents)
+            outer_sizes[q] = max(outer_sizes.get(q, 0), len(parents[0][0]))
             return real(by, parents, quot)
 
-        monkeypatch.setattr(spectrum_module, "_pair_means", recording)
-        for cell in [(2, 12, 4), (2, 16, 5), (2, 18, 4)]:
+        monkeypatch.setattr(spectrum_module, "_means", recording)
+        for cell in [(2, 12, 4), (2, 16, 5), (2, 18, 4), (3, 11, 4), (5, 8, 3), (5, 9, 4), (7, 7, 4)]:
             want = [(table.weight_values, table.min_value) for table, _ in descend(GraphParams(*cell))]
             with monkeypatch.context() as patch:
                 patch.setattr(spectrum_module, "_BLOCK", 1)
                 got = [(table.weight_values, table.min_value) for table, _ in descend(GraphParams(*cell))]
             assert got == want, cell
-        assert max(outer_sizes) > 1
+        assert sorted(outer_sizes) == [2, 3, 5, 7]
+        assert all(size > 1 for size in outer_sizes.values()), outer_sizes
+
+    def test_means_peak_below_32_bytes_per_type(self):
+        # (5, 14, 4)'s level 2 holds 343,000 types.  The output tuple takes
+        # 8 B a type; the blocks of sums and of parent values stay a fixed size.
+        levels = list(itertools.islice(descend(GraphParams(5, 14, 4), budget=5**14), 3))
+        level1, level2 = levels[1][0], levels[2][0]
+        assert level2.kind == "typed" and level2.types.count == 343_000
+        tracemalloc.start()
+        try:
+            built = level1.next_level(level2.pivots[-1], level2.degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == level2
+        assert peak < 32 * level2.types.count, peak / level2.types.count
 
     def test_typed_pivot_checks(self):
         level1 = typed_levels(GraphParams(2, 7, 3))[1]
