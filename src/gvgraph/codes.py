@@ -39,17 +39,17 @@ in its header, and each packed word has n slots.
 Packed rows
 -----------
 
-From parse to weight a row or word is one Python int, one guarded slot per
-digit (``modq``, "Row format").  ``parse_pchk`` reads a row of n
-one-character decimal digits with one ``int`` call (``modq._Slots.parse``,
-for 2 <= q <= 16); any other row, and any row outside [0, q), is read digit
-by digit, which packs it or raises the row's format error.  ``LinearCode``
-holds its parity rows only as these words, whichever way it was built;
-``format_pchk`` unpacks each to its digits as it writes the row.  It
-checks the rank by the forward elimination alone
-(``modq.forward_eliminate``: one XOR per row operation for q = 2, else one
-guarded add-and-reduce with a stored multiple of the pivot row) and keeps
-the echelon rows, whose span is the dual words.  The
+From parse to weight a row or word is one Python int, one slot per digit:
+one bit for q = 2, else a slot with a guard bit (``modq``, "Row format").
+``parse_pchk`` reads a row of n one-character decimal digits with one
+``int`` call (``modq._Slots.parse``, for 2 <= q <= 16); any other row, and
+any row outside [0, q), is read digit by digit, which packs it or raises
+the row's format error.  ``LinearCode`` holds its parity rows only as
+these words, whichever way it was built; ``format_pchk`` unpacks each to
+its digits as it writes the row.  It checks the rank by the forward
+elimination alone (``modq.forward_eliminate``: one XOR per row operation
+for q = 2, else one guarded add-and-reduce with a stored multiple of the
+pivot row) and keeps the echelon rows, whose span is the dual words.  The
 RREF, by the back substitution on those rows (``modq.back_substitute``),
 is formed on first read, for the kernel basis that the codeword route of
 ``min_distance`` spans.  A word's weight is the number of its nonzero

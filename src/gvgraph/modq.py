@@ -3,9 +3,13 @@
 Row format
 ----------
 A row of n digits mod q is one Python int, its packed word.  Digit i sits
-in bits [w*i, w*i + w) with w = (q-1).bit_length() + 1: the low w - 1 bits
-hold the digit, and the slot's top bit is a guard bit, clear in every
-reduced word.  ``_Slots`` holds this layout for one (q, n).  Since
+in bits [w*i, w*i + w); ``_Slots`` holds this layout for one (q, n).
+
+For q = 2, w = 1 and there is no guard bit: digit i is bit i, the sum of
+two words is their XOR, and a word's weight is its popcount.
+
+For q > 2, w = (q-1).bit_length() + 1: the low w - 1 bits hold the digit,
+and the slot's top bit is a guard bit, clear in every reduced word.  Since
 q <= 2^(w-1), two digits sum to at most 2q - 2 < 2^w, so one integer add
 ``s = x + m`` adds every slot at once and no slot carries into the next.
 Adding ``bias`` (2^(w-1) - q in every slot) keeps each slot in [0, 2^w) and
@@ -17,11 +21,13 @@ such slot, again with no borrow, so
 
 reduces every slot mod q (``high`` holds the guard bits).  In the same way a
 digit plus 2^(w-1) - 1 sets the guard bit exactly when the digit is nonzero,
-so the weight of a word x is ``((x + nz) & high).bit_count()``.  For q = 2
-the bias is 0, the reduction of x + m is exactly ``x ^ m``, and a word's
-weight is its popcount.  For w <= 5 (q <= 16) the word read in base 2^w has
-the digits themselves as its digits, so ``pack`` and ``parse`` read a row
-as one numeral; ``parse`` then checks each digit is below q on the guard
+so the weight of a word x is ``((x + nz) & high).bit_count()``.  These three
+constants belong to the guarded layout, and no q = 2 path reads them.
+
+For w <= 5 (q <= 16) the word read in base 2^w has the digits themselves
+as its digits, so ``pack`` and ``parse`` read a row as one numeral.  For
+q = 2 the numeral is in base 2, which already refuses any digit of 2 or
+more; for q > 2 ``parse`` then checks each digit is below q on the guard
 bits.
 
 Row operations
@@ -81,7 +87,7 @@ class _Slots:
     def __init__(self, q: int, n: int) -> None:
         self.q = q
         self.n = n
-        self.w = w = (q - 1).bit_length() + 1
+        self.w = w = 1 if q == 2 else (q - 1).bit_length() + 1
         self.mask = (1 << w) - 1
 
     # The n-slot constants are built on first use: a code with no parity
@@ -107,9 +113,10 @@ class _Slots:
         """The word of n digits.
 
         For w <= 5 (q <= 13) the word read in base 2^w has the digits
-        themselves as its digits, so it is parsed from one string of n
-        characters, in time linear in n.  Larger q keep the sum of shifted
-        digits, which is quadratic in n, since each add copies the word so far.
+        themselves as its digits (q = 2: base 2, one bit a digit), so it is
+        parsed from one string of n characters, in time linear in n.  Larger
+        q keep the sum of shifted digits, which is quadratic in n, since
+        each add copies the word so far.
         """
         if self.w <= 5:
             return int(bytes(reversed(digits)).translate(_BASE32) or b"0", 1 << self.w)
@@ -119,11 +126,12 @@ class _Slots:
         """The word of n tokens that are one decimal digit below q each, or None.
 
         As in ``pack``, for w <= 5 the reversed row is one base-2^w numeral,
-        read by one ``int`` call.  The guard bits then check its range:
-        ``word & high`` is set by a digit of 2^(w-1) or more, and
-        ``(word + bias) & high`` by a digit of q or more.  None for q < 2,
-        for w > 5, and for any other tokens, which the caller reads digit by
-        digit.
+        read by one ``int`` call.  For q = 2 that call is the whole range
+        check: base 2 refuses any digit of 2 or more.  For q > 2 the guard
+        bits then check its range: ``word & high`` is set by a digit of
+        2^(w-1) or more, and ``(word + bias) & high`` by a digit of q or
+        more.  None for q < 2, for w > 5, and for any other tokens, which
+        the caller reads digit by digit.
         """
         n = self.n
         if len(tokens) != n or self.w > 5 or self.q < 2:
@@ -135,6 +143,8 @@ class _Slots:
             word = int(text, 1 << self.w)
         except ValueError:  # a digit of 2^w or more
             return None
+        if self.q == 2:
+            return word
         return None if word & self.high or (word + self.bias) & self.high else word
 
     def unpack(self, word: int) -> tuple[int, ...]:
@@ -142,7 +152,9 @@ class _Slots:
         return tuple((word >> shift) & mask for shift in range(0, self.w * self.n, self.w))
 
     def add(self, x: int, m: int) -> int:
-        """The reduced sum of two reduced words (for q = 2, with bias 0, their XOR)."""
+        """The reduced sum of two reduced words: for q = 2 their XOR."""
+        if self.q == 2:
+            return x ^ m
         s = x + m
         return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.q
 
@@ -178,7 +190,7 @@ class _Slots:
         return out
 
     def weights(self, words: Iterable[int]) -> Iterator[int]:
-        """The weight of each reduced word: a popcount for q = 2, whose guard bits are never set."""
+        """The weight of each reduced word: for q = 2, one bit a digit, its popcount."""
         if self.q == 2:
             return map(int.bit_count, words)
         nz, high = self.nz, self.high
@@ -224,10 +236,13 @@ def _monic_combinations(slots: _Slots, basis: Sequence[int], most: int) -> list[
 _WEIGH_BYTES = 1 << 16
 
 # The longest word, in bytes, that ``_span_weights`` weighs in a packed
-# chunk.  Packed, a word costs about 9 ns per byte (sums by byte position);
-# as an int of its own about 0.12 us (timed at q = 2, n = 128), so from
-# 12 to 16 bytes on (q = 2: n = 48 to 64) one int per word is as fast.
-_PACKED_BYTES = 16
+# chunk.  Packed, a binary word costs about 5 ns per byte (sums by byte
+# position); as an int of its own about 0.12 us.  Timed on 2^14 binary
+# words, packed against one int each: 1.3 against 1.9 ms at 16 bytes
+# (n = 128), 1.7 against 2.0 at 20 (n = 160), 2.0 against 2.0 at 24
+# (n = 192).  q > 2 words, whose own ints cost more to reduce and weigh,
+# are packed twice as fast at 20 bytes (q = 3, n = 53: 2.8 against 5.9 ms).
+_PACKED_BYTES = 20
 
 # Byte x to the number of its set bits.
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
@@ -251,16 +266,18 @@ def _span_weights(slots: _Slots, basis: Sequence[int]) -> bytes | array:
     field, is XORed or added and reduced, as ``_Slots.add`` does, into all
     fields at once, and the result is shifted past the fields so far.  To
     weigh, the guard bits of ``(x + nz) & high`` mark each nonzero slot
-    (q = 2: the word's bits are its digits), each byte becomes its popcount,
-    and a field's byte counts are summed by adding the ``nbytes`` ints that
-    hold the counts at one byte position of every field.  The sum of a
-    field is its weight, at most n, so no field carries into the next.
+    (q = 2: one bit a digit, the word's bits are its digits), each byte
+    becomes its popcount, and a field's byte counts are summed by adding
+    the ``nbytes`` ints that hold the counts at one byte position of every
+    field.  The sum of a field is its weight, at most n, so no field
+    carries into the next.
     Longer words are built one int each, a chunk at a time, and weighed by
     ``_Slots.weights``.
 
     The weights are bytes for n < 256, else an ``array`` of items wide
-    enough for n.  A packed chunk holds at most 64 slots a word, since a
-    slot takes at least 2 bits, so its weights fit in bytes.
+    enough for n.  A packed chunk holds at most 160 slots a word (binary
+    words, one bit a slot), so its weights are at most 160 and fit in
+    bytes.
     """
     q, shift = slots.q, slots.w - 1
     nbytes = max(1, (slots.w * slots.n + 7) // 8)  # bytes per word

@@ -45,6 +45,7 @@ from gvgraph import BudgetError, FqVector, GraphParams, LevelRecord, SpectrumTab
 from gvgraph.codes import PCHK_MAGIC, _header_int
 from gvgraph.combinat import is_prime
 from gvgraph.errors import DivisibilityError, PchkFormatError, check_budget
+from gvgraph.modq import _Slots
 from gvgraph.spectrum import _lead_col
 
 EXACT_SEARCH_CAP = 64
@@ -254,7 +255,7 @@ def reference_parse_pchk(text):
             raise ValueError(f"parity rows are linearly dependent: rank below s = {s}")
     except ValueError as exc:
         raise PchkFormatError(str(exc)) from None
-    w = (q - 1).bit_length() + 1
+    w = _Slots(q, n).w
     return q, n, tuple(reference_pack(digits, w) for digits in rows)
 
 

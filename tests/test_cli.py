@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvgraph import INFINITE_DISTANCE, GraphParams, bounds, build_bound_report, cli, codes, min_distance, read_pchk, run_algorithm1, vectors
+from gvgraph import INFINITE_DISTANCE, GraphParams, bounds, build_bound_report, cli, codes, min_distance, modq, read_pchk, run_algorithm1, vectors
 from helpers import CLASSICAL_CODES, dense_descent, hamming_parity_rows
 
 GVGRAPH = [sys.executable, "-m", "gvgraph"]
@@ -389,6 +389,21 @@ class TestVerifyCommand:
         vectors.FqVector(q, rows[0])  # the counter counts
         assert len(built) == 1
 
+    @pytest.mark.parametrize("position", [0, 2, 3])
+    @pytest.mark.parametrize("digit", range(2, 10))
+    def test_a_binary_digit_of_2_to_9_exits_2(self, tmp_path, digit, position):
+        # A q = 2 slot is one bit, with no guard bit: int(text, 2) refuses
+        # the digit, and the digit-by-digit read names the fault.
+        row = ["0", "1", "0", "1"]
+        row[position] = str(digit)
+        path = tmp_path / "b.pchk"
+        path.write_text(f"# gvpchk v1\nq 2\nn 4\ns 1\n{' '.join(row)}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", str(path), "-d", "2"])
+        assert code == 2
+        assert err.getvalue() == "error: row 0: digit out of range [0, 2)\n"
+
     def test_huge_prime_q_decided_fast(self, tmp_path):
         big = tmp_path / "big.pchk"
         big.write_text(f"# gvpchk v1\nq {10**18 + 3}\nn 1\ns 1\n1\n")
@@ -444,6 +459,57 @@ class TestVerifyCommand:
         assert lines[:3] + lines[4:] == ["q: 2", "n: 14300", "dimension: 14299", "min_distance: 2"]
         size = lines[3].removeprefix("codewords: ")
         assert len(size) == 4305 and int(Decimal(size)) == 2**14299
+
+
+class TestBinaryPathsReadNoGuardConstants:
+    """A q = 2 slot is one bit, with no guard bit, so ``_Slots.high``,
+    ``bias`` and ``nz`` mean nothing there: no q = 2 path of ``verify`` or
+    ``construct`` may read them."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """(q, name) of every read of the three constants while the test runs."""
+        reads = []
+        for name in ("high", "bias", "nz"):
+            func = vars(modq._Slots)[name].func
+            monkeypatch.setattr(modq._Slots, name, property(lambda slots, name=name, func=func: reads.append((slots.q, name)) or func(slots)))
+        return reads
+
+    @staticmethod
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    @pytest.mark.parametrize("name", ["hamming_7_4_3", "hamming_15_11_3", "golay_23_12_7", "golay_24_12_8"])
+    def test_verify(self, tmp_path, reads, name, sep):
+        # Dual words (s < k) and codewords (golay_24_12_8, k = s); rows of
+        # one int() call and, tab-separated, rows read digit by digit.
+        q, n, k, d, rows = CLASSICAL_CODES[name]
+        path = tmp_path / "c.pchk"
+        body = "".join(sep.join(map(str, row)) + "\n" for row in rows)
+        path.write_text(f"# gvpchk v1\nq {q}\nn {n}\ns {len(rows)}\n{body}")
+        assert self.run(["verify", str(path), "-d", str(d)]) == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("cell", [(2, 7, 3), (2, 12, 4), (2, 18, 4), (2, 20, 5)])
+    def test_construct_then_verify(self, tmp_path, reads, cell):
+        # Each cell ends on edge levels: the low-weight word search, the
+        # pattern columns and the edge values all run on packed words.
+        q, n, d = map(str, cell)
+        path = tmp_path / "c.pchk"
+        assert self.run(["construct", "-q", q, "-n", n, "-d", d, "-o", str(path)]) == 0
+        assert self.run(["verify", str(path), "-d", d]) == 0
+        assert reads == []
+
+    def test_the_probe_sees_a_ternary_read(self, tmp_path, reads):
+        q, n, k, d, rows = CLASSICAL_CODES["ternary_golay_11_6_5"]
+        path = tmp_path / "c.pchk"
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        path.write_text(f"# gvpchk v1\nq {q}\nn {n}\ns {len(rows)}\n{body}")
+        assert self.run(["verify", str(path), "-d", str(d)]) == 0
+        assert {name for _, name in reads} == {"high", "bias", "nz"}
+        assert {q for q, _ in reads} == {3}
 
 
 class TestSweepCommand:

@@ -149,10 +149,11 @@ def small_codes(draw):
 class TestPackedEnumeration:
     """``min_distance``'s packed weighing against a scan of all q^n vectors and the former loop's words.
 
-    At q = 2, 3, 5 and 17, q - 1 is a power of two, so two digits q - 1 sum
-    to exactly 2^(w-1), the guard bit.  The explicit examples with parity
-    rows reach that sum in a pivot slot; every explicit example holds the
-    all-(q-1) word, whose every slot sets the guard bit in the weight sum.
+    At q = 3, 5 and 17, q - 1 is a power of two, so two digits q - 1 sum
+    to exactly 2^(w-1), the guard bit (q = 2 has one bit a digit and no
+    guard bit).  The explicit examples with parity rows reach that sum in a
+    pivot slot; every explicit example holds the all-(q-1) word, whose
+    every slot sets the guard bit in the weight sum.
     The last two examples have s >= k and take the codeword route; the
     others take the dual route.
     """

@@ -55,8 +55,11 @@ class TestPackedRows:
         assert modq.rank([slots.pack(row) for row in rows], slots) == len(want_rows)
         basis = modq.kernel_basis(packed, cols, slots)
         assert [slots.unpack(x) for x in basis] == reference_kernel_basis(want_rows, want_cols, q, n)
-        # Every word stays reduced: no guard bit is left set.
-        assert not any(x & slots.high for x in packed + basis)
+        # Every word stays in its n slots and, for q > 2, reduced: no guard
+        # bit is left set.  (For q = 2 a slot is one bit, with no guard bit.)
+        assert not any(x >> (slots.w * n) for x in packed + basis)
+        if q > 2:
+            assert not any(x & slots.high for x in packed + basis)
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(primes=[2, 3, 5, 7], max_span=4096))
@@ -115,7 +118,24 @@ def test_binary_rref_on_a_dense_matrix():
         assert len(want_rows) <= 20
         assert [slots.unpack(x) for x in packed] == want_rows
         assert cols == want_cols
-        assert not any(x & slots.high for x in packed)
+        assert not any(x >> 32 for x in packed)  # no bit past the 32 one-bit slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(*[st.lists(st.integers(0, 1), min_size=n, max_size=n)] * 2)))
+def test_binary_words_are_bits_and_their_arithmetic_is_xor(case):
+    # q = 2 packs one bit a digit, with no guard bit: bit i is digit i.
+    a, b = case
+    slots = _Slots(2, len(a))
+    x, y = slots.pack(a), slots.pack(b)
+    assert slots.w == 1
+    assert x == sum(bit << i for i, bit in enumerate(a))
+    assert slots.unpack(x) == tuple(a) and slots.unpack(y) == tuple(b)
+    assert slots.add(x, y) == x ^ y
+    assert slots.multiples(x) == [x]
+    assert slots.plus_multiples(x, [0, y, x]) == [x, x ^ y, 0]
+    assert [slots.scale(x, c) for c in (0, 1)] == [0, x]
+    assert list(slots.weights([x, y])) == [sum(a), sum(b)]
 
 
 def span_weights_list(slots, basis):
@@ -128,9 +148,10 @@ class TestSpanWeights:
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19])
     def test_random_spans(self, q):
-        # w is 2 to 6 bits a slot (q = 17 and 19: 6): n = 8 words fill whole
-        # bytes, n = 1, 5, 7 and 33 words end inside a byte.  The basis words
-        # are drawn with repeats from zero, all-(q-1) and random words.
+        # w is 1 to 6 bits a slot (q = 2: 1; q = 17 and 19: 6): n = 8 words
+        # fill whole bytes, n = 1, 5, 7 and 33 words end inside a byte.  The
+        # basis words are drawn with repeats from zero, all-(q-1) and random
+        # words.
         rng = random.Random(q)
         for n in (1, 5, 7, 8, 12, 33):
             slots = _Slots(q, n)
@@ -156,6 +177,23 @@ class TestSpanWeights:
         assert max(weights) == n
         assert (type(weights) is bytes) == (n < 256)
 
+    @pytest.mark.parametrize("n", [127, 128, 129, 159, 160, 161])
+    def test_binary_weights_at_the_packed_boundary(self, n):
+        # From n = 128 on a field's weight sets the top bit of its low byte,
+        # which must not carry into the next field.  n = 160 (20 bytes) is
+        # the longest binary word weighed packed; n = 161 is weighed one int
+        # per word.
+        slots = _Slots(2, n)
+        assert ((n + 7) // 8 <= modq._PACKED_BYTES) == (n <= 160)
+        for seed in range(3):
+            rng = random.Random(n * 10 + seed)
+            basis = [slots.pack([1] * n)] + [slots.pack([rng.randrange(2) for _ in range(n)]) for _ in range(12)]
+            rng.shuffle(basis)
+            weights = modq._span_weights(slots, basis)
+            assert type(weights) is bytes
+            assert list(weights) == span_weights_list(slots, basis)
+            assert max(weights) == n
+
     @pytest.mark.parametrize("packed", [16, 0])
     @pytest.mark.parametrize("cap", [1, 2, 5, 9, 40, 100, 400, 4000])
     @pytest.mark.parametrize("q", [2, 3, 5, 17])
@@ -174,9 +212,9 @@ class TestSpanWeights:
 
     @pytest.mark.parametrize("q, n", [(2, 3000), (3, 1500), (2, 600_000)])
     def test_long_words(self, q, n):
-        # Under the real cap a bundle holds 2^6 words of 3,000 2-bit slots
-        # (750 bytes) or 3^3 words of 1,500 3-bit slots (563 bytes); a word
-        # of 600,000 slots (150,000 bytes) overfills the cap alone, so each
+        # Under the real cap a bundle holds 2^7 words of 3,000 one-bit slots
+        # (375 bytes) or 3^4 words of 1,500 3-bit slots (563 bytes); a word
+        # of 600,000 slots (75,000 bytes) overfills the cap alone, so each
         # chunk is one word.
         rng = random.Random(n)
         slots = _Slots(q, n)
@@ -186,8 +224,8 @@ class TestSpanWeights:
 
     @pytest.mark.parametrize("q, n, k", [(2, 40, 16), (3, 20, 10), (2, 2000, 13)])
     def test_memory_stays_near_the_cap(self, q, n, k):
-        # 2^16 words of 10 bytes, 3^10 of 8 bytes, 2^13 of 500 bytes: as a
-        # list of ints they would take 2.9, 2.4 and 4.7 MB.  About ten ints
+        # 2^16 words of 5 bytes, 3^10 of 8 bytes, 2^13 of 250 bytes: as a
+        # list of ints they would take 2.6, 2.4 and 2.5 MB.  About ten ints
         # of a chunk's size are alive at once, each at most the cap.
         rng = random.Random(n)
         slots = _Slots(q, n)
